@@ -2,7 +2,7 @@
 session calculus with disjointness constraints."""
 
 from .anf import anf_transform, is_strict_anf
-from .ast import canonicalize, free_vars, subst
+from .ast import alpha_equiv, canonicalize, free_vars, subst
 from .constraints import atomize, close, entails
 from .kinding import (
     KindError,
@@ -13,7 +13,7 @@ from .kinding import (
     restrict_non_dom,
     restrict_only_dom,
 )
-from .normalize import alpha_equiv, conv, dual, normalize
+from .normalize import conv, dual, normalize
 from .parser import ParseError, parse_expr, parse_kind, parse_program, parse_type
 from .pretty import pretty
 from .runtime import Machine, classify_config, classify_expr, step_expr

@@ -1,10 +1,15 @@
 """Abstract syntax for the pvgr calculus.
 
 A single Type tree covers expression types, session types, shapes, domains
-and states; kinding is what tells the categories apart. Binders carry
-globally unique names (the hygiene invariant), established by the parser
-and re-established by substitution, so scope handling never needs capture
+and states; kinding is what tells the categories apart (TPair, for one, is
+both a pair of types and a pair of shapes). Binders carry globally unique
+names (the hygiene invariant), established by the parser and
+re-established by substitution, so scope handling never needs capture
 checks.
+
+The scope table `SCOPES` is the one statement of binder scoping: free
+variables, substitution, canonical renaming and normalization all walk
+trees through it with `scope_walk`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +238,6 @@ class ShZero(Type):
 @dataclass(frozen=True)
 class ShOne(Type):
     pass
-
-
-@dataclass(frozen=True)
-class ShPair(Type):
-    left: Type
-    right: Type
 
 
 @dataclass(frozen=True)
@@ -496,45 +495,122 @@ Subst = dict[int, Union[Type, Value]]
 
 
 # ---------------------------------------------------------------------------
-# generic traversal helpers
+# binder scoping
 # ---------------------------------------------------------------------------
 
+# The scope role of a node field.
+OUT = "out"  # child seen from the scope around the node
+IN = "in"  # child, or tuple of children, also under the binders listed before it
+TBIND = "tbind"  # name bound as a type variable (its occurrences are TVar)
+VBIND = "vbind"  # name bound as a value variable (its occurrences are VVar)
+TBINDS = "tbinds"  # tuple of names bound as type variables
+TELE = "tele"  # bindings whose names scope over later bindings and the IN fields
+KEEP = "keep"  # carried over as is
+VAR = "var"  # the name of a variable occurrence
 
-def _node_fields(t: Tree) -> list[tuple[str, object]]:
-    return [(f.name, getattr(t, f.name)) for f in dataclasses.fields(t) if f.name != "span"]
+SCOPES: dict[type, tuple[tuple[str, str], ...]] = {
+    TVar: (("name", VAR),),
+    VVar: (("name", VAR),),
+    TLam: (("shape", OUT), ("binder", TBIND), ("body", IN)),
+    TAll: (("kind", OUT), ("binder", TBIND), ("cstr", IN), ("body", IN)),
+    TArr: (("pre", OUT), ("arg", OUT), ("exctx", TELE), ("post", IN), ("res", IN)),
+    TSend: (("shape", OUT), ("binder", TBIND), ("state", IN), ("payload", IN), ("cont", OUT)),
+    TRecv: (("shape", OUT), ("binder", TBIND), ("state", IN), ("payload", IN), ("cont", OUT)),
+    BTVar: (("name", TBIND), ("kind", OUT)),
+    BVal: (("name", VBIND), ("type", OUT)),
+    ELet: (("head", OUT), ("binder", VBIND), ("exnames", TBINDS), ("body", IN)),
+    VAbs: (("pre", OUT), ("argty", OUT), ("binder", VBIND), ("body", IN)),
+    VTAbs: (("kind", OUT), ("binder", TBIND), ("cstr", IN), ("body", IN)),
+    CNuChan: (("ses", OUT), ("end1", TBIND), ("end2", TBIND), ("body", IN), ("closed", KEEP)),
+    CNuAccess: (("ses", OUT), ("binder", VBIND), ("body", IN)),
+}
+"""Every class with a name field, and its non-span fields in scoping order.
+
+Binders are numbered and renamed in this order. Every other class has
+only OUT children and KEEP labels.
+"""
+
+
+class Layout(NamedTuple):
+    fields: tuple[tuple[str, str, int], ...]  # (name, role, declaration position)
+    children: tuple[str, ...]  # fields holding a child or a tuple of them
+    binds: bool
+
+
+class _LayoutCache(dict):
+    def __missing__(self, cls: type) -> Layout:
+        decl = [f for f in dataclasses.fields(cls) if f.name != "span"]
+        pos = {f.name: i for i, f in enumerate(decl)}
+        roles = SCOPES.get(cls) or [(f.name, KEEP if f.type == "Label" else OUT) for f in decl]
+        fields = tuple((name, role, pos[name]) for name, role in roles)
+        layout = self[cls] = Layout(
+            fields,
+            tuple(name for name, role, _ in fields if role in (OUT, IN, TELE)),
+            any(role in (TBIND, VBIND, TBINDS, TELE) for _, role, _ in fields),
+        )
+        return layout
+
+
+LAYOUT: dict[type, Layout] = _LayoutCache()
+"""The scope table of every node class, derived once per class."""
+
+
+def scope_walk(t: Tree, scope, go, bind, make):
+    """One pass over t's fields in scoping order.
+
+    A child c becomes go(c, s): s is `scope` for OUT fields, and for IN
+    fields and telescope bindings it is `scope` extended by every binder
+    met so far, each through bind(name, role, s) -> (new name, s').
+    Returns make(t, new field values in declaration order) and the scope
+    after the last binder.
+    """
+    fields = LAYOUT[t.__class__].fields
+    vals: list = [None] * len(fields)
+    inner = scope
+    for name, role, pos in fields:
+        v = getattr(t, name)
+        if role is OUT:
+            v = go(v, scope)
+        elif role is IN:
+            v = tuple([go(x, inner) for x in v]) if v.__class__ is tuple else go(v, inner)
+        elif role is TBIND or role is VBIND:
+            v, inner = bind(v, role, inner)
+        elif role is TBINDS:
+            names = []
+            for n in v:
+                n, inner = bind(n, TBIND, inner)
+                names.append(n)
+            v = tuple(names)
+        elif role is TELE:
+            bindings = []
+            for b in v:
+                b, inner = scope_walk(b, inner, go, bind, make)
+                bindings.append(b)
+            v = tuple(bindings)
+        vals[pos] = v
+    return make(t, vals), inner
 
 
 def children(t: Tree) -> Iterator[Tree]:
     """All direct subtrees, including bindings inside tuples."""
-    for _, v in _node_fields(t):
-        if isinstance(v, Node):
+    for name in LAYOUT[t.__class__].children:
+        v = getattr(t, name)
+        if v.__class__ is tuple:
+            yield from v
+        else:
             yield v
-        elif isinstance(v, tuple):
-            for x in v:
-                if isinstance(x, Node):
-                    yield x
 
 
 def size(t: Tree) -> int:
     return 1 + sum(size(c) for c in children(t))
 
 
-def _rebuild(t: Tree, go) -> Tree:
-    changes = {}
-    for name, v in _node_fields(t):
-        if isinstance(v, Node):
-            w = go(v)
-            if w is not v:
-                changes[name] = w
-        elif isinstance(v, tuple) and any(isinstance(x, Node) for x in v):
-            w = tuple(go(x) if isinstance(x, Node) else x for x in v)
-            if w != v:
-                changes[name] = w
-    return dataclasses.replace(t, **changes) if changes else t
+def _has_binders(t: Tree) -> bool:
+    return LAYOUT[t.__class__].binds or any(_has_binders(c) for c in children(t))
 
 
 # ---------------------------------------------------------------------------
-# free variables
+# free variables, substitution, canonical alpha-renaming
 # ---------------------------------------------------------------------------
 
 
@@ -543,71 +619,48 @@ def free_vars(t: Tree) -> set[Name]:
     out: set[Name] = set()
 
     def go(t: Tree, bound: frozenset[int]) -> None:
-        match t:
-            case TVar(name) | VVar(name):
-                if name.uid not in bound:
-                    out.add(name)
-            case TLam(binder, shape, body):
-                go(shape, bound)
-                go(body, bound | {binder.uid})
-            case TAll(binder, kind, cstr, body):
-                go(kind, bound)
-                inner = bound | {binder.uid}
-                for c in cstr:
-                    go(c, inner)
-                go(body, inner)
-            case TArr(pre, arg, exctx, post, res):
-                go(pre, bound)
-                go(arg, bound)
-                inner = bound
-                for b in exctx:
-                    go(b, inner)
-                    if isinstance(b, (BTVar, BVal)):
-                        inner = inner | {b.name.uid}
-                go(post, inner)
-                go(res, inner)
-            case TSend(binder, shape, state, payload, cont) | TRecv(
-                binder, shape, state, payload, cont
-            ):
-                go(shape, bound)
-                inner = bound | {binder.uid}
-                go(state, inner)
-                go(payload, inner)
-                go(cont, bound)
-            case ELet(binder, head, body, exnames):
-                go(head, bound)
-                go(body, bound | {binder.uid} | {n.uid for n in exnames})
-            case VAbs(pre, binder, argty, body):
-                go(pre, bound)
-                go(argty, bound)
-                go(body, bound | {binder.uid})
-            case VTAbs(binder, kind, cstr, body):
-                go(kind, bound)
-                inner = bound | {binder.uid}
-                for c in cstr:
-                    go(c, inner)
-                go(body, inner)
-            case CNuChan(end1, end2, ses, body):
-                go(ses, bound)
-                go(body, bound | {end1.uid, end2.uid})
-            case CNuAccess(binder, ses, body):
-                go(ses, bound)
-                go(body, bound | {binder.uid})
-            case BTVar(name, kind):
-                go(kind, bound)
-            case BVal(name, type_):
-                go(type_, bound)
-            case _:
-                for c in children(t):
-                    go(c, bound)
+        if t.__class__ is TVar or t.__class__ is VVar:
+            if t.name.uid not in bound:
+                out.add(t.name)
+        else:
+            scope_walk(t, bound, go, bind, _discard)
+
+    def bind(name: Name, role: str, bound: frozenset[int]):
+        return name, bound | {name.uid}
 
     go(t, frozenset())
     return out
 
 
-# ---------------------------------------------------------------------------
-# substitution
-# ---------------------------------------------------------------------------
+def _discard(t: Tree, vals: list) -> None:
+    return None
+
+
+def _rebuild(t: Tree, vals: list) -> Tree:
+    for name, _, pos in LAYOUT[t.__class__].fields:
+        if vals[pos] is not getattr(t, name):
+            return t.__class__(*vals, span=t.span)
+    return t
+
+
+def _renaming(new_name):
+    """The walk behind subst and canonicalize. Its scope maps a uid to the
+    tree that replaces the variable; new_name(binder) names each binder."""
+
+    def go(t: Tree, s: Subst) -> Tree:
+        if t.__class__ is TVar or t.__class__ is VVar:
+            r = s.get(t.name.uid)
+            if r is None:
+                return t
+            # freshen the payload's own binders per insertion site
+            return subst({}, r) if _has_binders(r) else r
+        return scope_walk(t, s, go, bind, _rebuild)[0]
+
+    def bind(name: Name, role: str, s: Subst):
+        new = new_name(name)
+        return new, {**s, name.uid: (TVar if role is TBIND else VVar)(new)}
+
+    return go
 
 
 def subst(s: Subst, t: Tree) -> Tree:
@@ -617,114 +670,11 @@ def subst(s: Subst, t: Tree) -> Tree:
     substituted payloads, which re-establishes the hygiene invariant even
     when one payload is inserted at several sites.
     """
-
-    def payload(v: Union[Type, Value]) -> Union[Type, Value]:
-        # freshen the payload's own binders per insertion site
-        return subst({}, v) if _has_binders(v) else v
-
-    def go(t: Tree, s: Subst) -> Tree:
-        match t:
-            case TVar(name):
-                if name.uid in s:
-                    return payload(s[name.uid])
-                return t
-            case VVar(name):
-                if name.uid in s:
-                    return payload(s[name.uid])
-                return t
-            case TLam(binder, shape, body):
-                b2 = fresh_name(binder.text)
-                s2 = {**s, binder.uid: TVar(b2)}
-                return TLam(b2, go(shape, s), go(body, s2), span=t.span)
-            case TAll(binder, kind, cstr, body):
-                b2 = fresh_name(binder.text)
-                s2 = {**s, binder.uid: TVar(b2)}
-                return TAll(
-                    b2,
-                    go(kind, s),
-                    tuple(go(c, s2) for c in cstr),
-                    go(body, s2),
-                    span=t.span,
-                )
-            case TArr(pre, arg, exctx, post, res):
-                s2 = dict(s)
-                ex2 = []
-                for b in exctx:
-                    if isinstance(b, BTVar):
-                        nb = fresh_name(b.name.text)
-                        ex2.append(BTVar(nb, go(b.kind, s2)))
-                        s2[b.name.uid] = TVar(nb)
-                    elif isinstance(b, BVal):
-                        nb = fresh_name(b.name.text)
-                        ex2.append(BVal(nb, go(b.type, s2)))
-                        s2[b.name.uid] = VVar(nb)
-                    else:
-                        ex2.append(go(b, s2))
-                return TArr(
-                    go(pre, s), go(arg, s), tuple(ex2), go(post, s2), go(res, s2), span=t.span
-                )
-            case TSend(binder, shape, state, pay, cont):
-                b2 = fresh_name(binder.text)
-                s2 = {**s, binder.uid: TVar(b2)}
-                return TSend(b2, go(shape, s), go(state, s2), go(pay, s2), go(cont, s), span=t.span)
-            case TRecv(binder, shape, state, pay, cont):
-                b2 = fresh_name(binder.text)
-                s2 = {**s, binder.uid: TVar(b2)}
-                return TRecv(b2, go(shape, s), go(state, s2), go(pay, s2), go(cont, s), span=t.span)
-            case ELet(binder, head, body, exnames):
-                b2 = fresh_name(binder.text)
-                ex2 = tuple(fresh_name(n.text) for n in exnames)
-                s2 = {**s, binder.uid: VVar(b2)}
-                for old, new in zip(exnames, ex2):
-                    s2[old.uid] = TVar(new)
-                return ELet(b2, go(head, s), go(body, s2), exnames=ex2, span=t.span)
-            case VAbs(pre, binder, argty, body):
-                b2 = fresh_name(binder.text)
-                s2 = {**s, binder.uid: VVar(b2)}
-                return VAbs(go(pre, s), b2, go(argty, s), go(body, s2), span=t.span)
-            case VTAbs(binder, kind, cstr, body):
-                b2 = fresh_name(binder.text)
-                s2 = {**s, binder.uid: TVar(b2)}
-                return VTAbs(
-                    b2, go(kind, s), tuple(go(c, s2) for c in cstr), go(body, s2), span=t.span
-                )
-            case CNuChan(end1, end2, ses, body, closed):
-                e1, e2 = fresh_name(end1.text), fresh_name(end2.text)
-                s2 = {**s, end1.uid: TVar(e1), end2.uid: TVar(e2)}
-                return CNuChan(e1, e2, go(ses, s), go(body, s2), closed, span=t.span)
-            case CNuAccess(binder, ses, body):
-                b2 = fresh_name(binder.text)
-                s2 = {**s, binder.uid: VVar(b2)}
-                return CNuAccess(b2, go(ses, s), go(body, s2), span=t.span)
-            case _:
-                return _rebuild(t, lambda c: go(c, s))
-
-    return go(t, s)
-
-
-_BINDER_NODES = (TLam, TAll, TArr, TSend, TRecv, ELet, VAbs, VTAbs, CNuChan, CNuAccess)
-
-
-def _has_binders(t: Tree) -> bool:
-    if isinstance(t, TArr):
-        return True
-    if isinstance(t, _BINDER_NODES):
-        return True
-    return any(_has_binders(c) for c in children(t))
+    return _renaming(lambda n: fresh_name(n.text))(t, s)
 
 
 def subst1(name: Name, replacement: Union[Type, Value], t: Tree) -> Tree:
     return subst({name.uid: replacement}, t)
-
-
-def rename_binders(t: Tree) -> Tree:
-    """Freshen every binder in t (used when duplicating subterms)."""
-    return subst({}, t)
-
-
-# ---------------------------------------------------------------------------
-# canonical alpha-renaming
-# ---------------------------------------------------------------------------
 
 
 def canonicalize(t: Tree) -> Tree:
@@ -736,85 +686,14 @@ def canonicalize(t: Tree) -> Tree:
     """
     counter = itertools.count()
 
-    def cname() -> Name:
+    def cname(_: Name) -> Name:
         i = next(counter)
         return Name(f"?{i}", -1 - i)
 
-    def go(t: Tree, env: dict[int, Name]) -> Tree:
-        match t:
-            case TVar(name):
-                return TVar(env.get(name.uid, name), span=t.span)
-            case VVar(name):
-                return VVar(env.get(name.uid, name), span=t.span)
-            case TLam(binder, shape, body):
-                shape2 = go(shape, env)
-                b2 = cname()
-                return TLam(b2, shape2, go(body, {**env, binder.uid: b2}), span=t.span)
-            case TAll(binder, kind, cstr, body):
-                kind2 = go(kind, env)
-                b2 = cname()
-                env2 = {**env, binder.uid: b2}
-                return TAll(
-                    b2, kind2, tuple(go(c, env2) for c in cstr), go(body, env2), span=t.span
-                )
-            case TArr(pre, arg, exctx, post, res):
-                pre2, arg2 = go(pre, env), go(arg, env)
-                env2 = dict(env)
-                ex2 = []
-                for b in exctx:
-                    if isinstance(b, (BTVar, BVal)):
-                        nb = cname()
-                        if isinstance(b, BTVar):
-                            ex2.append(BTVar(nb, go(b.kind, env2)))
-                        else:
-                            ex2.append(BVal(nb, go(b.type, env2)))
-                        env2[b.name.uid] = nb
-                    else:
-                        ex2.append(go(b, env2))
-                return TArr(pre2, arg2, tuple(ex2), go(post, env2), go(res, env2), span=t.span)
-            case TSend(binder, shape, state, payload, cont):
-                shape2 = go(shape, env)
-                b2 = cname()
-                env2 = {**env, binder.uid: b2}
-                return TSend(b2, shape2, go(state, env2), go(payload, env2), go(cont, env), span=t.span)
-            case TRecv(binder, shape, state, payload, cont):
-                shape2 = go(shape, env)
-                b2 = cname()
-                env2 = {**env, binder.uid: b2}
-                return TRecv(b2, shape2, go(state, env2), go(payload, env2), go(cont, env), span=t.span)
-            case ELet(binder, head, body, exnames):
-                head2 = go(head, env)
-                b2 = cname()
-                ex2 = tuple(cname() for _ in exnames)
-                env2 = {**env, binder.uid: b2}
-                for old, new in zip(exnames, ex2):
-                    env2[old.uid] = new
-                return ELet(b2, head2, go(body, env2), exnames=ex2, span=t.span)
-            case VAbs(pre, binder, argty, body):
-                pre2, argty2 = go(pre, env), go(argty, env)
-                b2 = cname()
-                return VAbs(pre2, b2, argty2, go(body, {**env, binder.uid: b2}), span=t.span)
-            case VTAbs(binder, kind, cstr, body):
-                kind2 = go(kind, env)
-                b2 = cname()
-                env2 = {**env, binder.uid: b2}
-                return VTAbs(b2, kind2, tuple(go(c, env2) for c in cstr), go(body, env2), span=t.span)
-            case CNuChan(end1, end2, ses, body, closed):
-                ses2 = go(ses, env)
-                e1, e2 = cname(), cname()
-                env2 = {**env, end1.uid: e1, end2.uid: e2}
-                return CNuChan(e1, e2, ses2, go(body, env2), closed, span=t.span)
-            case CNuAccess(binder, ses, body):
-                ses2 = go(ses, env)
-                b2 = cname()
-                return CNuAccess(b2, ses2, go(body, {**env, binder.uid: b2}), span=t.span)
-            case _:
-                return _rebuild(t, lambda c: go(c, env))
-
-    return go(t, {})
+    return _renaming(cname)(t, {})
 
 
-def alpha_equiv_tree(a: Tree, b: Tree) -> bool:
+def alpha_equiv(a: Tree, b: Tree) -> bool:
     """Structural equality up to renaming of bound names."""
     return canonicalize(a) == canonicalize(b)
 

@@ -23,7 +23,6 @@ from .ast import (
     KDom,
     Label,
     Name,
-    ShPair,
     TPair,
     TVar,
     Type,
@@ -99,7 +98,7 @@ def _shape_at(shapes: _Shapes, c: Chain) -> Type | None:
     if sh is None:
         return None
     for lab in c.path:
-        if not isinstance(sh, (ShPair, TPair)):
+        if not isinstance(sh, TPair):
             return None
         sh = sh.left if lab is Label.L1 else sh.right
     return sh
@@ -110,7 +109,7 @@ def _sibling_seeds(shapes: _Shapes) -> set[AtomicConstraint]:
     out: set[AtomicConstraint] = set()
 
     def walk(base: Name, path: tuple[Label, ...], sh: Type) -> None:
-        if isinstance(sh, (ShPair, TPair)):
+        if isinstance(sh, TPair):
             c1 = Chain(base, path + (Label.L1,))
             c2 = Chain(base, path + (Label.L2,))
             out.add((c1, c2))
@@ -136,7 +135,7 @@ def close(atoms: set[AtomicConstraint], shapes: _Shapes | None = None) -> Closed
         l, r = a
         work.append((r, l))
         sh = _shape_at(shapes, l)
-        if isinstance(sh, (ShPair, TPair)):
+        if isinstance(sh, TPair):
             work.append((l.extend(Label.L1), r))
             work.append((l.extend(Label.L2), r))
     return frozenset(seen)

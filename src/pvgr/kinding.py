@@ -23,7 +23,6 @@ from .ast import (
     Label,
     Name,
     ShOne,
-    ShPair,
     ShZero,
     Span,
     StBind,
@@ -47,6 +46,7 @@ from .ast import (
     Type,
     state_atoms,
 )
+from .constraints import entails
 from .normalize import conv, normalize
 from .pretty import pretty
 
@@ -193,7 +193,6 @@ _RULE_OF = {
     TDual: "K-Dual",
     ShZero: "K-ShapeZero",
     ShOne: "K-ShapeOne",
-    ShPair: "K-ShapePair",
     DomZero: "K-DomZero",
     DomMerge: "K-DomMerge",
     DomProj: "K-DomProj",
@@ -325,10 +324,6 @@ def _infer(g: Ctx, t: Type) -> Kind:
             return KSession()
         case ShZero() | ShOne():
             return KShape()
-        case ShPair(l, r):
-            _expect(g, l, KShape(), "K-ShapePair")
-            _expect(g, r, KShape(), "K-ShapePair")
-            return KShape()
         case DomZero():
             return KDom(ShZero())
         case DomMerge(l, r):
@@ -336,13 +331,13 @@ def _infer(g: Ctx, t: Type) -> Kind:
             if not (isinstance(kl, KDom) and isinstance(kr, KDom)):
                 raise _fail("K-DomMerge", "merge of non-domains", t)
             _require_disjoint(g, l, r, "K-DomMerge", t)
-            return KDom(ShPair(kl.shape, kr.shape))
+            return KDom(TPair(kl.shape, kr.shape))
         case DomProj(lab, dom):
             kd = infer_kind(g, dom)
             if not isinstance(kd, KDom):
                 raise _fail("K-DomProj", "projection of a non-domain", t, found=pretty(kd))
             sh = normalize(kd.shape)
-            if not isinstance(sh, (ShPair, TPair)):
+            if not isinstance(sh, TPair):
                 raise _fail(
                     "K-DomProj",
                     "projection needs a pair-shaped domain",
@@ -384,8 +379,6 @@ def _infer(g: Ctx, t: Type) -> Kind:
 
 
 def _require_disjoint(g: Ctx, d1: Type, d2: Type, rule: str, at: Type) -> None:
-    from .constraints import entails
-
     if not entails(g, (BDisjoint(d1, d2),)):
         raise _fail(
             rule,

@@ -10,39 +10,33 @@ docs/normalization.md).
 
 from __future__ import annotations
 
-import dataclasses
-
 from .ast import (
-    BDisjoint,
-    Binding,
+    IN,
+    KEEP,
+    LAYOUT,
+    OUT,
+    TELE,
     BTVar,
     BVal,
     DomMerge,
     DomProj,
-    KArrow,
-    KDom,
-    Kind,
     Label,
-    ShPair,
-    StBind,
+    Name,
     StEmpty,
     StMerge,
-    TAll,
     TApp,
-    TArr,
     TBranch,
-    TChan,
     TChoice,
     TDual,
     TEnd,
     TLam,
-    TPair,
     TRecv,
     TSend,
     TVar,
-    TAccess,
+    Tree,
     Type,
-    canonicalize,
+    alpha_equiv,
+    scope_walk,
     state_atoms,
     subst1,
 )
@@ -51,26 +45,12 @@ from .ast import (
 # states in canonical (flattened, sorted) form.
 NormalType = Type
 
-_Env = dict[int, int]  # binder uid -> de Bruijn level
+_Scope = tuple[dict[int, int], int]  # binder uid -> de Bruijn level; binders in scope
+_TOP: _Scope = ({}, 0)
 
 
 def normalize(t: Type) -> NormalType:
-    return _norm(t, {}, 0)
-
-
-def normalize_kind(k: Kind) -> Kind:
-    match k:
-        case KDom(shape):
-            return KDom(_norm(shape, {}, 0))
-        case KArrow(src, dst):
-            return KArrow(normalize_kind(src), normalize_kind(dst))
-        case _:
-            return k
-
-
-def alpha_equiv(t1: Type, t2: Type) -> bool:
-    """Structural equality up to renaming of bound variables."""
-    return canonicalize(t1) == canonicalize(t2)
+    return _norm(t, _TOP)
 
 
 def conv(t1: Type, t2: Type) -> bool:
@@ -89,104 +69,42 @@ def dual(s: Type) -> NormalType:
 # ---------------------------------------------------------------------------
 
 
-def _norm(t: Type, env: _Env, depth: int) -> Type:
+def _norm(t: Type, scope: _Scope) -> Type:
+    if not LAYOUT[t.__class__].children:
+        return t  # leaves are normal and keep their spans
     match t:
-        case TVar() | TEnd():
-            return t
         case TApp(fn, arg):
-            nf = _norm(fn, env, depth)
-            na = _norm(arg, env, depth)
+            nf = _norm(fn, scope)
+            na = _norm(arg, scope)
             if isinstance(nf, TLam):
-                return _norm(subst1(nf.binder, na, nf.body), env, depth)
+                return _norm(subst1(nf.binder, na, nf.body), scope)
             return TApp(nf, na)
-        case TLam(binder, shape, body):
-            nsh = _norm(shape, env, depth)
-            nb = _norm(body, {**env, binder.uid: depth}, depth + 1)
-            return TLam(binder, nsh, nb)
-        case TAll(binder, kind, cstr, body):
-            env2 = {**env, binder.uid: depth}
-            return TAll(
-                binder,
-                _norm_kind(kind, env, depth),
-                tuple(
-                    BDisjoint(_norm(c.left, env2, depth + 1), _norm(c.right, env2, depth + 1))
-                    for c in cstr
-                ),
-                _norm(body, env2, depth + 1),
-            )
-        case TArr(pre, arg, exctx, post, res):
-            npre = _norm(pre, env, depth)
-            narg = _norm(arg, env, depth)
-            env2, d2 = dict(env), depth
-            nex: list[Binding] = []
-            for b in exctx:
-                match b:
-                    case BTVar(nm, kind):
-                        nex.append(BTVar(nm, _norm_kind(kind, env2, d2)))
-                        env2[nm.uid] = d2
-                        d2 += 1
-                    case BVal(nm, ty):
-                        nex.append(BVal(nm, _norm(ty, env2, d2)))
-                        env2[nm.uid] = d2
-                        d2 += 1
-                    case BDisjoint(l, r):
-                        nex.append(BDisjoint(_norm(l, env2, d2), _norm(r, env2, d2)))
-            return TArr(npre, narg, tuple(nex), _norm(post, env2, d2), _norm(res, env2, d2))
-        case TChan(dom):
-            return TChan(_norm(dom, env, depth))
-        case TAccess(ses):
-            return TAccess(_norm(ses, env, depth))
-        case TPair(l, r) | ShPair(l, r):
-            return TPair(_norm(l, env, depth), _norm(r, env, depth))
-        case TSend(binder, shape, state, payload, cont) | TRecv(
-            binder, shape, state, payload, cont
-        ):
-            env2 = {**env, binder.uid: depth}
-            cls = TSend if isinstance(t, TSend) else TRecv
-            return cls(
-                binder,
-                _norm(shape, env, depth),
-                _norm(state, env2, depth + 1),
-                _norm(payload, env2, depth + 1),
-                _norm(cont, env, depth),
-            )
-        case TChoice(l, r):
-            return TChoice(_norm(l, env, depth), _norm(r, env, depth))
-        case TBranch(l, r):
-            return TBranch(_norm(l, env, depth), _norm(r, env, depth))
         case TDual(s):
-            return _dual_push(_norm(s, env, depth), env, depth)
-        case DomMerge(l, r):
-            return DomMerge(_norm(l, env, depth), _norm(r, env, depth))
+            return _dual_push(_norm(s, scope))
         case DomProj(lab, dom):
-            nd = _norm(dom, env, depth)
+            nd = _norm(dom, scope)
             if isinstance(nd, DomMerge):
                 return nd.left if lab is Label.L1 else nd.right
             return DomProj(lab, nd)
-        case StEmpty():
-            return t
-        case StBind(dom, ses):
-            return StBind(_norm(dom, env, depth), _norm(ses, env, depth))
         case StMerge():
             atoms: list[Type] = []
             for a in state_atoms(t):
-                na = _norm(a, env, depth)
-                atoms.extend(state_atoms(na))  # normalization may expose merges
+                atoms.extend(state_atoms(_norm(a, scope)))  # normalization may expose merges
             atoms = [a for a in atoms if not isinstance(a, StEmpty)]
-            atoms.sort(key=lambda a: _key(a, env, depth))
+            atoms.sort(key=lambda a: _key(a, scope))
             return _state_rebuild(atoms)
-        case _:
-            return t  # ShZero, ShOne, DomZero, TUnit
+    # every other node: congruence, scoped by the table
+    return scope_walk(t, scope, _norm, _bind_level, _bare)[0]
 
 
-def _norm_kind(k: Kind, env: _Env, depth: int) -> Kind:
-    match k:
-        case KDom(shape):
-            return KDom(_norm(shape, env, depth))
-        case KArrow(src, dst):
-            return KArrow(_norm_kind(src, env, depth), _norm_kind(dst, env, depth))
-        case _:
-            return k
+def _bind_level(name: Name, role: str, scope: _Scope) -> tuple[Name, _Scope]:
+    levels, depth = scope
+    return name, ({**levels, name.uid: depth}, depth + 1)
+
+
+def _bare(t: Tree, vals: list) -> Tree:
+    """t rebuilt from new field values; normal forms carry no spans."""
+    return t.__class__(*vals)
 
 
 def _state_rebuild(atoms: list[Type]) -> Type:
@@ -198,19 +116,19 @@ def _state_rebuild(atoms: list[Type]) -> Type:
     return out
 
 
-def _dual_push(s: Type, env: _Env, depth: int) -> Type:
+def _dual_push(s: Type) -> Type:
     """Dual of an already-normal session; stays stuck on variables."""
     match s:
         case TEnd():
             return TEnd()
         case TSend(binder, shape, state, payload, cont):
-            return TRecv(binder, shape, state, payload, _dual_push(cont, env, depth))
+            return TRecv(binder, shape, state, payload, _dual_push(cont))
         case TRecv(binder, shape, state, payload, cont):
-            return TSend(binder, shape, state, payload, _dual_push(cont, env, depth))
+            return TSend(binder, shape, state, payload, _dual_push(cont))
         case TChoice(l, r):
-            return TBranch(_dual_push(l, env, depth), _dual_push(r, env, depth))
+            return TBranch(_dual_push(l), _dual_push(r))
         case TBranch(l, r):
-            return TChoice(_dual_push(l, env, depth), _dual_push(r, env, depth))
+            return TChoice(_dual_push(l), _dual_push(r))
         case TDual(inner) if isinstance(inner, TVar):
             return inner  # involution
         case _:
@@ -221,76 +139,20 @@ def _dual_push(s: Type, env: _Env, depth: int) -> Type:
 # alpha-invariant ordering key (de Bruijn levels for bound, uid for free)
 # ---------------------------------------------------------------------------
 
+_KEYED = (OUT, IN, TELE, KEEP)
 
-def _key(t: Type | Kind | Binding, env: _Env, depth: int):
-    match t:
-        case TVar(nm):
-            return ("b", env[nm.uid]) if nm.uid in env else ("f", nm.text, nm.uid)
-        case TLam(binder, shape, body):
-            return (
-                "TLam",
-                _key(shape, env, depth),
-                _key(body, {**env, binder.uid: depth}, depth + 1),
-            )
-        case TAll(binder, kind, cstr, body):
-            env2 = {**env, binder.uid: depth}
-            return (
-                "TAll",
-                _key(kind, env, depth),
-                tuple(_key(c, env2, depth + 1) for c in cstr),
-                _key(body, env2, depth + 1),
-            )
-        case TArr(pre, arg, exctx, post, res):
-            env2, d2 = dict(env), depth
-            keys = []
-            for b in exctx:
-                if isinstance(b, (BTVar, BVal)):
-                    keys.append(_key(b.kind if isinstance(b, BTVar) else b.type, env2, d2))
-                    env2[b.name.uid] = d2
-                    d2 += 1
-                else:
-                    keys.append(_key(b, env2, d2))
-            return (
-                "TArr",
-                _key(pre, env, depth),
-                _key(arg, env, depth),
-                tuple(keys),
-                _key(post, env2, d2),
-                _key(res, env2, d2),
-            )
-        case TSend(binder, shape, state, payload, cont) | TRecv(
-            binder, shape, state, payload, cont
-        ):
-            env2 = {**env, binder.uid: depth}
-            return (
-                type(t).__name__,
-                _key(shape, env, depth),
-                _key(state, env2, depth + 1),
-                _key(payload, env2, depth + 1),
-                _key(cont, env, depth),
-            )
-        case DomProj(lab, dom):
-            return ("DomProj", int(lab), _key(dom, env, depth))
-        case BDisjoint(l, r):
-            return ("#", _key(l, env, depth), _key(r, env, depth))
-        case BTVar(nm, kind):
-            return ("BTVar", _key(kind, env, depth))
-        case BVal(nm, ty):
-            return ("BVal", _key(ty, env, depth))
-        case KDom(shape):
-            return ("KDom", _key(shape, env, depth))
-        case KArrow(src, dst):
-            return ("KArrow", _key(src, env, depth), _key(dst, env, depth))
-        case Kind():
-            return (type(t).__name__,)
-        case _:
-            parts: list = [type(t).__name__]
-            for f in dataclasses.fields(t):
-                if f.name == "span":
-                    continue
-                v = getattr(t, f.name)
-                if isinstance(v, (Type, Kind, Binding)):
-                    parts.append(_key(v, env, depth))
-                elif isinstance(v, Label):
-                    parts.append(int(v))
-            return tuple(parts)
+
+def _key(t: Tree, scope: _Scope):
+    if t.__class__ is TVar:
+        levels, uid = scope[0], t.name.uid
+        return ("b", levels[uid]) if uid in levels else ("f", t.name.text, uid)
+    return scope_walk(t, scope, _key, _bind_level, _key_of)[0]
+
+
+def _key_of(t: Tree, vals: list):
+    """The class name, then the keys of the children and the kept fields;
+    a telescope binding keys as its annotation."""
+    parts = [vals[pos] for _, role, pos in LAYOUT[t.__class__].fields if role in _KEYED]
+    if t.__class__ is BTVar or t.__class__ is BVal:
+        return parts[0]
+    return (t.__class__.__name__, *parts)

@@ -384,7 +384,7 @@ class Parser:
                     right = self.type_()
                     self.eat(")")
                     # pair of types and pair of shapes share one surface form;
-                    # kinding tells them apart, normalize folds ShPair into TPair
+                    # kinding tells them apart
                     return TPair(inner, right, span=sp)
                 self.eat(")")
                 return inner

@@ -39,7 +39,6 @@ from .ast import (
     Kind,
     Name,
     ShOne,
-    ShPair,
     ShZero,
     StBind,
     StEmpty,
@@ -130,7 +129,7 @@ class _Printer:
     def _juxtaposable(self, t: Type) -> bool:
         """Argument forms the grammar accepts by juxtaposition."""
         match t:
-            case TVar() | DomZero() | DomMerge() | TPair() | ShPair() | StBind():
+            case TVar() | DomZero() | DomMerge() | TPair() | StBind():
                 return True
             case DomProj(_, d):
                 return self._juxtaposable(d)
@@ -151,7 +150,7 @@ class _Printer:
                 return f"Chan {self.ty_atom(d)}"
             case TAccess(s):
                 return f"AP({self.ty(s)})"
-            case TPair(l, r) | ShPair(l, r):
+            case TPair(l, r):
                 return f"({self.ty(l)} * {self.ty(r)})"
             case ShZero():
                 return "0"

@@ -23,6 +23,8 @@ from .ast import (
     CNuChan,
     CPar,
     CProc,
+    DomMerge,
+    DomZero,
     EAccept,
     EApp,
     ECase,
@@ -74,14 +76,10 @@ def _value_domains(v: Value) -> Type | None:
         case VChan(d):
             return d
         case VUnit():
-            from .ast import DomZero
-
             return DomZero()
         case VPair(l, r):
             dl, dr = _value_domains(l), _value_domains(r)
             if dl is not None and dr is not None:
-                from .ast import DomMerge
-
                 return DomMerge(dl, dr)
             return None
         case _:
@@ -287,7 +285,7 @@ def find_candidates(cfg: Config) -> list[Candidate]:
     for bpath, binder in iter_binders(cfg):
         inner = [
             (path, e, split_eval(e))
-            for path, e in iter_procs(get_at(cfg, bpath + ("body",)) if False else binder.body, bpath + ("body",))
+            for path, e in iter_procs(binder.body, bpath + ("body",))
         ]
         holes = [(p, e, h[0], h[1]) for p, e, h in inner if h is not None]
         if isinstance(binder, CNuAccess):

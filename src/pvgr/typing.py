@@ -23,7 +23,6 @@ from .ast import (
     DomMerge,
     DomProj,
     DomZero,
-    ShPair,
     CNuAccess,
     CNuChan,
     CPar,
@@ -80,6 +79,7 @@ from .ast import (
     Value,
     free_vars,
     fresh_name,
+    state_atoms,
     state_of_atoms,
     subst,
 )
@@ -145,8 +145,6 @@ Renaming = dict[int, Type]
 
 
 def _atoms_of(state: Type) -> list[Type]:
-    from .ast import state_atoms
-
     return state_atoms(normalize(state))
 
 
@@ -717,7 +715,7 @@ def _assemble(uid: int, path: tuple[int, ...], shape: Type | None, parts: dict) 
     if whole is not None:
         return whole
     if shape is not None:
-        if isinstance(shape, (TPair, ShPair)):
+        if isinstance(shape, TPair):
             l = _assemble(uid, path + (1,), shape.left, parts)
             r = _assemble(uid, path + (2,), shape.right, parts)
             if l is not None and r is not None:

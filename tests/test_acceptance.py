@@ -27,7 +27,7 @@ from pvgr.ast import (
     TChan,
     TDual,
     TVar,
-    alpha_equiv_tree,
+    alpha_equiv,
     canonicalize,
     fresh_name,
     size,
@@ -384,7 +384,7 @@ def test_criterion_8_round_trip_and_anf():
         printed = pretty(tree)
         prog2 = parse_program(printed)
         tree2 = prog2.expr if prog2.expr is not None else prog2.config
-        assert alpha_equiv_tree(tree, tree2), path.name
+        assert alpha_equiv(tree, tree2), path.name
 
     # 1000 random trees: printing is parse-stable
     free = [fresh_name(f"fv{i}") for i in range(3)]
@@ -400,7 +400,7 @@ def test_criterion_8_round_trip_and_anf():
             continue
         once = anf_transform(prog.expr)
         assert is_strict_anf(once)
-        assert alpha_equiv_tree(anf_transform(once), once)
+        assert alpha_equiv(anf_transform(once), once)
         base = Machine(CProc(flatten_lets(prog.expr)), max_steps=20_000).run()
         trans = Machine(CProc(once), max_steps=20_000).run()
         assert base.kind == trans.kind

@@ -15,7 +15,7 @@ from pvgr.ast import (
     TVar,
     VUnit,
     VVar,
-    alpha_equiv_tree,
+    alpha_equiv,
     canonicalize,
     free_vars,
     fresh_name,
@@ -49,7 +49,7 @@ def test_subst_matches_naive_textual_substitution_on_closed_binders(rng):
         payload = random_type(rng, rng.randrange(1, 4), [])
         hygienic = subst({a.uid: payload}, body)
         naive = _naive_subst(a.uid, payload, body)
-        assert alpha_equiv_tree(hygienic, naive)
+        assert alpha_equiv(hygienic, naive)
 
 
 def _naive_subst(uid, payload, t):
@@ -76,7 +76,7 @@ def _naive_subst(uid, payload, t):
 def test_subst_identity_map_is_identity_up_to_alpha(rng):
     for _ in range(30):
         t = random_type(rng, rng.randrange(2, 9), [fresh_name("f")])
-        assert alpha_equiv_tree(subst({}, t), t)
+        assert alpha_equiv(subst({}, t), t)
 
 
 def test_subst_composition_up_to_alpha(rng):
@@ -88,7 +88,7 @@ def test_subst_composition_up_to_alpha(rng):
         pb = random_type(rng, 2, [])
         seq = subst({b.uid: pb}, subst({a.uid: pa}, t))
         fused = subst({a.uid: pa, b.uid: pb}, t)
-        assert alpha_equiv_tree(seq, fused)
+        assert alpha_equiv(seq, fused)
 
 
 def test_free_vars_chan():

@@ -14,7 +14,7 @@ from pvgr.ast import (
     KDom,
     Label,
     ShOne,
-    ShPair,
+    TPair,
     TVar,
     fresh_name,
 )
@@ -26,7 +26,7 @@ def dom1():
 
 
 def dom11():
-    return KDom(ShPair(ShOne(), ShOne()))
+    return KDom(TPair(ShOne(), ShOne()))
 
 
 def test_atomize_split_distributes():

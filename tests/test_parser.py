@@ -18,7 +18,7 @@ from pvgr.ast import (
     VAbs,
     VUnit,
     VVar,
-    alpha_equiv_tree,
+    alpha_equiv,
     fresh_name,
 )
 from pvgr.parser import ParseError, parse_expr, parse_program, parse_type
@@ -43,7 +43,7 @@ def test_parse_fork_example():
     assert e.body.value.name == e.binder
     # round trip
     again = parse_program(pretty(e)).expr
-    assert alpha_equiv_tree(e, again)
+    assert alpha_equiv(e, again)
 
 
 def test_parse_send0_session_surface():
@@ -89,7 +89,7 @@ def test_round_trip_corpus(path):
     printed = pretty(tree)
     prog2 = parse_program(printed, filename=path.name)
     tree2 = prog2.expr if prog2.expr is not None else prog2.config
-    assert alpha_equiv_tree(tree, tree2), printed
+    assert alpha_equiv(tree, tree2), printed
     # printing is deterministic / stable
     assert pretty(tree2) == printed
 
@@ -107,7 +107,7 @@ def test_round_trip_random_sessions_alpha(rng):
     for _ in range(200):
         s = random_session(rng, 3)
         s2 = parse_type(pretty(s), open_world=False)
-        assert alpha_equiv_tree(s, s2)
+        assert alpha_equiv(s, s2)
 
 
 def test_anf_let_flattening():
@@ -115,7 +115,7 @@ def test_anf_let_flattening():
     out = anf_transform(e)
     assert is_strict_anf(out)
     expected = parse_expr("let y = () in let x = y in x", open_world=False)
-    assert alpha_equiv_tree(out, expected)
+    assert alpha_equiv(out, expected)
 
 
 def test_anf_value_untouched():
@@ -130,7 +130,7 @@ def test_anf_idempotent_on_corpus():
             continue
         once = anf_transform(prog.expr)
         assert is_strict_anf(once)
-        assert alpha_equiv_tree(anf_transform(once), once)
+        assert alpha_equiv(anf_transform(once), once)
 
 
 def test_anf_output_satisfies_predicate_on_app_chains():

@@ -236,7 +236,7 @@ def test_match_head_mismatch():
 
 
 def test_match_pair_of_channels_assembles_merge():
-    from pvgr.ast import DomProj, Label, DomMerge, ShPair, TPair
+    from pvgr.ast import DomProj, Label, DomMerge, TPair
 
     a, d1, d2 = fresh_name("a"), fresh_name("d1"), fresh_name("d2")
     g = (
@@ -257,7 +257,7 @@ def test_match_pair_of_channels_assembles_merge():
     ]
     act_ty = TPair(TChan(TVar(d1)), TChan(TVar(d2)))
     rho = match_existential(
-        g, (BTVar(a, KDom(ShPair(ShOne(), ShOne()))),), pat_state, pat_ty, act_state, act_ty
+        g, (BTVar(a, KDom(TPair(ShOne(), ShOne()))),), pat_state, pat_ty, act_state, act_ty
     )
     assert conv(rho[a.uid], DomMerge(TVar(d1), TVar(d2)))
 
