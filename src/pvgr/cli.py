@@ -1,7 +1,10 @@
 """Command-line interface: check, run, and corpus verification.
 
 Exit codes: check 0 ok / 1 type error / 2 parse error; run additionally
-3 deadlock / 4 out of fuel. Output goes to stdout, diagnostics to stderr.
+3 deadlock / 4 out of fuel. Any other failure inside pvgr (a recursion
+limit hit on a deeply nested program, say) is reported as an
+`error[internal]` diagnostic with exit code 5, never as a traceback.
+Output goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ def _diag_from_error(e: Exception) -> Diagnostic:
         if e.span:
             d.file, d.line, d.col = e.span.file, e.span.line, e.span.col
         return d
-    return Diagnostic("error", "internal", str(e))
+    return Diagnostic("error", "internal", f"{type(e).__name__}: {e}")
 
 
 def _emit(diag: Diagnostic, fmt: str) -> None:
@@ -263,7 +266,11 @@ def main(argv: list[str] | None = None) -> int:
     p_corpus.set_defaults(fn=cmd_corpus)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as e:  # every failure the commands do not diagnose themselves
+        _emit(_diag_from_error(e), getattr(args, "format", "pretty"))
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,20 +1,27 @@
-"""Decision procedure for disjointness-constraint entailment.
+"""The typing context as an indexed data structure, and disjointness
+entailment decided from its index.
 
-Constraints are normalized and decomposed into atomic constraints over
-projection chains rooted at type variables, then closed under symmetry,
-projection splitting, and the sibling axiom (both projections of a
-pair-shaped domain are disjoint). Entailment holds when the goal's atoms
-are contained in the closed assumption set. Chains are bounded by the
-variables' shapes, so the closure terminates without fuel.
+Constraints are normalized and decomposed into atomic constraints: pairs
+of projection chains rooted at type variables. The closed set of a context
+is the least set that holds its atoms and the sibling axiom (both
+projections of a pair-shaped domain are disjoint) and is closed under
+symmetry and projection splitting; `atomize`, `close` and `shape_env`
+compute it. `entails` never builds it. A `Context` keeps the normalized
+shape of each domain variable and its atoms in both orientations, and each
+goal atom is decided from those by two membership rules, without a fixed
+point (docs/constraints.md states the rules and proves them equal to
+membership in the closed set).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ast import (
     BDisjoint,
+    Binding,
     BTVar,
+    BVal,
     Ctx,
     ConstraintSet,
     DomMerge,
@@ -49,6 +56,7 @@ AtomicConstraint = tuple[Chain, Chain]
 ClosedSet = frozenset[AtomicConstraint]
 
 _Shapes = dict[int, Type]  # domain variable uid -> normalized shape
+_Key = tuple[int, tuple[Label, ...]]  # a chain as (base uid, path)
 
 
 def _chain_of(d: Type) -> Chain:
@@ -93,33 +101,15 @@ def shape_env(g: Ctx) -> _Shapes:
     }
 
 
-def _shape_at(shapes: _Shapes, c: Chain) -> Type | None:
-    sh = shapes.get(c.base.uid)
+def _shape_at(shapes: _Shapes, uid: int, path: tuple[Label, ...]) -> Type | None:
+    sh = shapes.get(uid)
     if sh is None:
         return None
-    for lab in c.path:
+    for lab in path:
         if not isinstance(sh, TPair):
             return None
         sh = sh.left if lab is Label.L1 else sh.right
     return sh
-
-
-def _sibling_seeds(shapes: _Shapes) -> set[AtomicConstraint]:
-    """pi1 d # pi2 d for every pair-shaped position of every domain variable."""
-    out: set[AtomicConstraint] = set()
-
-    def walk(base: Name, path: tuple[Label, ...], sh: Type) -> None:
-        if isinstance(sh, TPair):
-            c1 = Chain(base, path + (Label.L1,))
-            c2 = Chain(base, path + (Label.L2,))
-            out.add((c1, c2))
-            walk(base, path + (Label.L1,), sh.left)
-            walk(base, path + (Label.L2,), sh.right)
-
-    for uid, sh in shapes.items():
-        # reconstruct the Name lazily; uid is what identifies it
-        walk(Name("", uid), (), sh)
-    return out
 
 
 def close(atoms: set[AtomicConstraint], shapes: _Shapes | None = None) -> ClosedSet:
@@ -134,25 +124,133 @@ def close(atoms: set[AtomicConstraint], shapes: _Shapes | None = None) -> Closed
         seen.add(a)
         l, r = a
         work.append((r, l))
-        sh = _shape_at(shapes, l)
+        sh = _shape_at(shapes, l.base.uid, l.path)
         if isinstance(sh, TPair):
             work.append((l.extend(Label.L1), r))
             work.append((l.extend(Label.L2), r))
     return frozenset(seen)
 
 
-def _norm_chain_uid(c: Chain) -> tuple[int, tuple[int, ...]]:
-    return (c.base.uid, tuple(int(x) for x in c.path))
+# -- the indexed context ------------------------------------------------------
+
+
+@dataclass
+class _Disjointness:
+    """The normalized shape of each domain variable, and the atoms of every
+    `#` assumption in both orientations. The first assumption that does not
+    decompose is remembered; `entails` reports it, as atomizing the whole
+    context would."""
+
+    shapes: _Shapes = field(default_factory=dict)
+    pairs: set[tuple[_Key, _Key]] = field(default_factory=set)
+    error: str | None = None
+
+    def copy(self) -> "_Disjointness":
+        return _Disjointness(dict(self.shapes), set(self.pairs), self.error)
+
+    def add(self, b: Binding) -> None:
+        if isinstance(b, BTVar):
+            if isinstance(b.kind, KDom):
+                self.shapes[b.name.uid] = normalize(b.kind.shape)
+        elif isinstance(b, BDisjoint) and self.error is None:
+            try:
+                atoms = atomize((b,))
+            except AtomizeError as e:
+                self.error = str(e)
+                return
+            for l, r in atoms:
+                kl, kr = _key(l), _key(r)
+                self.pairs.add((kl, kr))
+                self.pairs.add((kr, kl))
+
+
+class Context(tuple):
+    """A typing context: its bindings in order, plus the indexes that
+    lookups and entailment read.
+
+    It iterates, slices and compares as the tuple of its bindings. `g + bs`
+    is a Context that remembers g. Each index is built on first use, from
+    the nearest remembered ancestor that has it and the bindings added
+    since, so a query never revisits bindings an ancestor already indexed.
+    """
+
+    _parent: "Context | None" = None
+    _names: dict[int, Binding] | None = None
+    _disjointness: _Disjointness | None = None
+
+    def __add__(self, more: tuple) -> "Context":
+        child = Context(tuple.__add__(self, more))
+        child._parent = self
+        return child
+
+    def _since(self, attr: str) -> tuple["Context | None", tuple]:
+        """The nearest ancestor holding index `attr` (None if there is none)
+        and the bindings added after it."""
+        base = self._parent
+        while base is not None and getattr(base, attr) is None:
+            base = base._parent
+        return base, (self if base is None else self[len(base) :])
+
+    @property
+    def names(self) -> dict[int, Binding]:
+        """uid -> the last type-variable or value binding of that uid. Binders
+        have globally unique names, so a uid has one sort."""
+        if self._names is None:
+            base, new = self._since("_names")
+            names = {} if base is None else dict(base._names)
+            for b in new:
+                if isinstance(b, (BTVar, BVal)):
+                    names[b.name.uid] = b
+            self._names = names
+        return self._names
+
+    @property
+    def disjointness(self) -> _Disjointness:
+        if self._disjointness is None:
+            base, new = self._since("_disjointness")
+            index = _Disjointness() if base is None else base._disjointness.copy()
+            for b in new:
+                index.add(b)
+            self._disjointness = index
+        return self._disjointness
+
+
+def context(g: Ctx) -> Context:
+    """g when it is already a Context, else its bindings as a fresh one."""
+    return g if isinstance(g, Context) else Context(g)
+
+
+# -- entailment ---------------------------------------------------------------
+
+
+def _key(c: Chain) -> _Key:
+    return (c.base.uid, c.path)
+
+
+def _origins(shapes: _Shapes, uid: int, path: tuple[Label, ...]) -> list[tuple[Label, ...]]:
+    """The paths a closed-set chain ending at (uid, path) can have been split
+    from: path itself and, when every proper prefix is a pair-shaped
+    position, each of those prefixes."""
+    if path and isinstance(_shape_at(shapes, uid, path[:-1]), TPair):
+        return [path[:k] for k in range(len(path) + 1)]
+    return [path]
+
+
+def _holds(index: _Disjointness, l: _Key, r: _Key) -> bool:
+    (a, p), (b, q) = l, r
+    ps, qs = _origins(index.shapes, a, p), _origins(index.shapes, b, q)
+    # (i) siblings: one variable, paths that part, both walking pairs
+    if a == b and len(ps) > 1 and len(qs) > 1 and any(x != y for x, y in zip(p, q)):
+        return True
+    # (ii) an assumption on prefixes, each split further through pairs only
+    pairs = index.pairs
+    return any(((a, x), (b, y)) in pairs for x in ps for y in qs)
 
 
 def entails(g: Ctx, c: ConstraintSet) -> bool:
-    """Gamma entails the conjunction c; goals are decomposed the same way as
-    assumptions and checked against the closed assumption set."""
-    shapes = shape_env(g)
-    assumptions = atomize(g) | _sibling_seeds(shapes)
-    closed = {( _norm_chain_uid(l), _norm_chain_uid(r)) for l, r in close(assumptions, shapes)}
-    for goal in atomize(c):
-        l, r = goal
-        if (_norm_chain_uid(l), _norm_chain_uid(r)) not in closed:
-            return False
-    return True
+    """Gamma entails the conjunction c: every atom of c is in the closed set
+    of g's assumptions, decided per atom from g's index."""
+    index = context(g).disjointness
+    if index.error is not None:
+        raise AtomizeError(index.error)
+    return all(_holds(index, _key(l), _key(r)) for l, r in atomize(c))

@@ -46,7 +46,7 @@ from .ast import (
     Type,
     state_atoms,
 )
-from .constraints import entails
+from .constraints import Context, context, entails
 from .normalize import conv, normalize
 from .pretty import pretty
 
@@ -76,21 +76,13 @@ class KindError(Exception):
 
 
 def lookup_tvar(g: Ctx, name: Name) -> Kind | None:
-    for b in reversed(g):
-        if isinstance(b, BTVar) and b.name.uid == name.uid:
-            return b.kind
-    return None
+    b = context(g).names.get(name.uid)
+    return b.kind if isinstance(b, BTVar) else None
 
 
 def lookup_val(g: Ctx, name: Name) -> Type | None:
-    for b in reversed(g):
-        if isinstance(b, BVal) and b.name.uid == name.uid:
-            return b.type
-    return None
-
-
-def ctx_names(g: Ctx) -> set[int]:
-    return {b.name.uid for b in g if isinstance(b, (BTVar, BVal))}
+    b = context(g).names.get(name.uid)
+    return b.type if isinstance(b, BVal) else None
 
 
 def kind_equiv(k1: Kind, k2: Kind) -> bool:
@@ -120,11 +112,11 @@ def _keeps_non_dom(k: Kind) -> bool:
 
 
 def restrict_non_dom(g: Ctx) -> Ctx:
-    return tuple(b for b in g if isinstance(b, BTVar) and _keeps_non_dom(b.kind))
+    return Context(b for b in g if isinstance(b, BTVar) and _keeps_non_dom(b.kind))
 
 
 def restrict_only_dom(g: Ctx) -> Ctx:
-    return tuple(b for b in g if isinstance(b, BTVar) and isinstance(b.kind, KDom))
+    return Context(b for b in g if isinstance(b, BTVar) and isinstance(b.kind, KDom))
 
 
 # -- disjoint context extension ----------------------------------------------
@@ -132,15 +124,17 @@ def restrict_only_dom(g: Ctx) -> Ctx:
 
 def disjoint_append(g1: Ctx, g2: Ctx) -> Ctx:
     """g1, g2, C2, C12 with the constraints making g2's domains locally fresh."""
-    if ctx_names(g1) & ctx_names(g2):
+    g1 = context(g1)
+    names = g1.names
+    if any(isinstance(b, (BTVar, BVal)) and b.name.uid in names for b in g2):
         raise KindError("CF-ConsKind", "disjoint extension requires fresh identifiers")
-    d1 = [b.name for b in restrict_only_dom(g1)]
     d2 = [b.name for b in restrict_only_dom(g2)]
+    d1 = [b.name for b in restrict_only_dom(g1)] if d2 else []
     c2 = tuple(
         BDisjoint(TVar(a), TVar(b)) for i, a in enumerate(d2) for b in d2[i + 1 :]
     )
     c12 = tuple(BDisjoint(TVar(a), TVar(b)) for a in d1 for b in d2)
-    return g1 + g2 + c2 + c12
+    return g1 + (tuple(g2) + c2 + c12)
 
 
 # -- context formation --------------------------------------------------------
@@ -206,7 +200,7 @@ def infer_kind(g: Ctx, t: Type) -> Kind:
     """The unique kind of t under g; raises KindError at the deepest failing
     premise, recording the rule trail on the way out."""
     try:
-        return _infer(g, t)
+        return _infer(context(g), t)
     except KindError as e:
         rule = _RULE_OF.get(type(t))
         if rule and (not e.trail or e.trail[-1] != rule):
@@ -255,7 +249,7 @@ def _infer(g: Ctx, t: Type) -> Kind:
             return KArrow(KDom(shape), kb)
         case TAll(binder, kind, cstr, body):
             check_kind(g, kind)
-            g2 = g + (BTVar(binder, kind),) + cstr
+            g2 = g + ((BTVar(binder, kind),) + cstr)
             check_ctx_suffix(g, g2)
             kb = infer_kind(g2, body)
             if not isinstance(kb, KType):
@@ -404,25 +398,22 @@ def _state_doms(st: Type) -> list[Type] | None:
 
 
 def check_ctx_suffix(g_ok: Ctx, g: Ctx) -> None:
-    """check_ctx for g, assuming the prefix g_ok was already checked."""
-    seen = ctx_names(g_ok)
-    for i in range(len(g_ok), len(g)):
-        b = g[i]
-        prefix = g[:i]
+    """check_ctx for g, assuming its prefix g_ok was already checked."""
+    prefix = context(g_ok)
+    for b in g[len(g_ok) :]:
         match b:
             case BTVar(nm, kind):
-                if nm.uid in seen:
+                if nm.uid in prefix.names:
                     raise KindError("CF-ConsKind", f"duplicate binding for {nm.text}", b)
                 check_kind(prefix, kind)
-                seen.add(nm.uid)
             case BVal(nm, ty):
-                if nm.uid in seen:
+                if nm.uid in prefix.names:
                     raise KindError("CF-ConsType", f"duplicate binding for {nm.text}", b)
                 k = infer_kind(prefix, ty)
                 if not isinstance(k, KType):
                     raise KindError("CF-ConsType", "value binding must be Type-kinded", b)
-                seen.add(nm.uid)
             case BDisjoint(l, r):
                 for side in (l, r):
                     if not is_dom_kind(infer_kind(prefix, side)):
                         raise KindError("CF-ConsCstr", "constraint over a non-domain", b)
+        prefix = prefix + (b,)

@@ -83,7 +83,7 @@ from .ast import (
     state_of_atoms,
     subst,
 )
-from .constraints import entails
+from .constraints import context, entails
 from .kinding import (
     KindError,
     check_ctx_suffix,
@@ -180,6 +180,7 @@ def _take_atoms(atoms: list[Type], wanted: list[Type], rule: str, span: Span | N
 
 
 def type_value(g: Ctx, v: Value) -> Type:
+    g = context(g)
     match v:
         case VVar(nm):
             ty = lookup_val(g, nm)
@@ -220,7 +221,7 @@ def type_value(g: Ctx, v: Value) -> Type:
         case VTAbs(binder, kind, cstr, body):
             try:
                 check_kind(g, kind)
-                g2 = g + (BTVar(binder, kind),) + cstr
+                g2 = g + ((BTVar(binder, kind),) + cstr)
                 check_ctx_suffix(g, g2)
             except KindError as e:
                 raise TypecheckError("T-TAbs", str(e), v.span) from e
@@ -249,6 +250,7 @@ def type_expr(g: Ctx, sigma: Type, e: Expr) -> ExprTyping:
     """Gamma; sigma |- e : ex Gamma'. Sigma'; T with left-first threading."""
     if not is_strict_anf(e):
         raise TypecheckError("T-Let", "expression is not in strict A-normal form", e.span)
+    g = context(g)
     _kind_check(g, sigma, KState(), "T-Val", e.span)
     return _type_expr(g, _atoms_of(sigma), e)
 
@@ -834,6 +836,7 @@ def type_config(
     collect: list[ProcTyping] | None = None,
 ) -> None:
     """Gamma; sigma |- cfg; raises TypecheckError when not derivable."""
+    g = context(g)
     _kind_check(g, sigma, KState(), "T-Exp", cfg.span)
     leftover = _type_config(g, _atoms_of(sigma), cfg, collect)
     if leftover:

@@ -77,6 +77,7 @@ from pvgr.ast import (
     state_atoms,
     subst1,
 )
+from pvgr.constraints import Chain, atomize, close, shape_env
 
 # ---------------------------------------------------------------------------
 # declarative conversion search (bounded common-reduct BFS)
@@ -319,6 +320,25 @@ def entails_search(g: Ctx, c: list[BDisjoint], depth: int = 6) -> bool:
         return h is not None and h <= depth
 
     return all(derivable(b) for b in c)
+
+
+def entails_ref(g: Ctx, c: list[BDisjoint]) -> bool:
+    """Entailment by building the closed set of docs/constraints.md: close the
+    assumptions and the sibling pair of every pair-shaped position of every
+    domain variable, then test each goal atom for membership."""
+    shapes = shape_env(g)
+    seeds = atomize(g)
+    for uid, sh in shapes.items():
+        todo = [((), sh)]
+        while todo:
+            path, s = todo.pop()
+            if isinstance(s, TPair):
+                kids = [(path + (Label.L1,), s.left), (path + (Label.L2,), s.right)]
+                seeds.add((Chain(Name("", uid), kids[0][0]), Chain(Name("", uid), kids[1][0])))
+                todo += kids
+    key = lambda ch: (ch.base.uid, ch.path)  # noqa: E731
+    closed = {(key(l), key(r)) for l, r in close(seeds, shapes)}
+    return all((key(l), key(r)) in closed for l, r in atomize(c))
 
 
 # ---------------------------------------------------------------------------

@@ -128,3 +128,21 @@ def test_check_idempotent_no_side_effects(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(["check", f]) == 0
     assert capsys.readouterr().out == first
+
+
+
+def test_internal_failure_is_a_diagnostic_exit_5(tmp_path, capsys):
+    # a 600-round fan client: 1800 nested lets overflow the parser's recursion
+    server = "<let u = accept ap in let x = recv u in let r = close u in r>"
+    rounds = "".join(
+        f"let v{i} = request ap in let a{i} = send () v{i} in let b{i} = close v{i} in "
+        for i in range(600)
+    )
+    f = write(tmp_path, "deep.pvgr", f"nuap ap : ?Int.End . ({server} | <{rounds}()>)")
+    for argv in (["check", f], ["run", f]):
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert "error[internal]: RecursionError" in err
+        assert "Traceback" not in err
+    assert main(["check", f, "--format", "json"]) == 5
+    assert json.loads(capsys.readouterr().err)["code"] == "internal"

@@ -1,0 +1,123 @@
+"""The indexed context: entailment decided from the index agrees with the
+closed-set reference, and an index built by extension equals the index
+built from the context's plain tuple."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from conftest import corpus_files
+from oracles import entails_ref, random_entailment_instance
+
+import pvgr.kinding
+import pvgr.typing
+from pvgr.anf import anf_transform
+from pvgr.ast import BDisjoint, BTVar, KDom, ShOne, TUnit, TVar, fresh_name
+from pvgr.constraints import AtomizeError, Context, entails
+from pvgr.parser import parse_program, parse_type
+from pvgr.typing import type_config, type_expr
+
+
+def hold_config(n: int) -> str:
+    """n acceptors and one process that requests n channels, then applies a
+    lambda whose pre-state holds all n ends."""
+    acceptor = "<let u = accept ap in let r = close u in r>"
+    requests = "".join(f"let [c{i}] v{i} = request ap in " for i in range(n))
+    state = "{" + ", ".join(f"c{i}: End" for i in range(n)) + "}"
+    closes = "".join(f"let r{i} = close v{i} in " for i in reversed(range(n)))
+    user = f"<{requests}let f = \\[{state}](x: Unit). {closes}() in let y = f () in y>"
+    return "nuap ap : End . (" + " | ".join([acceptor] * n + [user]) + ")"
+
+
+def _check(src: str, filename: str) -> None:
+    prog = parse_program(src, filename=filename)
+    if prog.expr is not None:
+        type_expr((), parse_type("."), anf_transform(prog.expr))
+    else:
+        type_config((), parse_type("."), prog.config)
+
+
+PROGRAMS = [(f.name, f.read_text()) for f in corpus_files()] + [
+    (f"hold{n}", hold_config(n)) for n in range(4, 13)
+]
+
+
+@pytest.fixture(scope="module")
+def traced():
+    """Every entails query and every extended context met while checking
+    PROGRAMS, in the order they occurred."""
+    queries: list = []
+    extended: list[Context] = []
+
+    def spy(g, c):
+        got = entails(g, c)
+        queries.append((g, c, got))
+        return got
+
+    add = Context.__add__
+
+    def spy_add(self, more):
+        out = add(self, more)
+        extended.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pvgr.kinding, "entails", spy)
+        mp.setattr(pvgr.typing, "entails", spy)
+        mp.setattr(Context, "__add__", spy_add)
+        for name, src in PROGRAMS:
+            _check(src, name)
+    return queries, extended
+
+
+def test_hold_config_checks_and_queries_every_pair(traced):
+    queries, _ = traced
+    assert len(queries) >= 12 * 11  # hold12 alone asks for every ordered pair
+    assert any(got for _, _, got in queries)
+
+
+def test_entails_agrees_with_reference_on_checker_queries(traced):
+    queries, _ = traced
+    for g, c, got in queries:
+        assert got == entails_ref(g, list(c)), (g, c)
+
+
+def test_entails_agrees_with_reference_on_random_instances():
+    rng = random.Random(2210_17335)
+    held = 0
+    for _ in range(500):
+        g, c = random_entailment_instance(rng)
+        got = entails(g, tuple(c))
+        assert got == entails_ref(g, c), (g, c)
+        held += got
+    assert 50 < held < 450
+
+
+def test_index_by_extension_equals_index_from_tuple(traced):
+    _, extended = traced
+    assert len(extended) > 100
+    for g in extended:
+        fresh = Context(tuple(g))
+        assert g.names == fresh.names
+        assert g.disjointness == fresh.disjointness
+
+
+def test_assumption_that_does_not_atomize_is_reported_by_every_query():
+    a, b = fresh_name("a"), fresh_name("b")
+    g = Context((BTVar(a, KDom(ShOne())), BDisjoint(TUnit(), TVar(a))))
+    g2 = g + (BTVar(b, KDom(ShOne())),)
+    for ctx in (g, g2, tuple(g2)):
+        with pytest.raises(AtomizeError):
+            entails(ctx, ())
+    with pytest.raises(AtomizeError):
+        entails_ref(g2, [])
+
+
+def test_context_behaves_as_its_tuple():
+    g = Context()
+    assert g == () and not g
+    g2 = g + (1, 2)
+    assert isinstance(g2, Context) and g2 == (1, 2) and list(g2) == [1, 2]
+    assert g2[:1] == (1,) and type(g2[:1]) is tuple
+    assert hash(g2) == hash((1, 2))
