@@ -1,18 +1,32 @@
-"""Strict A-normal form: every let body is another let or a value.
+"""Let-spines: flat, and in strict A-normal form.
 
-The parser may emit nested let headers (and `v [T] [T']` chains desugar
-into lets), so the checker runs anf_transform first. flatten_lets is the
-binder-free part, used by the interpreter to keep strict form closed
-under case-branch substitution.
+A let-spine is a run of lets along their bodies. It is flat when no head
+is a let. It is in strict A-normal form (strict ANF) when it is flat,
+every let body is a let or a value, and the same holds in every case
+branch and lambda body. The checker requires strict ANF
+(`typing.type_expr`), and the CLI puts expression programs into it with
+`anf_transform`: the parser accepts nested let heads, and `v [T] [T']`
+chains desugar into lets. The interpreter requires flat processes:
+`runtime.Machine` flattens its starting configuration once, and each step
+keeps it flat: substituting values keeps a spine flat, new heads go in
+through `let_in`, and an applied lambda body is flattened.
+
+Each function loops along a spine, recursing only into heads, case
+branches and lambda bodies, so a long spine needs no deep recursion.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from typing import Callable
 
 from .ast import (
     ECase,
     ELet,
     EVal,
     Expr,
+    Name,
+    Span,
     VAbs,
     VPair,
     VTAbs,
@@ -20,109 +34,120 @@ from .ast import (
     fresh_name,
     VVar,
 )
-import dataclasses
+
+# binder, head, exnames and span of one let of a spine
+LetBinding = tuple[Name, Expr, tuple[Name, ...], Span | None]
 
 
-def is_strict_anf(e: Expr) -> bool:
-    """Spec predicate: let bodies are lets or values; headers are not lets."""
+def _unroll(
+    e: Expr, leaf: Callable[[Expr], Expr] | None = None, name_tail: bool = False
+) -> tuple[list[LetBinding], Expr]:
+    """e's let-spine as its bindings in evaluation order, and its tail.
 
-    def chain(e: Expr) -> bool:
-        if isinstance(e, ELet):
-            return not isinstance(e.head, ELet) and header(e.head) and body_ok(e.body)
-        return header(e)
-
-    def body_ok(e: Expr) -> bool:
-        if isinstance(e, ELet):
-            return chain(e)
-        return isinstance(e, EVal) and value_ok(e.value)
-
-    def header(e: Expr) -> bool:
-        if isinstance(e, ELet):
-            return False
-        if isinstance(e, ECase):
-            return chain(e.left) and chain(e.right) and value_ok(e.value)
-        return all(
-            value_ok(v) for v in _value_fields(e)
-        )
-
-    def value_ok(v: Value) -> bool:
-        match v:
-            case VAbs(_, _, _, body):
-                return chain(body)
-            case VTAbs(_, _, _, body):
-                return value_ok(body)
-            case VPair(l, r):
-                return value_ok(l) and value_ok(r)
-            case _:
-                return True
-
-    return chain(e)
+    A head that is a let is unrolled first and its bindings go in front of
+    it, so no head in the result is a let. Without `leaf` this is pure
+    reassociation. With `leaf`, which rewrites every other head and the
+    tail, the result is strict: a `name_tail` spine with a non-value tail
+    gets a temporary. A head `let y = h in b` names its tail when `b` is a
+    let, because `b` is made strict on its own before the head is lifted.
+    """
+    bindings: list[LetBinding] = []
+    while isinstance(e, ELet):
+        head = e.head
+        if isinstance(head, ELet):
+            inner, head = _unroll(head, leaf, leaf is not None and isinstance(head.body, ELet))
+            bindings += inner
+        elif leaf is not None:
+            head = leaf(head)
+        bindings.append((e.binder, head, e.exnames, e.span))
+        e = e.body
+    tail = e if leaf is None else leaf(e)
+    if name_tail and bindings and not isinstance(tail, EVal):
+        t = fresh_name("_a")
+        bindings.append((t, tail, (), None))
+        tail = EVal(VVar(t))
+    return bindings, tail
 
 
-def _value_fields(e: Expr) -> list[Value]:
-    return [v for f in dataclasses.fields(e) if isinstance(v := getattr(e, f.name), Value)]
+def _build(bindings: list[LetBinding], tail: Expr) -> Expr:
+    for binder, head, exnames, span in reversed(bindings):
+        tail = ELet(binder, head, tail, exnames=exnames, span=span)
+    return tail
 
 
 def flatten_lets(e: Expr) -> Expr:
     """Reassociate let x = (let y = h in b) in e2 into let y = h in let x = b in e2.
 
-    Pure reassociation: preserves evaluation order and introduces no names.
+    Pure reassociation: preserves evaluation order and each let's span, and
+    introduces no names.
     """
-    if isinstance(e, ELet):
-        head = flatten_lets(e.head)
-        body = flatten_lets(e.body)
-        if isinstance(head, ELet):
-            inner = flatten_lets(ELet(e.binder, head.body, body, exnames=e.exnames))
-            return ELet(head.binder, head.head, inner, exnames=head.exnames)
-        return ELet(e.binder, head, body, exnames=e.exnames)
-    return e
+    return _build(*_unroll(e))
+
+
+def let_in(
+    binder: Name, head: Expr, body: Expr, exnames: tuple[Name, ...], span: Span | None
+) -> Expr:
+    """`let binder = head in body` with head's own spine lifted in front:
+    `flatten_lets` of that let when `body` is flat, at the cost of `head`."""
+    bindings, head = _unroll(head)
+    return _build(bindings, ELet(binder, head, body, exnames=exnames, span=span))
 
 
 def anf_transform(e: Expr) -> Expr:
     """Strict-ANF form of e, preserving left-to-right evaluation order."""
+    return _build(*_unroll(e, _anf_node, name_tail=True))
 
-    def chainify(e: Expr) -> Expr:
-        e = go(e)
-        e = flatten_lets(e)
-        # make every let body end in a let or a value
-        if isinstance(e, ELet):
-            body = chainify(e.body)
-            if not isinstance(body, (ELet, EVal)):
-                t = fresh_name("_a")
-                body = ELet(t, body, EVal(VVar(t)))
-            return ELet(e.binder, e.head, body, exnames=e.exnames, span=e.span)
-        return e
 
-    def go(e: Expr) -> Expr:
-        match e:
-            case ELet(binder, head, body, exnames):
-                return ELet(binder, chainify_header(head), chainify(body), exnames=exnames, span=e.span)
-            case ECase(v, l, r):
-                return ECase(go_value(v), chainify(l), chainify(r), span=e.span)
-            case EVal(v):
-                return EVal(go_value(v), span=e.span)
-            case _:
-                changes = {}
-                for f in dataclasses.fields(e):
-                    x = getattr(e, f.name)
-                    if isinstance(x, Value):
-                        changes[f.name] = go_value(x)
-                return dataclasses.replace(e, **changes) if changes else e
+def _value_fields(e: Expr) -> dict[str, Value]:
+    return {f.name: v for f in dataclasses.fields(e) if isinstance(v := getattr(e, f.name), Value)}
 
-    def chainify_header(h: Expr) -> Expr:
-        # headers must not be lets themselves; flatten_lets at the outer
-        # level lifts them, so here we only transform subparts
-        return go(h)
 
-    def go_value(v: Value) -> Value:
-        match v:
-            case VAbs(pre, binder, argty, body):
-                return VAbs(pre, binder, argty, chainify(body), span=v.span)
-            case VTAbs(binder, kind, cstr, body):
-                return VTAbs(binder, kind, cstr, go_value(body), span=v.span)
-            case VPair(l, r):
-                return VPair(go_value(l), go_value(r), span=v.span)
-            case _:
-                return v
+def _anf_node(e: Expr) -> Expr:
+    """A non-let with its case branches and lambda bodies in strict ANF."""
+    if isinstance(e, ECase):
+        return ECase(_anf_value(e.value), anf_transform(e.left), anf_transform(e.right), span=e.span)
+    values = {k: _anf_value(v) for k, v in _value_fields(e).items()}
+    return dataclasses.replace(e, **values) if values else e
 
-    return chainify(e)
+
+def _anf_value(v: Value) -> Value:
+    match v:
+        case VAbs(pre, binder, argty, body):
+            return VAbs(pre, binder, argty, anf_transform(body), span=v.span)
+        case VTAbs(binder, kind, cstr, body):
+            return VTAbs(binder, kind, cstr, _anf_value(body), span=v.span)
+        case VPair(l, r):
+            return VPair(_anf_value(l), _anf_value(r), span=v.span)
+        case _:
+            return v
+
+
+def is_strict_anf(e: Expr) -> bool:
+    """Spec predicate: let bodies are lets or values; heads are not lets."""
+    while isinstance(e, ELet):
+        if not _strict_head(e.head):
+            return False
+        e = e.body
+        if not isinstance(e, (ELet, EVal)):
+            return False
+    return _strict_head(e)
+
+
+def _strict_head(e: Expr) -> bool:
+    if isinstance(e, ELet):
+        return False
+    if isinstance(e, ECase) and not (is_strict_anf(e.left) and is_strict_anf(e.right)):
+        return False
+    return all(_strict_value(v) for v in _value_fields(e).values())
+
+
+def _strict_value(v: Value) -> bool:
+    match v:
+        case VAbs(_, _, _, body):
+            return is_strict_anf(body)
+        case VTAbs(_, _, _, body):
+            return _strict_value(body)
+        case VPair(l, r):
+            return _strict_value(l) and _strict_value(r)
+        case _:
+            return True

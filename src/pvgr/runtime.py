@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .anf import flatten_lets
+from .anf import flatten_lets, let_in
 from .ast import (
     Config,
     CNuAccess,
@@ -86,33 +86,28 @@ def _value_domains(v: Value) -> Type | None:
             return None
 
 
-def _resolve_exnames(e: ELet, value: Value) -> Expr:
+def _resolve_exnames(e: ELet) -> ELet:
     """Discharge `let [c] x = v in body` by instantiating the named
     existential with the value's concrete domain (single-name form only)."""
     if len(e.exnames) == 1:
-        d = _value_domains(value)
+        d = _value_domains(e.head.value)
         if d is not None:
-            body = subst1(e.exnames[0], d, e.body)
-            return ELet(e.binder, EVal(value), body, span=e.span)
+            return ELet(e.binder, e.head, subst1(e.exnames[0], d, e.body), span=e.span)
     return e
 
 
 def step_expr(e: Expr) -> Expr | None:
-    """One expression-level step, or None when no redex exists."""
+    """One expression-level step, or None when no redex exists. The result
+    of a flat expression is flat (see pvgr.anf)."""
     match e:
-        case ELet(binder, EVal(v), body):
-            if e.exnames:
-                resolved = _resolve_exnames(e, v)
-                if resolved is not e:
-                    return flatten_lets(
-                        subst1(resolved.binder, v, resolved.body)
-                    )
-            return flatten_lets(subst1(binder, v, body))
+        case ELet(_, EVal(v), _):
+            e = _resolve_exnames(e)
+            return subst1(e.binder, v, e.body)
         case ELet(binder, head, body):
             h = step_expr(head)
             if h is None:
                 return None
-            return flatten_lets(ELet(binder, h, body, exnames=e.exnames))
+            return let_in(binder, h, body, e.exnames, e.span)
         case EApp(VAbs(_, binder, _, fbody), arg):
             return flatten_lets(subst1(binder, arg, fbody))
         case EProj(lab, VPair(l, r)):
@@ -149,26 +144,22 @@ def _is_comm(e: Expr) -> bool:
 
 
 def split_eval(e: Expr) -> tuple[Expr, Callable[[Expr], Expr]] | None:
-    """The header redex position of e and its plug function; None for values."""
+    """The header redex position of a flat e and its plug function, which
+    keeps e flat; None for values."""
     match e:
         case EVal(_):
             return None
         case ELet(binder, head, body):
 
             def plug(h: Expr, e=e) -> Expr:
-                if e.exnames and isinstance(h, EVal):
-                    resolved = _resolve_exnames(
-                        ELet(e.binder, h, e.body, exnames=e.exnames, span=e.span), h.value
-                    )
-                    if resolved.exnames == ():
-                        return flatten_lets(resolved)
-                return flatten_lets(
-                    ELet(e.binder, h, e.body, exnames=e.exnames, span=e.span)
-                )
+                if isinstance(h, EVal):
+                    let = ELet(e.binder, h, e.body, exnames=e.exnames, span=e.span)
+                    return _resolve_exnames(let)
+                return let_in(e.binder, h, e.body, e.exnames, e.span)
 
             return head, plug
         case _:
-            return e, lambda h: flatten_lets(h)
+            return e, flatten_lets
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +194,7 @@ def iter_binders(cfg: Config, path: Path = ()) -> Iterator[tuple[Path, Config]]:
 
 def get_at(cfg: Config, path: Path) -> Config:
     for step in path:
-        cfg = getattr(cfg, step if step != "body" else "body")
+        cfg = getattr(cfg, step)
     return cfg
 
 
@@ -226,8 +217,7 @@ def replace_proc(cfg: Config, path: Path, new_expr: Expr) -> Config:
 @dataclass(frozen=True)
 class Candidate:
     rule: str
-    priority: int
-    describe: str
+    describe: Callable[[], str] = field(compare=False)  # the trace text, formatted on demand
     apply: Callable[[Config], Config] = field(compare=False)
 
 
@@ -246,26 +236,26 @@ def _is_end(dom: Type, end: Name) -> bool:
     return conv(dom, TVar(end))
 
 
+def _show(*ops: Expr) -> Callable[[], str]:
+    return lambda: " | ".join(pretty(op) for op in ops)
+
+
 def find_candidates(cfg: Config) -> list[Candidate]:
     out: list[Candidate] = []
-    procs = list(iter_procs(cfg))
+    holes: list[tuple[Path, Expr, Callable[[Expr], Expr]]] = []
 
     # CR-Expr / CR-Fork / CR-New per process
-    for path, e in procs:
-        stepped = step_expr(e)
-        if stepped is not None:
-            out.append(
-                Candidate(
-                    "CR-Expr",
-                    _PRIORITY["CR-Expr"],
-                    pretty(split_eval(e)[0]) if split_eval(e) else pretty(e),
-                    lambda c, p=path, s=stepped: replace_proc(c, p, s),
-                )
-            )
+    for path, e in iter_procs(cfg):
         hole = split_eval(e)
         if hole is None:
             continue
         op, plug = hole
+        holes.append((path, op, plug))
+        stepped = step_expr(e)
+        if stepped is not None:
+            out.append(
+                Candidate("CR-Expr", _show(op), lambda c, p=path, s=stepped: replace_proc(c, p, s))
+            )
         match op:
             case EFork(v):
                 def apply_fork(c: Config, p=path, plug=plug, v=v) -> Config:
@@ -273,31 +263,28 @@ def find_candidates(cfg: Config) -> list[Candidate]:
                     child = CProc(EApp(v, VUnit()))
                     return replace_at(c, p, CPar(cont, child))
 
-                out.append(Candidate("CR-Fork", _PRIORITY["CR-Fork"], pretty(op), apply_fork))
+                out.append(Candidate("CR-Fork", _show(op), apply_fork))
             case ENew(ses):
                 def apply_new(c: Config, p=path, plug=plug, ses=ses) -> Config:
                     ap = fresh_name("p")
                     return replace_at(c, p, CNuAccess(ap, ses, CProc(plug(EVal(VVar(ap))))))
 
-                out.append(Candidate("CR-New", _PRIORITY["CR-New"], pretty(op), apply_new))
+                out.append(Candidate("CR-New", _show(op), apply_new))
 
     # communication rules per governing binder
     for bpath, binder in iter_binders(cfg):
-        inner = [
-            (path, e, split_eval(e))
-            for path, e in iter_procs(binder.body, bpath + ("body",))
-        ]
-        holes = [(p, e, h[0], h[1]) for p, e, h in inner if h is not None]
+        under = bpath + ("body",)
+        inner = [h for h in holes if h[0][: len(under)] == under]
         if isinstance(binder, CNuAccess):
             x = binder.binder
             reqs = [
                 (p, op, plug)
-                for p, e, op, plug in holes
+                for p, op, plug in inner
                 if isinstance(op, ERequest) and isinstance(op.value, VVar) and op.value.name.uid == x.uid
             ]
             accs = [
                 (p, op, plug)
-                for p, e, op, plug in holes
+                for p, op, plug in inner
                 if isinstance(op, EAccept) and isinstance(op.value, VVar) and op.value.name.uid == x.uid
             ]
             for rp, rop, rplug in reqs:
@@ -318,14 +305,7 @@ def find_candidates(cfg: Config) -> list[Candidate]:
                         wrapped = CNuChan(c1, c2, nacc.ses, body)
                         return replace_at(c, bp, dataclasses.replace(nacc, body=wrapped))
 
-                    out.append(
-                        Candidate(
-                            "CR-RequestAccept",
-                            _PRIORITY["CR-RequestAccept"],
-                            f"request {x.text} | accept {x.text}",
-                            apply_ra,
-                        )
-                    )
+                    out.append(Candidate("CR-RequestAccept", _show(rop, aop), apply_ra))
         elif isinstance(binder, CNuChan) and not binder.closed:
             e1, e2 = binder.end1, binder.end2
             ends = (e1, e2)
@@ -337,7 +317,7 @@ def find_candidates(cfg: Config) -> list[Candidate]:
                 return None
 
             sends, recvs, selects, cases, closes = [], [], [], [], []
-            for p, e, op, plug in holes:
+            for p, op, plug in inner:
                 match op:
                     case ESend(payload, VChan(dom)) if end_of(dom) is not None:
                         sends.append((p, end_of(dom), payload, plug, op))
@@ -378,14 +358,7 @@ def find_candidates(cfg: Config) -> list[Candidate]:
                             c, bp, dataclasses.replace(nu, ses=advance(nu.ses), body=body)
                         )
 
-                    out.append(
-                        Candidate(
-                            "CR-SendRecv",
-                            _PRIORITY["CR-SendRecv"],
-                            f"{pretty(sop)} | {pretty(rop)}",
-                            apply_sr,
-                        )
-                    )
+                    out.append(Candidate("CR-SendRecv", _show(sop, rop), apply_sr))
             for sp_, sel_end, lab, splug, sop in selects:
                 for cp_, case_end, bl, br, cplug, cop in cases:
                     if sel_end.uid == case_end.uid or sp_ == cp_:
@@ -403,14 +376,7 @@ def find_candidates(cfg: Config) -> list[Candidate]:
                             c, bp, dataclasses.replace(nu, ses=pick(nu.ses, lab), body=body)
                         )
 
-                    out.append(
-                        Candidate(
-                            "CR-SelectCase",
-                            _PRIORITY["CR-SelectCase"],
-                            f"{pretty(sop)} | {pretty(cop)}",
-                            apply_sc,
-                        )
-                    )
+                    out.append(Candidate("CR-SelectCase", _show(sop, cop), apply_sc))
             for i, (p1, end_a, plug_a, op_a) in enumerate(closes):
                 for p2, end_b, plug_b, op_b in closes[i + 1 :]:
                     if end_a.uid == end_b.uid or p1 == p2:
@@ -425,16 +391,9 @@ def find_candidates(cfg: Config) -> list[Candidate]:
                         body = replace_proc(body, p2[len(bp) + 1 :], plug_b(EVal(VUnit())))
                         return replace_at(c, bp, dataclasses.replace(nu, closed=True, body=body))
 
-                    out.append(
-                        Candidate(
-                            "CR-Close",
-                            _PRIORITY["CR-Close"],
-                            f"{pretty(op_a)} | {pretty(op_b)}",
-                            apply_close,
-                        )
-                    )
+                    out.append(Candidate("CR-Close", _show(op_a, op_b), apply_close))
 
-    out.sort(key=lambda c: c.priority)
+    out.sort(key=lambda c: _PRIORITY[c.rule])
     return out
 
 
@@ -474,11 +433,7 @@ def is_final(cfg: Config) -> bool:
     return False
 
 
-def _blocked_site(path: Path, e: Expr) -> BlockedSite | None:
-    hole = split_eval(e)
-    if hole is None:
-        return None
-    op, _ = hole
+def _blocked_site(path: Path, op: Expr) -> BlockedSite | None:
     match op:
         case EAccept(v):
             return BlockedSite(path, "accept", pretty(v))
@@ -503,23 +458,21 @@ def classify_config(cfg: Config):
     communication (not fork/new) and no matchable pair exists."""
     if is_final(cfg):
         return "final"
-    blocked: list[BlockedSite] = []
+    blocked: list[tuple[Path, Expr]] = []
     for path, e in iter_procs(cfg):
         cls = classify_expr(e)
         if cls == "value":
             continue
         if cls != "comm":
             return "reducible"
-        hole = split_eval(e)
-        op = hole[0] if hole else None
+        op = split_eval(e)[0]
         if isinstance(op, (EFork, ENew)):
             return "reducible"
-        site = _blocked_site(path, e)
-        if site is not None:
-            blocked.append(site)
+        blocked.append((path, op))
     if any(c.rule != "CR-Expr" for c in find_candidates(cfg)):
         return "reducible"
-    return ("deadlock", DeadlockReport(tuple(blocked)))
+    sites = (_blocked_site(path, op) for path, op in blocked)
+    return ("deadlock", DeadlockReport(tuple(site for site in sites if site is not None)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +499,7 @@ class Machine:
 
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
+        self.config = _flatten_procs(self.config)
 
     def step(self) -> StepOutcome:
         cls = classify_config(self.config)
@@ -563,7 +517,7 @@ class Machine:
         idx = 0 if self.seed == 0 else self._rng.randrange(len(cands))
         chosen = cands[idx]
         self.config = chosen.apply(self.config)
-        self.trace.append(f"{self.steps}\t{chosen.rule}\t{chosen.describe}")
+        self.trace.append(f"{self.steps}\t{chosen.rule}\t{chosen.describe()}")
         self.steps += 1
         return StepOutcome("stepped", self.config, rule=chosen.rule)
 
@@ -572,6 +526,17 @@ class Machine:
             out = self.step()
             if out.kind != "stepped":
                 return out
+
+
+def _flatten_procs(cfg: Config) -> Config:
+    """cfg with every process flat, the shape each step keeps (see pvgr.anf)."""
+    match cfg:
+        case CProc(e):
+            return dataclasses.replace(cfg, expr=flatten_lets(e))
+        case CPar(l, r):
+            return dataclasses.replace(cfg, left=_flatten_procs(l), right=_flatten_procs(r))
+        case _:
+            return dataclasses.replace(cfg, body=_flatten_procs(cfg.body))
 
 
 def run_expr(e: Expr, max_steps: int = 100_000, seed: int = 0) -> StepOutcome:

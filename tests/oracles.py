@@ -1250,3 +1250,70 @@ def _dual_push_ref(s: Type, env: _Env, depth: int) -> Type:
             return inner  # involution
         case _:
             return TDual(s)  # stuck
+
+
+# ---------------------------------------------------------------------------
+# reference ANF: the recursive flatten_lets and the two-pass anf_transform
+# that the one-loop spine walk of pvgr.anf replaced, kept verbatim but for
+# their docstrings (renamed *_ref). anf_transform_ref is exponential in the
+# length of a let-spine, so tests run it on short spines only.
+# ---------------------------------------------------------------------------
+
+
+def flatten_lets_ref(e: Expr) -> Expr:
+    if isinstance(e, ELet):
+        head = flatten_lets_ref(e.head)
+        body = flatten_lets_ref(e.body)
+        if isinstance(head, ELet):
+            inner = flatten_lets_ref(ELet(e.binder, head.body, body, exnames=e.exnames))
+            return ELet(head.binder, head.head, inner, exnames=head.exnames)
+        return ELet(e.binder, head, body, exnames=e.exnames)
+    return e
+
+
+def anf_transform_ref(e: Expr) -> Expr:
+    def chainify(e: Expr) -> Expr:
+        e = go(e)
+        e = flatten_lets_ref(e)
+        # make every let body end in a let or a value
+        if isinstance(e, ELet):
+            body = chainify(e.body)
+            if not isinstance(body, (ELet, EVal)):
+                t = fresh_name("_a")
+                body = ELet(t, body, EVal(VVar(t)))
+            return ELet(e.binder, e.head, body, exnames=e.exnames, span=e.span)
+        return e
+
+    def go(e: Expr) -> Expr:
+        match e:
+            case ELet(binder, head, body, exnames):
+                return ELet(binder, chainify_header(head), chainify(body), exnames=exnames, span=e.span)
+            case ECase(v, l, r):
+                return ECase(go_value(v), chainify(l), chainify(r), span=e.span)
+            case EVal(v):
+                return EVal(go_value(v), span=e.span)
+            case _:
+                changes = {}
+                for f in dataclasses.fields(e):
+                    x = getattr(e, f.name)
+                    if isinstance(x, Value):
+                        changes[f.name] = go_value(x)
+                return dataclasses.replace(e, **changes) if changes else e
+
+    def chainify_header(h: Expr) -> Expr:
+        # headers must not be lets themselves; flatten_lets at the outer
+        # level lifts them, so here we only transform subparts
+        return go(h)
+
+    def go_value(v: Value) -> Value:
+        match v:
+            case VAbs(pre, binder, argty, body):
+                return VAbs(pre, binder, argty, chainify(body), span=v.span)
+            case VTAbs(binder, kind, cstr, body):
+                return VTAbs(binder, kind, cstr, go_value(body), span=v.span)
+            case VPair(l, r):
+                return VPair(go_value(l), go_value(r), span=v.span)
+            case _:
+                return v
+
+    return chainify(e)

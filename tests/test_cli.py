@@ -69,6 +69,14 @@ def test_run_final_exit_0(tmp_path, capsys):
     assert "final" in capsys.readouterr().out
 
 
+def test_let_diagnostic_has_the_let_location(tmp_path, capsys):
+    f = write(tmp_path, "exnames.pvgr", "let ap = new End in\nlet [c, d] u = request ap in close u\n")
+    assert main(["check", f]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"{f}:2:1: error[T-Let]: header creates 1 existential binder(s), but 2 name(s) given"
+    )
+
+
 def test_run_deadlock_exit_3_names_blocked_site(tmp_path, capsys):
     f = write(tmp_path, "dl.pvgr", DEADLOCK)
     assert main(["run", f]) == 3

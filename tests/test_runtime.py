@@ -19,6 +19,7 @@ from pvgr.ast import (
     VUnit,
     canonicalize,
 )
+from pvgr.cli import main
 from pvgr.normalize import dual
 from pvgr.parser import parse_expr, parse_program, parse_type
 from pvgr.pretty import pretty
@@ -165,6 +166,33 @@ def test_run_final_in_zero_steps():
     m = Machine(CProc(parse_expr("()", open_world=False)))
     out = m.run()
     assert out.kind == "final" and m.steps == 0
+
+
+@pytest.mark.parametrize(
+    "server, steps",
+    [
+        ("<let u = (let w = accept ap in w) in let x = recv u in close u>", 8),
+        (
+            "<let z = fork (\\[.](w: Unit). let u = (let y = accept ap in y) in"
+            " let x = recv u in close u) in z>",
+            11,
+        ),
+    ],
+    ids=["process", "forked-lambda"],
+)
+def test_first_head_that_is_a_let_runs_to_final(server, steps, tmp_path, capsys):
+    # a configuration process is flattened once, when the machine starts, and
+    # a lambda body when it is applied, so an accept nested in the first head
+    # is found
+    src = f"nuap ap : ?Int.End . ({server} | <let v = request ap in let a = send () v in close v>)"
+    c = config(src)
+    type_config((), EMPTY, c)
+    for seed in range(6):
+        assert Machine(c, seed=seed).run().kind == "final", seed
+    f = tmp_path / "nested_head.pvgr"
+    f.write_text(src)
+    assert main(["run", str(f)]) == 0
+    assert capsys.readouterr().out.startswith(f"final after {steps} steps")
 
 
 def test_run_out_of_fuel():
