@@ -17,7 +17,6 @@ branches and lambda bodies, so a long spine needs no deep recursion.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 from .ast import (
@@ -32,6 +31,7 @@ from .ast import (
     VTAbs,
     Value,
     fresh_name,
+    replace,
     VVar,
 )
 
@@ -99,7 +99,7 @@ def anf_transform(e: Expr) -> Expr:
 
 
 def _value_fields(e: Expr) -> dict[str, Value]:
-    return {f.name: v for f in dataclasses.fields(e) if isinstance(v := getattr(e, f.name), Value)}
+    return {f: v for f in e._fields if isinstance(v := getattr(e, f), Value)}
 
 
 def _anf_node(e: Expr) -> Expr:
@@ -107,7 +107,7 @@ def _anf_node(e: Expr) -> Expr:
     if isinstance(e, ECase):
         return ECase(_anf_value(e.value), anf_transform(e.left), anf_transform(e.right), span=e.span)
     values = {k: _anf_value(v) for k, v in _value_fields(e).items()}
-    return dataclasses.replace(e, **values) if values else e
+    return replace(e, **values) if values else e
 
 
 def _anf_value(v: Value) -> Value:

@@ -7,6 +7,14 @@ names (the hygiene invariant), established by the parser and
 re-established by substitution, so scope handling never needs capture
 checks.
 
+A node class declares its fields once, as annotations in its body; a
+field whose annotation assigns a value takes it as its default.
+`Record.__init_subclass__` reads the annotations into `_fields` and gives
+the class its constructor, equality, hash, repr and positional `match`
+patterns. `SCOPES` names fields of the binder forms, and `LAYOUT` reads
+`_fields` for every field's declaration position and for the role of each
+field that `SCOPES` does not list.
+
 The scope table `SCOPES` is the one statement of binder scoping: free
 variables, substitution, canonical renaming and normalization all walk
 trees through it with `scope_walk`.
@@ -14,22 +22,80 @@ trees through it with `scope_walk`.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator, NamedTuple, Union
 
 
 # ---------------------------------------------------------------------------
-# names, spans
+# records: names, spans, nodes
 # ---------------------------------------------------------------------------
+
+_METHODS = """
+def __init__(self, {params}):
+    {stores}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+def __hash__(self):
+    return hash(({mine}))
+"""
+
+
+class Record:
+    """An immutable record whose fields are its class's annotations.
+
+    Defining a subclass appends its annotations to its base's `_fields`
+    (field name -> annotation text, in declaration order) and compiles an
+    `__init__`, `__eq__` and `__hash__` for exactly those fields, as
+    `dataclasses` would. A field's default is the value its annotation
+    assigns; fields with a default come last. Equality and hash are those
+    of the tuple of fields, between instances of one class. Node classes
+    also take a keyword-only `span`, which equality, hash and repr leave
+    out.
+    """
+
+    _fields = {}  # not annotated, as every annotation declares a field
+    _spanned = False
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = {**cls._fields, **cls.__dict__.get("__annotations__", {})}
+        names = cls.__match_args__ = tuple(cls._fields)
+        params, stored = (names + ("*", "span=None"), names + ("span",)) if cls._spanned else (names, names)
+        methods: dict = {"_set": object.__setattr__}
+        exec(
+            _METHODS.format(
+                params=", ".join(params),
+                stores="\n    ".join(f"_set(self, {f!r}, {f})" for f in stored),
+                mine="".join(f"self.{f}, " for f in names),
+                theirs="".join(f"other.{f}, " for f in names),
+            ),
+            methods,
+        )
+        methods["__init__"].__defaults__ = tuple(getattr(cls, f) for f in names if hasattr(cls, f)) or None
+        cls.__init__, cls.__eq__, cls.__hash__ = methods["__init__"], methods["__eq__"], methods["__hash__"]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(t: Node, **changes) -> Node:
+    """t with the given fields changed, keeping its span."""
+    return t.__class__(**{**{f: getattr(t, f) for f in t._fields}, **changes}, span=t.span)
+
 
 _uid_counter = itertools.count(1)
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(Record):
     """Identifier with a globally unique id; `text` is for printing only."""
 
     text: str
@@ -43,8 +109,7 @@ def fresh_name(text: str) -> Name:
     return Name(text, next(_uid_counter))
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
     file: str
     start: int
     end: int
@@ -55,9 +120,10 @@ class Span:
         return f"{self.file}:{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class Node:
-    span: Span | None = field(default=None, compare=False, repr=False, kw_only=True)
+class Node(Record):
+    """A syntax tree node: its fields, and a keyword-only source `span`."""
+
+    _spanned = True
 
 
 class Label(IntEnum):
@@ -73,39 +139,32 @@ class Label(IntEnum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Kind(Node):
     pass
 
 
-@dataclass(frozen=True)
 class KType(Kind):
     pass
 
 
-@dataclass(frozen=True)
 class KSession(Kind):
     pass
 
 
-@dataclass(frozen=True)
 class KState(Kind):
     pass
 
 
-@dataclass(frozen=True)
 class KShape(Kind):
     pass
 
 
-@dataclass(frozen=True)
 class KDom(Kind):
     """Domain kind indexed by a shape (a Type of kind Shape)."""
 
     shape: "Type"
 
 
-@dataclass(frozen=True)
 class KArrow(Kind):
     src: Kind
     dst: Kind
@@ -116,23 +175,19 @@ class KArrow(Kind):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Type(Node):
     pass
 
 
-@dataclass(frozen=True)
 class TVar(Type):
     name: Name
 
 
-@dataclass(frozen=True)
 class TApp(Type):
     fn: Type
     arg: Type
 
 
-@dataclass(frozen=True)
 class TLam(Type):
     """Type-level function over a domain: \\a:shape. body."""
 
@@ -141,7 +196,6 @@ class TLam(Type):
     body: Type
 
 
-@dataclass(frozen=True)
 class TAll(Type):
     """Constrained universal: forall a:kind[cstr]. body."""
 
@@ -151,7 +205,6 @@ class TAll(Type):
     body: Type
 
 
-@dataclass(frozen=True)
 class TArr(Type):
     """Function type [pre; arg -> ex exctx. post; res]."""
 
@@ -162,30 +215,25 @@ class TArr(Type):
     res: Type
 
 
-@dataclass(frozen=True)
 class TChan(Type):
     dom: Type
 
 
-@dataclass(frozen=True)
 class TAccess(Type):
     """Access point type AP(S)."""
 
     ses: Type
 
 
-@dataclass(frozen=True)
 class TUnit(Type):
     pass
 
 
-@dataclass(frozen=True)
 class TPair(Type):
     left: Type
     right: Type
 
 
-@dataclass(frozen=True)
 class TSend(Type):
     """Session !{binder:Dom(shape)}(state; payload).cont.
 
@@ -199,7 +247,6 @@ class TSend(Type):
     cont: Type
 
 
-@dataclass(frozen=True)
 class TRecv(Type):
     binder: Name
     shape: Type
@@ -208,67 +255,55 @@ class TRecv(Type):
     cont: Type
 
 
-@dataclass(frozen=True)
 class TChoice(Type):
     left: Type
     right: Type
 
 
-@dataclass(frozen=True)
 class TBranch(Type):
     left: Type
     right: Type
 
 
-@dataclass(frozen=True)
 class TEnd(Type):
     pass
 
 
-@dataclass(frozen=True)
 class TDual(Type):
     ses: Type
 
 
-@dataclass(frozen=True)
 class ShZero(Type):
     pass
 
 
-@dataclass(frozen=True)
 class ShOne(Type):
     pass
 
 
-@dataclass(frozen=True)
 class DomZero(Type):
     pass
 
 
-@dataclass(frozen=True)
 class DomMerge(Type):
     left: Type
     right: Type
 
 
-@dataclass(frozen=True)
 class DomProj(Type):
     label: Label
     dom: Type
 
 
-@dataclass(frozen=True)
 class StEmpty(Type):
     pass
 
 
-@dataclass(frozen=True)
 class StBind(Type):
     dom: Type
     ses: Type
 
 
-@dataclass(frozen=True)
 class StMerge(Type):
     left: Type
     right: Type
@@ -279,24 +314,20 @@ class StMerge(Type):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Binding(Node):
     pass
 
 
-@dataclass(frozen=True)
 class BTVar(Binding):
     name: Name
     kind: Kind
 
 
-@dataclass(frozen=True)
 class BVal(Binding):
     name: Name
     type: Type
 
 
-@dataclass(frozen=True)
 class BDisjoint(Binding):
     left: Type
     right: Type
@@ -311,22 +342,18 @@ ConstraintSet = tuple[BDisjoint, ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Expr(Node):
     pass
 
 
-@dataclass(frozen=True)
 class Value(Node):
     pass
 
 
-@dataclass(frozen=True)
 class EVal(Expr):
     value: Value
 
 
-@dataclass(frozen=True)
 class ELet(Expr):
     """let [exnames] binder = head in body; exnames (optional sugar) name
     the leading existential binders of the header's typing package so the
@@ -338,95 +365,78 @@ class ELet(Expr):
     exnames: tuple[Name, ...] = ()
 
 
-@dataclass(frozen=True)
 class EApp(Expr):
     fn: Value
     arg: Value
 
 
-@dataclass(frozen=True)
 class EProj(Expr):
     label: Label
     value: Value
 
 
-@dataclass(frozen=True)
 class ETApp(Expr):
     value: Value
     type: Type
 
 
-@dataclass(frozen=True)
 class EFork(Expr):
     value: Value
 
 
-@dataclass(frozen=True)
 class ENew(Expr):
     ses: Type
 
 
-@dataclass(frozen=True)
 class EAccept(Expr):
     value: Value
 
 
-@dataclass(frozen=True)
 class ERequest(Expr):
     value: Value
 
 
-@dataclass(frozen=True)
 class ESend(Expr):
     payload: Value
     chan: Value
 
 
-@dataclass(frozen=True)
 class ERecv(Expr):
     value: Value
 
 
-@dataclass(frozen=True)
 class ESelect(Expr):
     label: Label
     value: Value
 
 
-@dataclass(frozen=True)
 class ECase(Expr):
     value: Value
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class EClose(Expr):
     value: Value
 
 
-@dataclass(frozen=True)
 class VVar(Value):
     name: Name
 
 
-@dataclass(frozen=True)
 class VChan(Value):
     dom: Type
 
 
-@dataclass(frozen=True)
 class VUnit(Value):
     pass
 
 
-@dataclass(frozen=True)
 class VPair(Value):
     left: Value
     right: Value
 
 
-@dataclass(frozen=True)
 class VAbs(Value):
     """\\[pre](binder:argty). body"""
 
@@ -436,7 +446,6 @@ class VAbs(Value):
     body: Expr
 
 
-@dataclass(frozen=True)
 class VTAbs(Value):
     """/\\binder:kind[cstr]. body (body restricted to a syntactic value)."""
 
@@ -451,23 +460,19 @@ class VTAbs(Value):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Config(Node):
     pass
 
 
-@dataclass(frozen=True)
 class CProc(Config):
     expr: Expr
 
 
-@dataclass(frozen=True)
 class CPar(Config):
     left: Config
     right: Config
 
 
-@dataclass(frozen=True)
 class CNuChan(Config):
     """Channel binder over both ends; end1 carries `ses`, end2 its dual.
 
@@ -483,7 +488,6 @@ class CNuChan(Config):
     closed: bool = False
 
 
-@dataclass(frozen=True)
 class CNuAccess(Config):
     binder: Name
     ses: Type
@@ -539,9 +543,8 @@ class Layout(NamedTuple):
 
 class _LayoutCache(dict):
     def __missing__(self, cls: type) -> Layout:
-        decl = [f for f in dataclasses.fields(cls) if f.name != "span"]
-        pos = {f.name: i for i, f in enumerate(decl)}
-        roles = SCOPES.get(cls) or [(f.name, KEEP if f.type == "Label" else OUT) for f in decl]
+        pos = {name: i for i, name in enumerate(cls._fields)}
+        roles = SCOPES.get(cls) or [(f, KEEP if ann == "Label" else OUT) for f, ann in cls._fields.items()]
         fields = tuple((name, role, pos[name]) for name, role in roles)
         layout = self[cls] = Layout(
             fields,

@@ -10,11 +10,11 @@ Output goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .anf import anf_transform
 from .ast import Config, CProc
@@ -28,8 +28,7 @@ from .typing import ExprTyping, TypecheckError, type_config, type_expr
 DEFAULT_FUEL = 100_000
 
 
-@dataclasses.dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str
     code: str
     message: str
@@ -40,7 +39,7 @@ class Diagnostic:
     found: str | None = None
 
     def to_json(self) -> dict:
-        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
     def render(self) -> str:
         loc = ""
@@ -60,16 +59,9 @@ def _diag_from_error(e: Exception) -> Diagnostic:
             "error", "parse", e.message,
             file=e.span.file, line=e.span.line, col=e.span.col,
         )
-    if isinstance(e, TypecheckError):
-        d = Diagnostic("error", e.rule, e.message, expected=e.expected, found=e.found)
-        if e.span:
-            d.file, d.line, d.col = e.span.file, e.span.line, e.span.col
-        return d
-    if isinstance(e, KindError):
-        d = Diagnostic("error", e.rule, e.message, expected=e.expected, found=e.found)
-        if e.span:
-            d.file, d.line, d.col = e.span.file, e.span.line, e.span.col
-        return d
+    if isinstance(e, (TypecheckError, KindError)):
+        loc = {"file": e.span.file, "line": e.span.line, "col": e.span.col} if e.span else {}
+        return Diagnostic("error", e.rule, e.message, expected=e.expected, found=e.found, **loc)
     return Diagnostic("error", "internal", f"{type(e).__name__}: {e}")
 
 

@@ -15,7 +15,7 @@ membership in the closed set).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ast import (
     BDisjoint,
@@ -41,8 +41,7 @@ class AtomizeError(Exception):
     """A constraint side is not a variable, projection chain, merge, or empty."""
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """pi_{p_n} ... pi_{p_1} base, with path stored innermost-first."""
 
     base: Name
@@ -134,16 +133,19 @@ def close(atoms: set[AtomicConstraint], shapes: _Shapes | None = None) -> Closed
 # -- the indexed context ------------------------------------------------------
 
 
-@dataclass
 class _Disjointness:
     """The normalized shape of each domain variable, and the atoms of every
     `#` assumption in both orientations. The first assumption that does not
     decompose is remembered; `entails` reports it, as atomizing the whole
     context would."""
 
-    shapes: _Shapes = field(default_factory=dict)
-    pairs: set[tuple[_Key, _Key]] = field(default_factory=set)
-    error: str | None = None
+    def __init__(self, shapes: _Shapes, pairs: set[tuple[_Key, _Key]], error: str | None) -> None:
+        self.shapes = shapes
+        self.pairs = pairs
+        self.error = error
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Disjointness) and vars(self) == vars(other)
 
     def copy(self) -> "_Disjointness":
         return _Disjointness(dict(self.shapes), set(self.pairs), self.error)
@@ -208,7 +210,7 @@ class Context(tuple):
     def disjointness(self) -> _Disjointness:
         if self._disjointness is None:
             base, new = self._since("_disjointness")
-            index = _Disjointness() if base is None else base._disjointness.copy()
+            index = _Disjointness({}, set(), None) if base is None else base._disjointness.copy()
             for b in new:
                 index.add(b)
             self._disjointness = index

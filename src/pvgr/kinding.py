@@ -3,8 +3,6 @@ disjoint context extension."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .ast import (
     BDisjoint,
     BTVar,
@@ -51,18 +49,22 @@ from .normalize import conv, normalize
 from .pretty import pretty
 
 
-@dataclass
 class KindError(Exception):
     """Kinding failure; `rule` is the failing rule label, `trail` the rule
     labels unwound while propagating (deepest first)."""
 
-    rule: str
-    message: str
-    subtree: object = None
-    span: Span | None = None
-    expected: str | None = None
-    found: str | None = None
-    trail: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        rule: str,
+        message: str,
+        subtree: object = None,
+        span: Span | None = None,
+        expected: str | None = None,
+        found: str | None = None,
+    ) -> None:
+        self.rule, self.message, self.subtree, self.span = rule, message, subtree, span
+        self.expected, self.found = expected, found
+        self.trail: list[str] = []
 
     def __str__(self) -> str:
         loc = f"{self.span}: " if self.span else ""

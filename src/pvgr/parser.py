@@ -7,7 +7,7 @@ unique names at parse time; the parser accepts non-strict let nesting
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import (
     BDisjoint,
@@ -98,11 +98,13 @@ class ParseError(Exception):
         self.expected = expected
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # 'ident' | 'num' | punct text | 'eof'
-    text: str
-    span: Span
+    __slots__ = ("kind", "text", "span")
+
+    def __init__(self, kind: str, text: str, span: Span) -> None:
+        self.kind = kind  # 'ident' | 'num' | punct text | 'eof'
+        self.text = text
+        self.span = span
 
 
 def tokenize(src: str, filename: str = "<input>") -> list[Token]:
@@ -158,8 +160,7 @@ def tokenize(src: str, filename: str = "<input>") -> list[Token]:
     return toks
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     """Parsed top level: either a configuration or a single expression."""
 
     config: Config | None

@@ -11,10 +11,8 @@ congruence closure the reduction rules assume.
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .anf import flatten_lets, let_in
 from .ast import (
@@ -57,6 +55,7 @@ from .ast import (
     VVar,
     Value,
     fresh_name,
+    replace,
     subst1,
 )
 from .normalize import conv, normalize
@@ -202,7 +201,7 @@ def replace_at(cfg: Config, path: Path, new: Config) -> Config:
     if not path:
         return new
     step = path[0]
-    return dataclasses.replace(cfg, **{step: replace_at(getattr(cfg, step), path[1:], new)})
+    return replace(cfg, **{step: replace_at(getattr(cfg, step), path[1:], new)})
 
 
 def replace_proc(cfg: Config, path: Path, new_expr: Expr) -> Config:
@@ -214,11 +213,10 @@ def replace_proc(cfg: Config, path: Path, new_expr: Expr) -> Config:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     rule: str
-    describe: Callable[[], str] = field(compare=False)  # the trace text, formatted on demand
-    apply: Callable[[Config], Config] = field(compare=False)
+    describe: Callable[[], str]  # the trace text, formatted on demand
+    apply: Callable[[Config], Config]
 
 
 _PRIORITY = {
@@ -303,7 +301,7 @@ def find_candidates(cfg: Config) -> list[Candidate]:
                         body = replace_proc(body, rel_a, aplug(EVal(VChan(TVar(c1)))))
                         body = replace_proc(body, rel_r, rplug(EVal(VChan(TVar(c2)))))
                         wrapped = CNuChan(c1, c2, nacc.ses, body)
-                        return replace_at(c, bp, dataclasses.replace(nacc, body=wrapped))
+                        return replace_at(c, bp, replace(nacc, body=wrapped))
 
                     out.append(Candidate("CR-RequestAccept", _show(rop, aop), apply_ra))
         elif isinstance(binder, CNuChan) and not binder.closed:
@@ -354,9 +352,7 @@ def find_candidates(cfg: Config) -> list[Candidate]:
                         body = nu.body
                         body = replace_proc(body, sp[len(bp) + 1 :], splug(EVal(VUnit())))
                         body = replace_proc(body, rp[len(bp) + 1 :], rplug(EVal(payload)))
-                        return replace_at(
-                            c, bp, dataclasses.replace(nu, ses=advance(nu.ses), body=body)
-                        )
+                        return replace_at(c, bp, replace(nu, ses=advance(nu.ses), body=body))
 
                     out.append(Candidate("CR-SendRecv", _show(sop, rop), apply_sr))
             for sp_, sel_end, lab, splug, sop in selects:
@@ -372,9 +368,7 @@ def find_candidates(cfg: Config) -> list[Candidate]:
                         chosen = bl if lab is Label.L1 else br
                         body = replace_proc(body, sp[len(bp) + 1 :], splug(EVal(VUnit())))
                         body = replace_proc(body, cp[len(bp) + 1 :], cplug(chosen))
-                        return replace_at(
-                            c, bp, dataclasses.replace(nu, ses=pick(nu.ses, lab), body=body)
-                        )
+                        return replace_at(c, bp, replace(nu, ses=pick(nu.ses, lab), body=body))
 
                     out.append(Candidate("CR-SelectCase", _show(sop, cop), apply_sc))
             for i, (p1, end_a, plug_a, op_a) in enumerate(closes):
@@ -389,7 +383,7 @@ def find_candidates(cfg: Config) -> list[Candidate]:
                         body = nu.body
                         body = replace_proc(body, p1[len(bp) + 1 :], plug_a(EVal(VUnit())))
                         body = replace_proc(body, p2[len(bp) + 1 :], plug_b(EVal(VUnit())))
-                        return replace_at(c, bp, dataclasses.replace(nu, closed=True, body=body))
+                        return replace_at(c, bp, replace(nu, closed=True, body=body))
 
                     out.append(Candidate("CR-Close", _show(op_a, op_b), apply_close))
 
@@ -402,8 +396,7 @@ def find_candidates(cfg: Config) -> list[Candidate]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockedSite:
+class BlockedSite(NamedTuple):
     path: Path
     operation: str
     subject: str  # pretty channel end or access point
@@ -412,8 +405,7 @@ class BlockedSite:
         return f"{self.operation} on {self.subject}"
 
 
-@dataclass(frozen=True)
-class DeadlockReport:
+class DeadlockReport(NamedTuple):
     blocked: tuple[BlockedSite, ...]
 
     def __str__(self) -> str:
@@ -480,26 +472,21 @@ def classify_config(cfg: Config):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StepOutcome:
+class StepOutcome(NamedTuple):
     kind: str  # 'stepped' | 'final' | 'deadlock' | 'out-of-fuel'
     config: Config
     rule: str | None = None
     report: DeadlockReport | None = None
 
 
-@dataclass
 class Machine:
-    config: Config
-    max_steps: int = 100_000
-    seed: int = 0
-    steps: int = 0
-    trace: list[str] = field(default_factory=list)
-    _rng: random.Random | None = None
-
-    def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
-        self.config = _flatten_procs(self.config)
+    def __init__(self, config: Config, max_steps: int = 100_000, seed: int = 0) -> None:
+        self.config = _flatten_procs(config)
+        self.max_steps = max_steps
+        self.seed = seed
+        self.steps = 0
+        self.trace: list[str] = []
+        self._rng = random.Random(seed)
 
     def step(self) -> StepOutcome:
         cls = classify_config(self.config)
@@ -532,11 +519,11 @@ def _flatten_procs(cfg: Config) -> Config:
     """cfg with every process flat, the shape each step keeps (see pvgr.anf)."""
     match cfg:
         case CProc(e):
-            return dataclasses.replace(cfg, expr=flatten_lets(e))
+            return replace(cfg, expr=flatten_lets(e))
         case CPar(l, r):
-            return dataclasses.replace(cfg, left=_flatten_procs(l), right=_flatten_procs(r))
+            return replace(cfg, left=_flatten_procs(l), right=_flatten_procs(r))
         case _:
-            return dataclasses.replace(cfg, body=_flatten_procs(cfg.body))
+            return replace(cfg, body=_flatten_procs(cfg.body))
 
 
 def run_expr(e: Expr, max_steps: int = 100_000, seed: int = 0) -> StepOutcome:

@@ -11,7 +11,7 @@ and cannot be referenced by the program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .anf import is_strict_anf
 from .ast import (
@@ -97,14 +97,18 @@ from .normalize import conv, dual, normalize
 from .pretty import pretty, pretty_ctx
 
 
-@dataclass
 class TypecheckError(Exception):
-    rule: str
-    message: str
-    span: Span | None = None
-    expected: str | None = None
-    found: str | None = None
-    state: str | None = None
+    def __init__(
+        self,
+        rule: str,
+        message: str,
+        span: Span | None = None,
+        expected: str | None = None,
+        found: str | None = None,
+        state: str | None = None,
+    ) -> None:
+        self.rule, self.message, self.span = rule, message, span
+        self.expected, self.found, self.state = expected, found, state
 
     def __str__(self) -> str:
         loc = f"{self.span}: " if self.span else ""
@@ -118,8 +122,7 @@ class TypecheckError(Exception):
         return "\n".join(parts)
 
 
-@dataclass
-class ExprTyping:
+class ExprTyping(NamedTuple):
     """Right side of an expression typing: ex exctx. post; ty."""
 
     exctx: Ctx
@@ -820,8 +823,7 @@ def _require_equal_packages(g: Ctx, r1: ExprTyping, r2: ExprTyping, span: Span |
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProcTyping:
+class ProcTyping(NamedTuple):
     """Captured typing of one expression process, in traversal order."""
 
     ctx: Ctx

@@ -20,7 +20,7 @@ def corpus_files() -> list[Path]:
 
 def rename_free(t: Tree, mapping: dict[int, Name]) -> Tree:
     """Rename free variable occurrences by uid, preserving their category."""
-    import dataclasses
+    from oracles import node_fields, replace_fields
 
     from pvgr.ast import Node
 
@@ -29,17 +29,15 @@ def rename_free(t: Tree, mapping: dict[int, Name]) -> Tree:
     if isinstance(t, VVar) and t.name.uid in mapping:
         return VVar(mapping[t.name.uid], span=t.span)
     changes = {}
-    for f in dataclasses.fields(t):
-        if f.name == "span":
-            continue
-        v = getattr(t, f.name)
+    for f in node_fields(t):
+        v = getattr(t, f)
         if isinstance(v, Node):
-            changes[f.name] = rename_free(v, mapping)
+            changes[f] = rename_free(v, mapping)
         elif isinstance(v, tuple) and any(isinstance(x, Node) for x in v):
-            changes[f.name] = tuple(
+            changes[f] = tuple(
                 rename_free(x, mapping) if isinstance(x, Node) else x for x in v
             )
-    return dataclasses.replace(t, **changes) if changes else t
+    return replace_fields(t, **changes) if changes else t
 
 
 def parse_with(kind: str, src: str, free: dict[str, Name]):

@@ -6,7 +6,7 @@ force, staying independent of the implementation paths they check.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import itertools
 import random
 from typing import Iterator, Union
@@ -79,6 +79,35 @@ from pvgr.ast import (
 )
 from pvgr.constraints import Chain, atomize, close, shape_env
 
+
+# ---------------------------------------------------------------------------
+# node fields, read from the class annotations
+# ---------------------------------------------------------------------------
+
+
+def node_fields(t) -> dict[str, str]:
+    """The fields of a node or node class other than `span`, each with its
+    annotation text, in declaration order. They are read from the class
+    annotations along the MRO, not from `pvgr.ast`'s own field table."""
+    return _annotated_fields(t if isinstance(t, type) else t.__class__)
+
+
+@functools.cache
+def _annotated_fields(cls: type) -> dict[str, str]:
+    fields: dict[str, str] = {}
+    for c in reversed(cls.__mro__):
+        fields.update(vars(c).get("__annotations__", {}))
+    fields.pop("span", None)
+    return fields
+
+
+def replace_fields(t: Node, **changes) -> Node:
+    """t with the given fields changed, keeping its span."""
+    fields = node_fields(t)
+    assert changes.keys() <= fields.keys(), changes
+    return t.__class__(*[changes.get(f, getattr(t, f)) for f in fields], span=t.span)
+
+
 # ---------------------------------------------------------------------------
 # declarative conversion search (bounded common-reduct BFS)
 # ---------------------------------------------------------------------------
@@ -125,16 +154,16 @@ def _root_rewrites(t: Type) -> list[Type]:
 
 def _one_step(t: Tree) -> list[Tree]:
     out = list(_root_rewrites(t)) if isinstance(t, Type) else []
-    for fname, v in [(f.name, getattr(t, f.name)) for f in dataclasses.fields(t) if f.name != "span"]:
+    for fname, v in [(f, getattr(t, f)) for f in node_fields(t)]:
         if isinstance(v, Node):
             for w in _one_step(v):
-                out.append(dataclasses.replace(t, **{fname: w}))
+                out.append(replace_fields(t, **{fname: w}))
         elif isinstance(v, tuple) and any(isinstance(x, Node) for x in v):
             for i, x in enumerate(v):
                 if isinstance(x, Node):
                     for w in _one_step(x):
                         out.append(
-                            dataclasses.replace(t, **{fname: v[:i] + (w,) + v[i + 1 :]})
+                            replace_fields(t, **{fname: v[:i] + (w,) + v[i + 1 :]})
                         )
     return out
 
@@ -429,10 +458,8 @@ def alpha_oracle(a: Tree, b: Tree) -> bool:
             case CNuAccess(n, ses, body):
                 return go(ses, b.ses, env) and go(body, b.body, {**env, n.uid: b.binder.uid})
             case _:
-                for f in dataclasses.fields(a):
-                    if f.name == "span":
-                        continue
-                    va, vb = getattr(a, f.name), getattr(b, f.name)
+                for f in node_fields(a):
+                    va, vb = getattr(a, f), getattr(b, f)
                     if isinstance(va, Node):
                         if not go(va, vb, env):
                             return False
@@ -690,16 +717,14 @@ def random_binder_tree(rng: random.Random, budget: int) -> Tree:
 def _positions(t: Tree, path=()) -> list[tuple]:
     out = [path]
     i = 0
-    for f in dataclasses.fields(t):
-        if f.name == "span":
-            continue
-        v = getattr(t, f.name)
+    for f in node_fields(t):
+        v = getattr(t, f)
         if isinstance(v, Node):
-            out += _positions(v, path + ((f.name, None),))
+            out += _positions(v, path + ((f, None),))
         elif isinstance(v, tuple):
             for j, x in enumerate(v):
                 if isinstance(x, Node):
-                    out += _positions(x, path + ((f.name, j),))
+                    out += _positions(x, path + ((f, j),))
     return out
 
 
@@ -716,9 +741,9 @@ def _set_pos(t: Tree, path, new):
     (fname, idx), rest = path[0], path[1:]
     v = getattr(t, fname)
     if idx is None:
-        return dataclasses.replace(t, **{fname: _set_pos(v, rest, new)})
+        return replace_fields(t, **{fname: _set_pos(v, rest, new)})
     w = v[:idx] + (_set_pos(v[idx], rest, new),) + v[idx + 1 :]
-    return dataclasses.replace(t, **{fname: w})
+    return replace_fields(t, **{fname: w})
 
 
 def mutate_type(rng: random.Random, t: Type) -> Type:
@@ -761,7 +786,7 @@ _Env = dict[int, int]  # binder uid -> de Bruijn level
 
 
 def _node_fields_ref(t: Tree) -> list[tuple[str, object]]:
-    return [(f.name, getattr(t, f.name)) for f in dataclasses.fields(t) if f.name != "span"]
+    return [(f, getattr(t, f)) for f in node_fields(t)]
 
 
 def children_ref(t: Tree) -> Iterator[Tree]:
@@ -786,7 +811,7 @@ def _rebuild_ref(t: Tree, go) -> Tree:
             w = tuple(go(x) if isinstance(x, Node) else x for x in v)
             if w != v:
                 changes[name] = w
-    return dataclasses.replace(t, **changes) if changes else t
+    return replace_fields(t, **changes) if changes else t
 
 
 def free_vars_ref(t: Tree) -> set[Name]:
@@ -1109,10 +1134,8 @@ def _key_ref(t: Type | Kind | Binding, env: _Env, depth: int):
             return (type(t).__name__,)
         case _:
             parts: list = [type(t).__name__]
-            for f in dataclasses.fields(t):
-                if f.name == "span":
-                    continue
-                v = getattr(t, f.name)
+            for f in node_fields(t):
+                v = getattr(t, f)
                 if isinstance(v, (Type, Kind, Binding)):
                     parts.append(_key_ref(v, env, depth))
                 elif isinstance(v, Label):
@@ -1294,11 +1317,11 @@ def anf_transform_ref(e: Expr) -> Expr:
                 return EVal(go_value(v), span=e.span)
             case _:
                 changes = {}
-                for f in dataclasses.fields(e):
-                    x = getattr(e, f.name)
+                for f in node_fields(e):
+                    x = getattr(e, f)
                     if isinstance(x, Value):
-                        changes[f.name] = go_value(x)
-                return dataclasses.replace(e, **changes) if changes else e
+                        changes[f] = go_value(x)
+                return replace_fields(e, **changes) if changes else e
 
     def chainify_header(h: Expr) -> Expr:
         # headers must not be lets themselves; flatten_lets at the outer

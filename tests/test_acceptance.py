@@ -12,9 +12,11 @@ from oracles import (
     conv_search,
     entails_search,
     mutate_type,
+    node_fields,
     random_entailment_instance,
     random_session,
     random_type,
+    replace_fields,
 )
 
 from pvgr.anf import anf_transform, flatten_lets, is_strict_anf
@@ -150,8 +152,6 @@ def test_criterion_1_paper_example_typings():
 
 def _drop_trivial_constraints(t):
     """Erase constraints whose sides make them hold vacuously (empty domain)."""
-    import dataclasses
-
     from pvgr.ast import DomZero, Node, TAll
 
     def trivial(c) -> bool:
@@ -166,15 +166,13 @@ def _drop_trivial_constraints(t):
             cstr = tuple(c for c in t.cstr if not trivial(c))
             return TAll(t.binder, go(t.kind), tuple(go(c) for c in cstr), go(t.body))
         changes = {}
-        for f in dataclasses.fields(t):
-            if f.name == "span":
-                continue
-            v = getattr(t, f.name)
+        for f in node_fields(t):
+            v = getattr(t, f)
             if isinstance(v, Node):
-                changes[f.name] = go(v)
+                changes[f] = go(v)
             elif isinstance(v, tuple) and any(isinstance(x, Node) for x in v):
-                changes[f.name] = tuple(go(x) if isinstance(x, Node) else x for x in v)
-        return dataclasses.replace(t, **changes) if changes else t
+                changes[f] = tuple(go(x) if isinstance(x, Node) else x for x in v)
+        return replace_fields(t, **changes) if changes else t
 
     return go(t)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from oracles import alpha_oracle, random_type
+from oracles import alpha_oracle, node_fields, random_type, replace_fields
 
 from pvgr.ast import (
     ShOne,
@@ -53,24 +53,20 @@ def test_subst_matches_naive_textual_substitution_on_closed_binders(rng):
 
 
 def _naive_subst(uid, payload, t):
-    import dataclasses
-
     from pvgr.ast import Node
 
     if isinstance(t, TVar) and t.name.uid == uid:
         return payload
     changes = {}
-    for f in dataclasses.fields(t):
-        if f.name == "span":
-            continue
-        v = getattr(t, f.name)
+    for f in node_fields(t):
+        v = getattr(t, f)
         if isinstance(v, Node):
-            changes[f.name] = _naive_subst(uid, payload, v)
+            changes[f] = _naive_subst(uid, payload, v)
         elif isinstance(v, tuple) and any(isinstance(x, Node) for x in v):
-            changes[f.name] = tuple(
+            changes[f] = tuple(
                 _naive_subst(uid, payload, x) if isinstance(x, Node) else x for x in v
             )
-    return dataclasses.replace(t, **changes) if changes else t
+    return replace_fields(t, **changes) if changes else t
 
 
 def test_subst_identity_map_is_identity_up_to_alpha(rng):
@@ -155,8 +151,6 @@ def test_hygiene_no_duplicate_binders_after_subst():
 
 
 def _collect_binders(t):
-    import dataclasses
-
     from pvgr.ast import Node, VAbs, ELet
 
     out = []
@@ -164,10 +158,8 @@ def _collect_binders(t):
         out.append(t.binder.uid)
     if isinstance(t, ELet):
         out.append(t.binder.uid)
-    for f in dataclasses.fields(t):
-        if f.name == "span":
-            continue
-        v = getattr(t, f.name)
+    for f in node_fields(t):
+        v = getattr(t, f)
         if isinstance(v, Node):
             out += _collect_binders(v)
         elif isinstance(v, tuple):

@@ -3,10 +3,9 @@ metatheory properties run as dynamic checks."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from conftest import corpus_files
+from oracles import node_fields, replace_fields
 
 from pvgr.anf import anf_transform
 from pvgr.ast import (
@@ -147,8 +146,8 @@ def _collect_nuchans(c: Config) -> list[CNuChan]:
     out = []
     if isinstance(c, CNuChan):
         out.append(c)
-    for f in dataclasses.fields(c):
-        v = getattr(c, f.name)
+    for f in node_fields(c):
+        v = getattr(c, f)
         if isinstance(v, Config):
             out += _collect_nuchans(v)
     return out
@@ -308,7 +307,7 @@ def _cc_steps(c: Config) -> list[Config]:
             if isinstance(r, CPar):
                 out.append(CPar(CPar(l, r.left), r.right))
             if isinstance(l, (CNuChan, CNuAccess)):
-                out.append(dataclasses.replace(l, body=CPar(l.body, r)))
+                out.append(replace_fields(l, body=CPar(l.body, r)))
             if r == CProc(EVal(VUnit())):
                 out.append(l)
         case CNuChan(e1, e2, ses, body, closed):
@@ -317,11 +316,11 @@ def _cc_steps(c: Config) -> list[Config]:
         case CNuAccess(x, ses, body):
             out.append(CNuAccess(x, ses, CPar(body, CProc(EVal(VUnit())))))
     # congruence under every context
-    for f in dataclasses.fields(c):
-        v = getattr(c, f.name)
+    for f in node_fields(c):
+        v = getattr(c, f)
         if isinstance(v, Config):
             for w in _cc_steps(v):
-                out.append(dataclasses.replace(c, **{f.name: w}))
+                out.append(replace_fields(c, **{f: w}))
     return out
 
 

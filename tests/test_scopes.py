@@ -8,7 +8,6 @@ machine passes through for seeds 1-3) and on seeded binder-heavy trees.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 
@@ -19,6 +18,7 @@ from oracles import (
     alpha_oracle,
     canonicalize_ref,
     free_vars_ref,
+    node_fields,
     normalize_ref,
     random_binder_tree,
     subst_ref,
@@ -64,11 +64,11 @@ EMPTY = parse_type(".")
 
 @functools.cache
 def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
+    return tuple(node_fields(cls))
 
 
 def _subtrees(t: Node) -> list[Node]:
-    """t and every node below it, found through dataclass fields only."""
+    """t and every node below it, found through the annotated fields only."""
     out = [t]
     for name in _field_names(type(t)):
         v = getattr(t, name)
@@ -233,11 +233,11 @@ def test_scope_table_covers_every_binder_form():
     # a class holding a name must say how it scopes it, and every entry
     # must list exactly its class's non-span fields
     for cls in _node_classes():
-        fields = [f for f in dataclasses.fields(cls) if f.name != "span"]
-        if any(f.type in ("Name", "tuple[Name, ...]") for f in fields):
+        fields = node_fields(cls)
+        if any(ann in ("Name", "tuple[Name, ...]") for ann in fields.values()):
             assert cls in SCOPES, cls.__name__
     for cls, entries in SCOPES.items():
         names = [name for name, _ in entries]
-        assert sorted(names) == sorted(f.name for f in dataclasses.fields(cls) if f.name != "span")
+        assert sorted(names) == sorted(node_fields(cls))
         assert len(names) == len(set(names))
         assert [name for name, _, _ in LAYOUT[cls].fields] == names
