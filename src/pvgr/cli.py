@@ -1,10 +1,13 @@
 """Command-line interface: check, run, and corpus verification.
 
-Exit codes: check 0 ok / 1 type error / 2 parse error; run additionally
-3 deadlock / 4 out of fuel. Any other failure inside pvgr (a recursion
-limit hit on a deeply nested program, say) is reported as an
-`error[internal]` diagnostic with exit code 5, never as a traceback.
-Output goes to stdout, diagnostics to stderr.
+Exit codes: check 0 ok / 1 type error / 2 parse error, unreadable file
+(`error[io]`) or bad setting (`error[usage]`, such as a `PVGR_MAX_STEPS`
+that is not an integer); run additionally 3 deadlock / 4 out of fuel. Any
+other failure inside pvgr (a recursion limit hit on a deeply nested
+program, say) is reported as an `error[internal]` diagnostic with exit
+code 5, never as a traceback. Output goes to stdout, diagnostics to
+stderr. A reader that closes stdout early (`pvgr run F --trace | head`)
+ends the command quietly, with exit code 0.
 """
 
 from __future__ import annotations
@@ -53,7 +56,19 @@ class Diagnostic(NamedTuple):
         return out
 
 
+class CliError(Exception):
+    """A failure outside the program being checked or run: its input file
+    cannot be read (`io`) or a setting is invalid (`usage`). Exit code 2."""
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+        self.message = message
+
+
 def _diag_from_error(e: Exception) -> Diagnostic:
+    if isinstance(e, CliError):
+        return Diagnostic("error", e.code, e.message)
     if isinstance(e, ParseError):
         return Diagnostic(
             "error", "parse", e.message,
@@ -73,7 +88,12 @@ def _emit(diag: Diagnostic, fmt: str) -> None:
 
 
 def _load(path: str) -> Program:
-    src = Path(path).read_text(encoding="utf-8")
+    try:
+        src = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise CliError("io", f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise CliError("io", f"cannot read {path}: not UTF-8 text ({e.reason})") from None
     prog = parse_program(src, filename=path)
     if prog.expr is not None:
         prog = Program(config=None, expr=anf_transform(prog.expr), filename=prog.filename)
@@ -129,6 +149,18 @@ def _recheck(cfg: Config) -> None:
     type_config((), parse_type("."), cfg)
 
 
+def _fuel(args: argparse.Namespace) -> int:
+    if args.max_steps is not None:
+        return args.max_steps
+    setting = os.environ.get("PVGR_MAX_STEPS")
+    if setting is None:
+        return DEFAULT_FUEL
+    try:
+        return int(setting)
+    except ValueError:
+        raise CliError("usage", f"PVGR_MAX_STEPS must be an integer, got {setting!r}") from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     fmt = "pretty"
     try:
@@ -144,10 +176,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print("refusing to run an ill-typed program (use --no-check to override)", file=sys.stderr)
             return 1
     cfg = prog.config if prog.config is not None else CProc(prog.expr)
-    fuel = args.max_steps if args.max_steps is not None else int(
-        os.environ.get("PVGR_MAX_STEPS", DEFAULT_FUEL)
-    )
-    machine = Machine(cfg, max_steps=fuel, seed=args.seed)
+    machine = Machine(cfg, max_steps=_fuel(args), seed=args.seed, trace=[] if args.trace else None)
     while True:
         if args.check:
             try:
@@ -157,7 +186,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 print("subject reduction violated", file=sys.stderr)
                 return 1
         out = machine.step()
-        if args.trace and machine.trace and out.kind == "stepped":
+        if args.trace and out.kind == "stepped":
             print(machine.trace[-1])
         if out.kind != "stepped":
             break
@@ -258,10 +287,23 @@ def main(argv: list[str] | None = None) -> int:
     p_corpus.set_defaults(fn=cmd_corpus)
 
     args = ap.parse_args(argv)
+    fmt = getattr(args, "format", "pretty")
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # that the flush at exit does not raise again (Python docs, "Note on
+        # SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
+    except CliError as e:
+        _emit(_diag_from_error(e), fmt)
+        return 2
     except Exception as e:  # every failure the commands do not diagnose themselves
-        _emit(_diag_from_error(e), getattr(args, "format", "pretty"))
+        _emit(_diag_from_error(e), fmt)
         return 5
 
 

@@ -7,6 +7,25 @@ The redex search flattens each binder scope into its parallel processes
 channel ends symmetrically (channel-name swap), and inserts new binders
 directly under the governing one (scope extrusion); this is exactly the
 congruence closure the reduction rules assume.
+
+A step costs one search, in the manner of the Chemical Abstract Machine
+(Berry & Boudol, TCS 1992):
+
+- One walk over an explicit stack yields the configuration's processes and
+  binders, depth-first and left-first (a binder before its body). The
+  search, the finality test and `iter_procs` all read it; none recurses,
+  so a soup of thousands of processes needs no deep Python stack.
+- The evaluation hole of each process is keyed once: a `request` or
+  `accept` by the uid of its access point, and a `send`, `recv`, `select`,
+  `case` or `close` by the channel end that its domain normalizes to, when
+  that is a variable. Each binder reads the holes of its access point, or
+  of its two ends, from that index and keeps those in its scope, so
+  matching a communication redex tests no conversion.
+- A CR-Expr candidate is recognized by the shape of its process;
+  `step_expr` builds the stepped expression only when the candidate is
+  applied.
+- `Machine.step` hands the candidates it found to `classify_config`, which
+  searches again only when it is called without them.
 """
 
 from __future__ import annotations
@@ -58,7 +77,7 @@ from .ast import (
     replace,
     subst1,
 )
-from .normalize import conv, normalize
+from .normalize import normalize
 from .pretty import pretty
 
 Path = tuple[str, ...]  # 'left' | 'right' | 'body' steps from the root
@@ -166,29 +185,24 @@ def split_eval(e: Expr) -> tuple[Expr, Callable[[Expr], Expr]] | None:
 # ---------------------------------------------------------------------------
 
 
+def _walk(cfg: Config, path: Path = ()) -> Iterator[tuple[Path, Config]]:
+    """Every process and binder of cfg with its path, depth-first and
+    left-first (a binder before its body), from one loop over an explicit
+    stack."""
+    stack = [(path, cfg)]
+    while stack:
+        path, c = stack.pop()
+        if isinstance(c, CPar):
+            stack.append((path + ("right",), c.right))
+            stack.append((path + ("left",), c.left))
+        else:
+            yield path, c
+            if isinstance(c, (CNuChan, CNuAccess)):
+                stack.append((path + ("body",), c.body))
+
+
 def iter_procs(cfg: Config, path: Path = ()) -> Iterator[tuple[Path, Expr]]:
-    match cfg:
-        case CProc(e):
-            yield path, e
-        case CPar(l, r):
-            yield from iter_procs(l, path + ("left",))
-            yield from iter_procs(r, path + ("right",))
-        case CNuChan(_, _, _, body, _):
-            yield from iter_procs(body, path + ("body",))
-        case CNuAccess(_, _, body):
-            yield from iter_procs(body, path + ("body",))
-
-
-def iter_binders(cfg: Config, path: Path = ()) -> Iterator[tuple[Path, Config]]:
-    match cfg:
-        case CNuChan(_, _, _, body, _) | CNuAccess(_, _, body):
-            yield path, cfg
-            yield from iter_binders(body, path + ("body",))
-        case CPar(l, r):
-            yield from iter_binders(l, path + ("left",))
-            yield from iter_binders(r, path + ("right",))
-        case _:
-            return
+    return ((p, c.expr) for p, c in _walk(cfg, path) if isinstance(c, CProc))
 
 
 def get_at(cfg: Config, path: Path) -> Config:
@@ -230,29 +244,45 @@ _PRIORITY = {
 }
 
 
-def _is_end(dom: Type, end: Name) -> bool:
-    return conv(dom, TVar(end))
-
-
 def _show(*ops: Expr) -> Callable[[], str]:
     return lambda: " | ".join(pretty(op) for op in ops)
 
 
+def _reduces(e: Expr) -> bool:
+    """Whether `step_expr(e) is not None`, decided without building the step."""
+    while isinstance(e, ELet):
+        if isinstance(e.head, EVal):
+            return True
+        e = e.head
+    match e:
+        case EApp(VAbs()) | EProj(_, VPair()) | ETApp(VTAbs()):
+            return True
+    return False
+
+
+# a process's evaluation hole: its position in the walk, path, operation, plug
+Hole = tuple[int, Path, Expr, Callable[[Expr], Expr]]
+
+
 def find_candidates(cfg: Config) -> list[Candidate]:
     out: list[Candidate] = []
-    holes: list[tuple[Path, Expr, Callable[[Expr], Expr]]] = []
+    points: dict[int, list[Hole]] = {}  # access-point uid -> request/accept holes
+    ends: dict[Name, list[Hole]] = {}  # channel end -> send/recv/select/case/close holes
+    binders: list[tuple[Path, Config]] = []
 
-    # CR-Expr / CR-Fork / CR-New per process
-    for path, e in iter_procs(cfg):
+    # CR-Expr / CR-Fork / CR-New per process; every other hole is indexed
+    for i, (path, node) in enumerate(_walk(cfg)):
+        if not isinstance(node, CProc):
+            binders.append((path, node))
+            continue
+        e = node.expr
         hole = split_eval(e)
         if hole is None:
             continue
         op, plug = hole
-        holes.append((path, op, plug))
-        stepped = step_expr(e)
-        if stepped is not None:
+        if _reduces(e):
             out.append(
-                Candidate("CR-Expr", _show(op), lambda c, p=path, s=stepped: replace_proc(c, p, s))
+                Candidate("CR-Expr", _show(op), lambda c, p=path, e=e: replace_proc(c, p, step_expr(e)))
             )
         match op:
             case EFork(v):
@@ -268,23 +298,25 @@ def find_candidates(cfg: Config) -> list[Candidate]:
                     return replace_at(c, p, CNuAccess(ap, ses, CProc(plug(EVal(VVar(ap))))))
 
                 out.append(Candidate("CR-New", _show(op), apply_new))
+            case ERequest(VVar(x)) | EAccept(VVar(x)):
+                points.setdefault(x.uid, []).append((i, path, op, plug))
+            case (
+                ESend(_, VChan(dom)) | ERecv(VChan(dom)) | ESelect(_, VChan(dom))
+                | ECase(VChan(dom), _, _) | EClose(VChan(dom))
+            ):
+                # conv(dom, TVar(end)) holds exactly when dom normalizes to TVar(end)
+                nd = normalize(dom)
+                if isinstance(nd, TVar):
+                    ends.setdefault(nd.name, []).append((i, path, op, plug))
 
-    # communication rules per governing binder
-    for bpath, binder in iter_binders(cfg):
+    # communication rules per governing binder, over the holes in its scope
+    for bpath, binder in binders:
         under = bpath + ("body",)
-        inner = [h for h in holes if h[0][: len(under)] == under]
+        n = len(under)
         if isinstance(binder, CNuAccess):
-            x = binder.binder
-            reqs = [
-                (p, op, plug)
-                for p, op, plug in inner
-                if isinstance(op, ERequest) and isinstance(op.value, VVar) and op.value.name.uid == x.uid
-            ]
-            accs = [
-                (p, op, plug)
-                for p, op, plug in inner
-                if isinstance(op, EAccept) and isinstance(op.value, VVar) and op.value.name.uid == x.uid
-            ]
+            inner = [h for h in points.get(binder.binder.uid, ()) if h[1][:n] == under]
+            reqs = [h[1:] for h in inner if isinstance(h[2], ERequest)]
+            accs = [h[1:] for h in inner if isinstance(h[2], EAccept)]
             for rp, rop, rplug in reqs:
                 for ap_, aop, aplug in accs:
                     if rp == ap_:
@@ -305,28 +337,26 @@ def find_candidates(cfg: Config) -> list[Candidate]:
 
                     out.append(Candidate("CR-RequestAccept", _show(rop, aop), apply_ra))
         elif isinstance(binder, CNuChan) and not binder.closed:
-            e1, e2 = binder.end1, binder.end2
-            ends = (e1, e2)
-
-            def end_of(dom: Type) -> Name | None:
-                for end in ends:
-                    if _is_end(dom, end):
-                        return end
-                return None
+            tagged = sorted(  # both ends' holes, back in walk order
+                [(h, end) for end in (binder.end1, binder.end2) for h in ends.get(end, ())],
+                key=lambda t: t[0][0],
+            )
 
             sends, recvs, selects, cases, closes = [], [], [], [], []
-            for p, op, plug in inner:
+            for (_, p, op, plug), end in tagged:
+                if p[:n] != under:
+                    continue
                 match op:
-                    case ESend(payload, VChan(dom)) if end_of(dom) is not None:
-                        sends.append((p, end_of(dom), payload, plug, op))
-                    case ERecv(VChan(dom)) if end_of(dom) is not None:
-                        recvs.append((p, end_of(dom), plug, op))
-                    case ESelect(lab, VChan(dom)) if end_of(dom) is not None:
-                        selects.append((p, end_of(dom), lab, plug, op))
-                    case ECase(VChan(dom), bl, br) if end_of(dom) is not None:
-                        cases.append((p, end_of(dom), bl, br, plug, op))
-                    case EClose(VChan(dom)) if end_of(dom) is not None:
-                        closes.append((p, end_of(dom), plug, op))
+                    case ESend(payload, _):
+                        sends.append((p, end, payload, plug, op))
+                    case ERecv(_):
+                        recvs.append((p, end, plug, op))
+                    case ESelect(lab, _):
+                        selects.append((p, end, lab, plug, op))
+                    case ECase(_, bl, br):
+                        cases.append((p, end, bl, br, plug, op))
+                    case EClose(_):
+                        closes.append((p, end, plug, op))
 
             def advance(ses: Type) -> Type:
                 h = normalize(ses)
@@ -413,16 +443,15 @@ class DeadlockReport(NamedTuple):
 
 
 def is_final(cfg: Config) -> bool:
-    match cfg:
-        case CProc(e):
-            return isinstance(e, EVal)
-        case CPar(l, r):
-            return is_final(l) and is_final(r)
-        case CNuAccess(_, _, body):
-            return is_final(body)
-        case CNuChan(_, _, ses, body, closed):
-            return (closed or isinstance(normalize(ses), TEnd)) and is_final(body)
-    return False
+    """Every process a value and every channel closed or at End."""
+    chans = []
+    for _, c in _walk(cfg):
+        if isinstance(c, CProc):
+            if not isinstance(c.expr, EVal):
+                return False
+        elif isinstance(c, CNuChan):
+            chans.append(c)
+    return all(c.closed or isinstance(normalize(c.ses), TEnd) for c in chans)
 
 
 def _blocked_site(path: Path, op: Expr) -> BlockedSite | None:
@@ -444,10 +473,18 @@ def _blocked_site(path: Path, op: Expr) -> BlockedSite | None:
     return None
 
 
-def classify_config(cfg: Config):
+def classify_config(cfg: Config, cands: list[Candidate] | None = None):
     """'final' | ('deadlock', DeadlockReport) | 'reducible', per the paper's
     predicates: deadlocked iff every process is a value or blocked on a
-    communication (not fork/new) and no matchable pair exists."""
+    communication (not fork/new) and no matchable pair exists.
+
+    `cands`, when given, must be `find_candidates(cfg)`; it is then not
+    searched for again. A configuration with a candidate is reducible: no
+    candidate comes from a value, a CR-Expr, CR-Fork or CR-New candidate
+    comes from a process the loop below calls reducible, and any other
+    candidate is a matchable pair."""
+    if cands:
+        return "reducible"
     if is_final(cfg):
         return "final"
     blocked: list[tuple[Path, Expr]] = []
@@ -461,7 +498,9 @@ def classify_config(cfg: Config):
         if isinstance(op, (EFork, ENew)):
             return "reducible"
         blocked.append((path, op))
-    if any(c.rule != "CR-Expr" for c in find_candidates(cfg)):
+    if cands is None:
+        cands = find_candidates(cfg)
+    if any(c.rule != "CR-Expr" for c in cands):
         return "reducible"
     sites = (_blocked_site(path, op) for path, op in blocked)
     return ("deadlock", DeadlockReport(tuple(site for site in sites if site is not None)))
@@ -480,23 +519,29 @@ class StepOutcome(NamedTuple):
 
 
 class Machine:
-    def __init__(self, config: Config, max_steps: int = 100_000, seed: int = 0) -> None:
+    """Steps a configuration with a seeded scheduler. `trace`, when given,
+    receives one line per step taken: the step index, the rule and the
+    redex, separated by tabs. Without it no line is formatted."""
+
+    def __init__(
+        self, config: Config, max_steps: int = 100_000, seed: int = 0, trace: list[str] | None = None
+    ) -> None:
         self.config = _flatten_procs(config)
         self.max_steps = max_steps
         self.seed = seed
         self.steps = 0
-        self.trace: list[str] = []
+        self.trace = trace
         self._rng = random.Random(seed)
 
     def step(self) -> StepOutcome:
-        cls = classify_config(self.config)
+        cands = find_candidates(self.config)
+        cls = classify_config(self.config, cands)
         if cls == "final":
             return StepOutcome("final", self.config)
         if isinstance(cls, tuple):
             return StepOutcome("deadlock", self.config, report=cls[1])
         if self.steps >= self.max_steps:
             return StepOutcome("out-of-fuel", self.config)
-        cands = find_candidates(self.config)
         if not cands:
             # stuck without being a paper deadlock: only reachable off the
             # well-typed fragment; report as deadlock with no sites
@@ -504,7 +549,8 @@ class Machine:
         idx = 0 if self.seed == 0 else self._rng.randrange(len(cands))
         chosen = cands[idx]
         self.config = chosen.apply(self.config)
-        self.trace.append(f"{self.steps}\t{chosen.rule}\t{chosen.describe()}")
+        if self.trace is not None:
+            self.trace.append(f"{self.steps}\t{chosen.rule}\t{chosen.describe()}")
         self.steps += 1
         return StepOutcome("stepped", self.config, rule=chosen.rule)
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 
 from pvgr.cli import main
 
@@ -154,3 +157,40 @@ def test_internal_failure_is_a_diagnostic_exit_5(tmp_path, capsys):
         assert "Traceback" not in err
     assert main(["check", f, "--format", "json"]) == 5
     assert json.loads(capsys.readouterr().err)["code"] == "internal"
+
+
+def test_unreadable_file_is_an_io_diagnostic_exit_2(tmp_path, capsys):
+    f = str(tmp_path / "missing.pvgr")
+    for argv in (["check", f], ["run", f]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error[io]: cannot read {f}: No such file or directory\n"
+    assert main(["check", f, "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().err)["code"] == "io"
+    binary = tmp_path / "binary.pvgr"
+    binary.write_bytes(b"\xff\xfe")
+    assert main(["check", str(binary)]) == 2
+    assert capsys.readouterr().err.startswith(f"error[io]: cannot read {binary}: not UTF-8 text")
+
+
+def test_bad_fuel_setting_is_a_usage_diagnostic_exit_2(tmp_path, capsys, monkeypatch):
+    f = write(tmp_path, "cs.pvgr", CLIENT_SERVER)
+    monkeypatch.setenv("PVGR_MAX_STEPS", "abc")
+    assert main(["run", f]) == 2
+    assert capsys.readouterr().err == "error[usage]: PVGR_MAX_STEPS must be an integer, got 'abc'\n"
+    monkeypatch.setenv("PVGR_MAX_STEPS", "0")
+    assert main(["run", f]) == 4
+
+
+def test_closed_stdout_ends_quietly_exit_0():
+    # stdout is a pipe whose reader is gone before pvgr writes to it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pvgr.cli", "run", str(CORPUS / "client_server.pvgr"), "--trace"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")

@@ -208,11 +208,11 @@ def test_run_out_of_fuel():
 def test_trace_deterministic_under_seed():
     src = (ROOT_CLIENT_SERVER := (CORPUS_DIR / "client_server.pvgr").read_text())
     for seed in (0, 1, 7):
-        m1 = Machine(CProc(expr(src)), seed=seed)
+        m1 = Machine(CProc(expr(src)), seed=seed, trace=[])
         m1.run()
-        m2 = Machine(CProc(expr(src)), seed=seed)
+        m2 = Machine(CProc(expr(src)), seed=seed, trace=[])
         m2.run()
-        assert m1.trace == m2.trace
+        assert m1.trace and m1.trace == m2.trace
 
 
 from conftest import CORPUS as CORPUS_DIR  # noqa: E402
@@ -393,3 +393,69 @@ def test_step_count_regression_poly_client():
     assert m.steps == 27
     # every channel binder ends closed: all sessions ended
     assert all(nu.closed or pretty(normalize(nu.ses)) == "End" for nu in _collect_nuchans(m.config))
+
+
+# -- stack safety ----------------------------------------------------------------
+
+
+def _procs_recursive(cfg: Config, visit, path: list[str]) -> None:
+    """`iter_procs` by recursion, one Python frame per level: the reference.
+    It hands each (path, expr) to `visit` and shares one path list among its
+    frames, as the paths of a deep soup add up to millions of entries."""
+    match cfg:
+        case CProc(e):
+            visit((tuple(path), e))
+            return
+        case CPar(l, r):
+            children = (("left", l), ("right", r))
+        case _:
+            children = (("body", cfg.body),)
+    for step, child in children:
+        path.append(step)
+        _procs_recursive(child, visit, path)
+        path.pop()
+
+
+@pytest.mark.parametrize("last", ["()", "let x = () in x", "recv (chan c)"])
+def test_walks_of_a_5000_process_soup_need_no_deep_stack(last):
+    """A right-nested `CPar` of 5000 processes, built in a loop: 4999 values
+    and a last process that is a value, a CR-Expr redex or blocked. At the
+    default recursion limit `iter_procs`, `is_final`, `find_candidates` and
+    `classify_config` walk it to the end. Stepping such a soup is not
+    covered: `Machine`'s `_flatten_procs` and `replace_at` still recurse
+    along a path."""
+    import sys
+
+    from pvgr.runtime import is_final
+
+    n = 5000
+    soup = CProc(anf_transform(parse_expr(last, open_world=True)))
+    unit = CProc(parse_expr("()", open_world=False))
+    for _ in range(n - 1):
+        soup = CPar(unit, soup)
+    assert sys.getrecursionlimit() <= 1000
+
+    assert sum(1 for _ in iter_procs(soup)) == n
+    final = is_final(soup)
+    cands = find_candidates(soup)
+    cls = classify_config(soup)
+
+    assert final == (last == "()")
+    assert [c.rule for c in cands] == (["CR-Expr"] if last.startswith("let") else [])
+    if last.startswith("recv"):
+        assert cls[0] == "deadlock" and [b.operation for b in cls[1].blocked] == ["recv"]
+    else:
+        assert cls == ("final" if final else "reducible")
+
+    ours = iter_procs(soup)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(3 * n)
+    try:
+        _procs_recursive(soup, lambda item: _expect(item, next(ours)), [])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert next(ours, None) is None
+
+
+def _expect(want, got) -> None:
+    assert got == want
