@@ -130,9 +130,6 @@ class Label(IntEnum):
     L1 = 1
     L2 = 2
 
-    def other(self) -> "Label":
-        return Label.L2 if self is Label.L1 else Label.L1
-
 
 # ---------------------------------------------------------------------------
 # kinds

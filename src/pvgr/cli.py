@@ -2,7 +2,10 @@
 
 Exit codes: check 0 ok / 1 type error / 2 parse error, unreadable file
 (`error[io]`) or bad setting (`error[usage]`, such as a `PVGR_MAX_STEPS`
-that is not an integer); run additionally 3 deadlock / 4 out of fuel. Any
+that is not an integer); run additionally 3 deadlock / 4 out of fuel;
+corpus 0 all ok (or no `.pvgr` file, with a warning) / 1 a file fails its
+sidecar / 2 a directory, program or sidecar that cannot be read
+(`error[io]`). Any
 other failure inside pvgr (a recursion limit hit on a deeply nested
 program, say) is reported as an `error[internal]` diagnostic with exit
 code 5, never as a traceback. Output goes to stdout, diagnostics to
@@ -87,14 +90,18 @@ def _emit(diag: Diagnostic, fmt: str) -> None:
         print(diag.render(), file=sys.stderr)
 
 
-def _load(path: str) -> Program:
+def _read(path: str) -> str:
+    """The text of an input file: a program or a corpus sidecar."""
     try:
-        src = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise CliError("io", f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
         raise CliError("io", f"cannot read {path}: not UTF-8 text ({e.reason})") from None
-    prog = parse_program(src, filename=path)
+
+
+def _load(path: str) -> Program:
+    prog = parse_program(_read(path), filename=path)
     if prog.expr is not None:
         prog = Program(config=None, expr=anf_transform(prog.expr), filename=prog.filename)
     return prog
@@ -210,7 +217,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_corpus(args: argparse.Namespace) -> int:
     root = Path(args.dir)
-    files = sorted(root.glob("*.pvgr"))
+    try:
+        files = sorted(f for f in root.iterdir() if f.name.endswith(".pvgr"))
+    except OSError as e:
+        raise CliError("io", f"cannot read {root}: {e.strerror or e}") from None
     if not files:
         print(f"warning: no .pvgr files in {root}", file=sys.stderr)
         return 0
@@ -221,7 +231,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         if not expected_file.exists():
             rows.append((f.name, "skip", "no .expected sidecar"))
             continue
-        want = expected_file.read_text(encoding="utf-8").strip()
+        want = _read(str(expected_file)).strip()
         status, detail = _corpus_one(f, want)
         rows.append((f.name, status, detail))
         if status == "FAIL":

@@ -57,12 +57,11 @@ class KindError(Exception):
         self,
         rule: str,
         message: str,
-        subtree: object = None,
         span: Span | None = None,
         expected: str | None = None,
         found: str | None = None,
     ) -> None:
-        self.rule, self.message, self.subtree, self.span = rule, message, subtree, span
+        self.rule, self.message, self.span = rule, message, span
         self.expected, self.found = expected, found
         self.trail: list[str] = []
 
@@ -96,10 +95,6 @@ def kind_equiv(k1: Kind, k2: Kind) -> bool:
             return kind_equiv(a1, a2) and kind_equiv(b1, b2)
         case _:
             return type(k1) is type(k2)
-
-
-def is_dom_kind(k: Kind) -> bool:
-    return isinstance(k, KDom)
 
 
 # -- context restriction (keep only type variables of channel-free kinds) ----
@@ -157,7 +152,6 @@ def check_kind(g: Ctx, k: Kind) -> None:
                 raise KindError(
                     "KF-Dom",
                     "domain kind index must be a shape",
-                    k,
                     span=shape.span,
                     expected="Shape",
                     found=pretty(sk),
@@ -166,7 +160,7 @@ def check_kind(g: Ctx, k: Kind) -> None:
             check_kind(g, src)
             check_kind(g, dst)
         case _:
-            raise KindError("KF-Arr", f"unknown kind {k!r}", k)
+            raise KindError("KF-Arr", f"unknown kind {k!r}")
 
 
 # -- kinding -------------------------------------------------------------------
@@ -211,7 +205,7 @@ def infer_kind(g: Ctx, t: Type) -> Kind:
 
 
 def _fail(rule: str, msg: str, t: Type, **kw) -> KindError:
-    return KindError(rule, msg, t, span=t.span, **kw)
+    return KindError(rule, msg, span=t.span, **kw)
 
 
 def _expect(g: Ctx, t: Type, want: Kind, rule: str) -> None:
@@ -406,16 +400,16 @@ def check_ctx_suffix(g_ok: Ctx, g: Ctx) -> None:
         match b:
             case BTVar(nm, kind):
                 if nm.uid in prefix.names:
-                    raise KindError("CF-ConsKind", f"duplicate binding for {nm.text}", b)
+                    raise KindError("CF-ConsKind", f"duplicate binding for {nm.text}")
                 check_kind(prefix, kind)
             case BVal(nm, ty):
                 if nm.uid in prefix.names:
-                    raise KindError("CF-ConsType", f"duplicate binding for {nm.text}", b)
+                    raise KindError("CF-ConsType", f"duplicate binding for {nm.text}")
                 k = infer_kind(prefix, ty)
                 if not isinstance(k, KType):
-                    raise KindError("CF-ConsType", "value binding must be Type-kinded", b)
+                    raise KindError("CF-ConsType", "value binding must be Type-kinded")
             case BDisjoint(l, r):
                 for side in (l, r):
-                    if not is_dom_kind(infer_kind(prefix, side)):
-                        raise KindError("CF-ConsCstr", "constraint over a non-domain", b)
+                    if not isinstance(infer_kind(prefix, side), KDom):
+                        raise KindError("CF-ConsCstr", "constraint over a non-domain")
         prefix = prefix + (b,)

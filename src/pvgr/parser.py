@@ -91,11 +91,10 @@ PUNCT = [
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, span: Span, expected: tuple[str, ...] = ()):
+    def __init__(self, message: str, span: Span):
         super().__init__(f"{span}: {message}")
         self.message = message
         self.span = span
-        self.expected = expected
 
 
 class Token:
@@ -167,10 +166,6 @@ class Program(NamedTuple):
     expr: Expr | None
     filename: str
 
-    @property
-    def is_config(self) -> bool:
-        return self.config is not None
-
 
 class _Scope:
     """Lexical scope mapping surface names to hygienic Names."""
@@ -225,16 +220,12 @@ class Parser:
     def eat(self, kind: str) -> Token:
         t = self.peek()
         if t.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {t.text or 'end of input'!r}",
-                t.span,
-                expected=(kind,),
-            )
+            raise ParseError(f"expected {kind!r}, found {t.text or 'end of input'!r}", t.span)
         return self.next()
 
-    def fail(self, msg: str, expected: tuple[str, ...] = ()) -> ParseError:
+    def fail(self, msg: str) -> ParseError:
         t = self.peek()
-        return ParseError(f"{msg}, found {t.text or 'end of input'!r}", t.span, expected)
+        return ParseError(f"{msg}, found {t.text or 'end of input'!r}", t.span)
 
     def ident(self) -> str:
         return self.eat("ident").text

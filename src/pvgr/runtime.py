@@ -13,19 +13,23 @@ A step costs one search, in the manner of the Chemical Abstract Machine
 
 - One walk over an explicit stack yields the configuration's processes and
   binders, depth-first and left-first (a binder before its body). The
-  search, the finality test and `iter_procs` all read it; none recurses,
-  so a soup of thousands of processes needs no deep Python stack.
+  search, the finality test and `iter_procs` all read it. `replace_at` and
+  `_flatten_procs` are loops as well, so a soup of thousands of processes
+  needs no deep Python stack.
 - The evaluation hole of each process is keyed once: a `request` or
   `accept` by the uid of its access point, and a `send`, `recv`, `select`,
   `case` or `close` by the channel end that its domain normalizes to, when
   that is a variable. Each binder reads the holes of its access point, or
   of its two ends, from that index and keeps those in its scope, so
   matching a communication redex tests no conversion.
-- A CR-Expr candidate is recognized by the shape of its process;
-  `step_expr` builds the stepped expression only when the candidate is
-  applied.
-- `Machine.step` hands the candidates it found to `classify_config`, which
-  searches again only when it is called without them.
+- A candidate is data: its rule, the path of its governing binder, and the
+  path and expression of each participating process. `Candidate.apply`
+  reads each site's operation back with `split_eval`, and so the rule's
+  payload: it rewrites one process in place for CR-Expr, CR-Fork and
+  CR-New, and rebuilds the binder's body by one rendezvous for the four
+  communication rules. `step_expr` runs only inside an applied CR-Expr.
+- `Machine.step` searches once per step. A configuration with a candidate
+  is reducible, so `classify_config` runs only when the search is empty.
 """
 
 from __future__ import annotations
@@ -212,40 +216,111 @@ def get_at(cfg: Config, path: Path) -> Config:
 
 
 def replace_at(cfg: Config, path: Path, new: Config) -> Config:
-    if not path:
-        return new
-    step = path[0]
-    return replace(cfg, **{step: replace_at(getattr(cfg, step), path[1:], new)})
-
-
-def replace_proc(cfg: Config, path: Path, new_expr: Expr) -> Config:
-    return replace_at(cfg, path, CProc(new_expr))
+    """cfg with the node at path replaced by new, rebuilt in two loops along
+    the path."""
+    spine = []
+    for step in path:
+        spine.append(cfg)
+        cfg = getattr(cfg, step)
+    for node, step in zip(reversed(spine), reversed(path)):
+        new = replace(node, **{step: new})
+    return new
 
 
 # ---------------------------------------------------------------------------
 # redexes
 # ---------------------------------------------------------------------------
 
+# the reduction rules, in the order the scheduler is offered their candidates
+RULES = ("CR-Expr", "CR-Fork", "CR-New", "CR-RequestAccept", "CR-SendRecv", "CR-SelectCase", "CR-Close")
 
-class Candidate(NamedTuple):
-    rule: str
-    describe: Callable[[], str]  # the trace text, formatted on demand
-    apply: Callable[[Config], Config]
-
-
-_PRIORITY = {
-    "CR-Expr": 0,
-    "CR-Fork": 1,
-    "CR-New": 2,
-    "CR-RequestAccept": 3,
-    "CR-SendRecv": 4,
-    "CR-SelectCase": 5,
-    "CR-Close": 6,
+# per binder kind, each communication rule and the operations of its two sites
+_PAIRS = {
+    CNuAccess: (("CR-RequestAccept", ERequest, EAccept),),
+    CNuChan: (
+        ("CR-SendRecv", ESend, ERecv),
+        ("CR-SelectCase", ESelect, ECase),
+        ("CR-Close", EClose, EClose),
+    ),
 }
 
+Site = tuple[Path, Expr]  # a participating process: its path and expression
 
-def _show(*ops: Expr) -> Callable[[], str]:
-    return lambda: " | ".join(pretty(op) for op in ops)
+
+class Candidate(NamedTuple):
+    """A redex as data: its rule, the path of its governing binder (None for
+    CR-Expr, CR-Fork and CR-New, which rewrite one process in place), and
+    each participating process, in trace order."""
+
+    rule: str
+    binder: Path | None
+    sites: tuple[Site, ...]
+
+    def describe(self) -> str:
+        """The trace text: the operation at each site's hole."""
+        return " | ".join(pretty(split_eval(e)[0]) for _, e in self.sites)
+
+    def apply(self, cfg: Config) -> Config:
+        if self.binder is None:
+            ((path, e),) = self.sites
+            return replace_at(cfg, path, _step_alone(self.rule, e))
+        return replace_at(cfg, self.binder, _rendezvous(self, get_at(cfg, self.binder)))
+
+
+def _step_alone(rule: str, e: Expr) -> Config:
+    """The process e after its CR-Expr, CR-Fork or CR-New step."""
+    if rule == "CR-Expr":
+        return CProc(step_expr(e))
+    op, plug = split_eval(e)
+    if rule == "CR-Fork":
+        return CPar(CProc(plug(EVal(VUnit()))), CProc(EApp(op.value, VUnit())))
+    ap = fresh_name("p")
+    return CNuAccess(ap, op.ses, CProc(plug(EVal(VVar(ap)))))
+
+
+def _rendezvous(c: Candidate, nu: Config) -> Config:
+    """The binder nu after its candidate's two sites meet in its body. A
+    request gets the second of two fresh ends and its accept the first; a
+    receive gets the payload, a case its chosen branch, and every other site
+    unit."""
+    n = len(c.binder) + 1
+    first, second = c.sites
+    op, other = split_eval(first[1])[0], split_eval(second[1])[0]
+    if isinstance(op, ERequest):
+        c1, c2 = fresh_name("c"), fresh_name("c")
+        body = _fill(nu.body, n, second, EVal(VChan(TVar(c1))))  # the accept side first
+        body = _fill(body, n, first, EVal(VChan(TVar(c2))))
+        return replace(nu, body=CNuChan(c1, c2, nu.ses, body))
+    match op:
+        case ESend(payload, _):
+            got = EVal(payload)
+        case ESelect(lab, _):
+            got = other.left if lab is Label.L1 else other.right
+        case _:
+            got = EVal(VUnit())
+    body = _fill(_fill(nu.body, n, first, EVal(VUnit())), n, second, got)
+    if isinstance(op, EClose):
+        return replace(nu, closed=True, body=body)
+    return replace(nu, ses=_session_after(nu.ses, op), body=body)
+
+
+def _fill(body: Config, n: int, site: Site, h: Expr) -> Config:
+    """body with the hole of the process at site (a path n steps below
+    body's root) plugged with h."""
+    path, e = site
+    return replace_at(body, path[n:], CProc(split_eval(e)[1](h)))
+
+
+def _session_after(ses: Type, op: Expr) -> Type:
+    """A channel's session after a send, or after a select of a branch; ses
+    itself when its normal form does not allow op (off the well-typed
+    fragment)."""
+    h = normalize(ses)
+    if isinstance(op, ESend) and isinstance(h, (TSend, TRecv)):
+        return h.cont
+    if isinstance(op, ESelect) and isinstance(h, (TChoice, TBranch)):
+        return h.left if op.label is Label.L1 else h.right
+    return ses
 
 
 def _reduces(e: Expr) -> bool:
@@ -260,12 +335,12 @@ def _reduces(e: Expr) -> bool:
     return False
 
 
-# a process's evaluation hole: its position in the walk, path, operation, plug
-Hole = tuple[int, Path, Expr, Callable[[Expr], Expr]]
+# a process's evaluation hole: its position in the walk, path, operation, expression
+Hole = tuple[int, Path, Expr, Expr]
 
 
 def find_candidates(cfg: Config) -> list[Candidate]:
-    out: list[Candidate] = []
+    found: dict[str, list[Candidate]] = {rule: [] for rule in RULES}
     points: dict[int, list[Hole]] = {}  # access-point uid -> request/accept holes
     ends: dict[Name, list[Hole]] = {}  # channel end -> send/recv/select/case/close holes
     binders: list[tuple[Path, Config]] = []
@@ -276,30 +351,17 @@ def find_candidates(cfg: Config) -> list[Candidate]:
             binders.append((path, node))
             continue
         e = node.expr
-        hole = split_eval(e)
-        if hole is None:
+        if isinstance(e, EVal):
             continue
-        op, plug = hole
+        op = e.head if isinstance(e, ELet) else e  # split_eval(e)[0], with no plug built
         if _reduces(e):
-            out.append(
-                Candidate("CR-Expr", _show(op), lambda c, p=path, e=e: replace_proc(c, p, step_expr(e)))
-            )
+            found["CR-Expr"].append(Candidate("CR-Expr", None, ((path, e),)))
         match op:
-            case EFork(v):
-                def apply_fork(c: Config, p=path, plug=plug, v=v) -> Config:
-                    cont = CProc(plug(EVal(VUnit())))
-                    child = CProc(EApp(v, VUnit()))
-                    return replace_at(c, p, CPar(cont, child))
-
-                out.append(Candidate("CR-Fork", _show(op), apply_fork))
-            case ENew(ses):
-                def apply_new(c: Config, p=path, plug=plug, ses=ses) -> Config:
-                    ap = fresh_name("p")
-                    return replace_at(c, p, CNuAccess(ap, ses, CProc(plug(EVal(VVar(ap))))))
-
-                out.append(Candidate("CR-New", _show(op), apply_new))
+            case EFork() | ENew():
+                rule = "CR-Fork" if isinstance(op, EFork) else "CR-New"
+                found[rule].append(Candidate(rule, None, ((path, e),)))
             case ERequest(VVar(x)) | EAccept(VVar(x)):
-                points.setdefault(x.uid, []).append((i, path, op, plug))
+                points.setdefault(x.uid, []).append((i, path, op, e))
             case (
                 ESend(_, VChan(dom)) | ERecv(VChan(dom)) | ESelect(_, VChan(dom))
                 | ECase(VChan(dom), _, _) | EClose(VChan(dom))
@@ -307,118 +369,31 @@ def find_candidates(cfg: Config) -> list[Candidate]:
                 # conv(dom, TVar(end)) holds exactly when dom normalizes to TVar(end)
                 nd = normalize(dom)
                 if isinstance(nd, TVar):
-                    ends.setdefault(nd.name, []).append((i, path, op, plug))
+                    ends.setdefault(nd.name, []).append((i, path, op, e))
 
-    # communication rules per governing binder, over the holes in its scope
+    # communication rules per governing binder, over the holes in its scope;
+    # a channel's two sites must use its two different ends
     for bpath, binder in binders:
+        if isinstance(binder, CNuAccess):
+            tagged = [(h, None) for h in points.get(binder.binder.uid, ())]
+        elif not binder.closed:  # both ends' holes, back in walk order
+            tagged = sorted((h, end) for end in (binder.end1, binder.end2) for h in ends.get(end, ()))
+        else:
+            continue
         under = bpath + ("body",)
         n = len(under)
-        if isinstance(binder, CNuAccess):
-            inner = [h for h in points.get(binder.binder.uid, ()) if h[1][:n] == under]
-            reqs = [h[1:] for h in inner if isinstance(h[2], ERequest)]
-            accs = [h[1:] for h in inner if isinstance(h[2], EAccept)]
-            for rp, rop, rplug in reqs:
-                for ap_, aop, aplug in accs:
-                    if rp == ap_:
-                        continue
+        by_op: dict[type, list[tuple[Name | None, Site]]] = {}
+        for (_, p, op, e), end in tagged:
+            if p[:n] == under:
+                by_op.setdefault(type(op), []).append((end, (p, e)))
+        for rule, first, second in _PAIRS[type(binder)]:
+            seconds = by_op.get(second, [])
+            for k, (end1, s1) in enumerate(by_op.get(first, ())):
+                for end2, s2 in seconds[k + 1 :] if first is second else seconds:
+                    if end1 is None or end1.uid != end2.uid:
+                        found[rule].append(Candidate(rule, bpath, (s1, s2)))
 
-                    def apply_ra(
-                        c: Config, bp=bpath, rp=rp, ap=ap_, rplug=rplug, aplug=aplug
-                    ) -> Config:
-                        nacc = get_at(c, bp)
-                        c1 = fresh_name("c")
-                        c2 = fresh_name("c")
-                        rel_r, rel_a = rp[len(bp) + 1 :], ap[len(bp) + 1 :]
-                        body = nacc.body
-                        body = replace_proc(body, rel_a, aplug(EVal(VChan(TVar(c1)))))
-                        body = replace_proc(body, rel_r, rplug(EVal(VChan(TVar(c2)))))
-                        wrapped = CNuChan(c1, c2, nacc.ses, body)
-                        return replace_at(c, bp, replace(nacc, body=wrapped))
-
-                    out.append(Candidate("CR-RequestAccept", _show(rop, aop), apply_ra))
-        elif isinstance(binder, CNuChan) and not binder.closed:
-            tagged = sorted(  # both ends' holes, back in walk order
-                [(h, end) for end in (binder.end1, binder.end2) for h in ends.get(end, ())],
-                key=lambda t: t[0][0],
-            )
-
-            sends, recvs, selects, cases, closes = [], [], [], [], []
-            for (_, p, op, plug), end in tagged:
-                if p[:n] != under:
-                    continue
-                match op:
-                    case ESend(payload, _):
-                        sends.append((p, end, payload, plug, op))
-                    case ERecv(_):
-                        recvs.append((p, end, plug, op))
-                    case ESelect(lab, _):
-                        selects.append((p, end, lab, plug, op))
-                    case ECase(_, bl, br):
-                        cases.append((p, end, bl, br, plug, op))
-                    case EClose(_):
-                        closes.append((p, end, plug, op))
-
-            def advance(ses: Type) -> Type:
-                h = normalize(ses)
-                if isinstance(h, (TSend, TRecv)):
-                    return h.cont
-                return ses
-
-            def pick(ses: Type, lab: Label) -> Type:
-                h = normalize(ses)
-                if isinstance(h, (TChoice, TBranch)):
-                    return h.left if lab is Label.L1 else h.right
-                return ses
-
-            for sp_, send_end, payload, splug, sop in sends:
-                for rp_, recv_end, rplug, rop in recvs:
-                    if send_end.uid == recv_end.uid or sp_ == rp_:
-                        continue
-
-                    def apply_sr(
-                        c: Config, bp=bpath, sp=sp_, rp=rp_, splug=splug, rplug=rplug, payload=payload
-                    ) -> Config:
-                        nu = get_at(c, bp)
-                        body = nu.body
-                        body = replace_proc(body, sp[len(bp) + 1 :], splug(EVal(VUnit())))
-                        body = replace_proc(body, rp[len(bp) + 1 :], rplug(EVal(payload)))
-                        return replace_at(c, bp, replace(nu, ses=advance(nu.ses), body=body))
-
-                    out.append(Candidate("CR-SendRecv", _show(sop, rop), apply_sr))
-            for sp_, sel_end, lab, splug, sop in selects:
-                for cp_, case_end, bl, br, cplug, cop in cases:
-                    if sel_end.uid == case_end.uid or sp_ == cp_:
-                        continue
-
-                    def apply_sc(
-                        c: Config, bp=bpath, sp=sp_, cp=cp_, splug=splug, cplug=cplug, lab=lab, bl=bl, br=br
-                    ) -> Config:
-                        nu = get_at(c, bp)
-                        body = nu.body
-                        chosen = bl if lab is Label.L1 else br
-                        body = replace_proc(body, sp[len(bp) + 1 :], splug(EVal(VUnit())))
-                        body = replace_proc(body, cp[len(bp) + 1 :], cplug(chosen))
-                        return replace_at(c, bp, replace(nu, ses=pick(nu.ses, lab), body=body))
-
-                    out.append(Candidate("CR-SelectCase", _show(sop, cop), apply_sc))
-            for i, (p1, end_a, plug_a, op_a) in enumerate(closes):
-                for p2, end_b, plug_b, op_b in closes[i + 1 :]:
-                    if end_a.uid == end_b.uid or p1 == p2:
-                        continue
-
-                    def apply_close(
-                        c: Config, bp=bpath, p1=p1, p2=p2, plug_a=plug_a, plug_b=plug_b
-                    ) -> Config:
-                        nu = get_at(c, bp)
-                        body = nu.body
-                        body = replace_proc(body, p1[len(bp) + 1 :], plug_a(EVal(VUnit())))
-                        body = replace_proc(body, p2[len(bp) + 1 :], plug_b(EVal(VUnit())))
-                        return replace_at(c, bp, replace(nu, closed=True, body=body))
-
-                    out.append(Candidate("CR-Close", _show(op_a, op_b), apply_close))
-
-    out.sort(key=lambda c: _PRIORITY[c.rule])
-    return out
+    return [c for cands in found.values() for c in cands]
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +448,10 @@ def _blocked_site(path: Path, op: Expr) -> BlockedSite | None:
     return None
 
 
-def classify_config(cfg: Config, cands: list[Candidate] | None = None):
+def classify_config(cfg: Config):
     """'final' | ('deadlock', DeadlockReport) | 'reducible', per the paper's
     predicates: deadlocked iff every process is a value or blocked on a
-    communication (not fork/new) and no matchable pair exists.
-
-    `cands`, when given, must be `find_candidates(cfg)`; it is then not
-    searched for again. A configuration with a candidate is reducible: no
-    candidate comes from a value, a CR-Expr, CR-Fork or CR-New candidate
-    comes from a process the loop below calls reducible, and any other
-    candidate is a matchable pair."""
-    if cands:
-        return "reducible"
+    communication (not fork/new) and no matchable pair exists."""
     if is_final(cfg):
         return "final"
     blocked: list[tuple[Path, Expr]] = []
@@ -498,9 +465,7 @@ def classify_config(cfg: Config, cands: list[Candidate] | None = None):
         if isinstance(op, (EFork, ENew)):
             return "reducible"
         blocked.append((path, op))
-    if cands is None:
-        cands = find_candidates(cfg)
-    if any(c.rule != "CR-Expr" for c in cands):
+    if any(c.rule != "CR-Expr" for c in find_candidates(cfg)):
         return "reducible"
     sites = (_blocked_site(path, op) for path, op in blocked)
     return ("deadlock", DeadlockReport(tuple(site for site in sites if site is not None)))
@@ -535,11 +500,14 @@ class Machine:
 
     def step(self) -> StepOutcome:
         cands = find_candidates(self.config)
-        cls = classify_config(self.config, cands)
-        if cls == "final":
-            return StepOutcome("final", self.config)
-        if isinstance(cls, tuple):
-            return StepOutcome("deadlock", self.config, report=cls[1])
+        if not cands:
+            # a configuration with a candidate is reducible, so only one
+            # without any needs classifying
+            cls = classify_config(self.config)
+            if cls == "final":
+                return StepOutcome("final", self.config)
+            if isinstance(cls, tuple):
+                return StepOutcome("deadlock", self.config, report=cls[1])
         if self.steps >= self.max_steps:
             return StepOutcome("out-of-fuel", self.config)
         if not cands:
@@ -562,14 +530,27 @@ class Machine:
 
 
 def _flatten_procs(cfg: Config) -> Config:
-    """cfg with every process flat, the shape each step keeps (see pvgr.anf)."""
-    match cfg:
-        case CProc(e):
-            return replace(cfg, expr=flatten_lets(e))
-        case CPar(l, r):
-            return replace(cfg, left=_flatten_procs(l), right=_flatten_procs(r))
-        case _:
-            return replace(cfg, body=_flatten_procs(cfg.body))
+    """cfg with every process flat, the shape each step keeps (see pvgr.anf).
+    The tree is rebuilt bottom-up from an explicit stack, left before right,
+    each node with `replace` so that spans stay."""
+    stack: list[tuple[Config, bool]] = [(cfg, False)]
+    done: list[Config] = []  # rebuilt subtrees, the rightmost last
+    while stack:
+        c, children_done = stack.pop()
+        if isinstance(c, CProc):
+            done.append(replace(c, expr=flatten_lets(c.expr)))
+        elif not children_done:
+            stack.append((c, True))
+            if isinstance(c, CPar):
+                stack += ((c.right, False), (c.left, False))
+            else:
+                stack.append((c.body, False))
+        elif isinstance(c, CPar):
+            right = done.pop()
+            done.append(replace(c, left=done.pop(), right=right))
+        else:
+            done.append(replace(c, body=done.pop()))
+    return done.pop()
 
 
 def run_expr(e: Expr, max_steps: int = 100_000, seed: int = 0) -> StepOutcome:

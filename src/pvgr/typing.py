@@ -158,8 +158,9 @@ def _find_binding(atoms: list[Type], dom: Type) -> int | None:
     return None
 
 
-def _take_atoms(atoms: list[Type], wanted: list[Type], rule: str, span: Span | None) -> list[Type]:
-    """Remove wanted atoms (up to conv) from atoms; error when absent."""
+def _remove(atoms: list[Type], wanted: list[Type]) -> tuple[list[Type], Type | None]:
+    """atoms less one atom equal up to conv to each wanted atom, in turn, and
+    the first wanted atom that none equals (None when all are found)."""
     rest = list(atoms)
     for w in wanted:
         for i, a in enumerate(rest):
@@ -167,13 +168,21 @@ def _take_atoms(atoms: list[Type], wanted: list[Type], rule: str, span: Span | N
                 del rest[i]
                 break
         else:
-            raise TypecheckError(
-                rule,
-                "state does not provide a required binding",
-                span,
-                expected=pretty(normalize(w)),
-                state=pretty(normalize(state_of_atoms(atoms))),
-            )
+            return rest, w
+    return rest, None
+
+
+def _take_atoms(atoms: list[Type], wanted: list[Type], rule: str, span: Span | None) -> list[Type]:
+    """Remove wanted atoms (up to conv) from atoms; error when absent."""
+    rest, missing = _remove(atoms, wanted)
+    if missing is not None:
+        raise TypecheckError(
+            rule,
+            "state does not provide a required binding",
+            span,
+            expected=pretty(normalize(missing)),
+            state=pretty(normalize(state_of_atoms(atoms))),
+        )
     return rest
 
 
@@ -732,18 +741,9 @@ def _assemble(uid: int, path: tuple[int, ...], shape: Type | None, parts: dict) 
 
 
 def _verify(rho: Renaming, pat_state: Type, pat_ty: Type, act_atoms: list[Type], act_ty: Type) -> bool:
-    if not conv(subst(dict(rho), pat_ty), act_ty):
-        return False
-    wanted = _atoms_of(subst(dict(rho), pat_state))
-    rest = list(act_atoms)
-    for w in wanted:
-        for i, a in enumerate(rest):
-            if conv(a, w):
-                del rest[i]
-                break
-        else:
-            return False
-    return True
+    return conv(subst(dict(rho), pat_ty), act_ty) and (
+        _remove(act_atoms, _atoms_of(subst(dict(rho), pat_state)))[1] is None
+    )
 
 
 # -- case: branch package equality ---------------------------------------------
@@ -861,21 +861,14 @@ def _type_config(
             # leftovers must be untouched bindings of the incoming state:
             # anything modified or created belongs to this process and must
             # have been consumed (T-Exp ends in the empty state)
-            leftovers = r.post
-            remaining = list(atoms)
-            for a in leftovers:
-                for i, b in enumerate(remaining):
-                    if conv(a, b):
-                        del remaining[i]
-                        break
-                else:
-                    raise TypecheckError(
-                        "T-Exp",
-                        "process ends with leftover state of its own",
-                        cfg.span,
-                        state=pretty(normalize(state_of_atoms(r.post))),
-                    )
-            return leftovers
+            if _remove(atoms, r.post)[1] is not None:
+                raise TypecheckError(
+                    "T-Exp",
+                    "process ends with leftover state of its own",
+                    cfg.span,
+                    state=pretty(normalize(state_of_atoms(r.post))),
+                )
+            return r.post
 
         case CPar(l, r):
             mid = _type_config(g, atoms, l, collect)

@@ -4,16 +4,18 @@ the indexed search to.
 
 The functions below are the earlier `pvgr.runtime` code, copied without
 change: the recursive `iter_procs`/`iter_binders`/`is_final`, a search that
-tests every hole against both ends of every binder with `conv` and builds
-every CR-Expr step up front, a classifier that searches on its own, and a
-`Machine.step` that searches a second time. Helpers that did not change are
-imported from `pvgr.runtime`. This module is kept apart from `oracles.py`,
+tests every hole against both ends of every binder with `conv`, builds
+every CR-Expr step up front and hands out each candidate as a pair of
+closures (its `Candidate`, `_PRIORITY` table and `replace_proc` are copied
+too), a classifier that searches on its own, and a `Machine.step` that
+searches a second time. Helpers that did not change are imported from
+`pvgr.runtime`. This module is kept apart from `oracles.py`,
 which perfbench loads to verify outputs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from pvgr import runtime
 from pvgr.ast import (
@@ -52,8 +54,6 @@ from pvgr.ast import (
 from pvgr.normalize import conv, normalize
 from pvgr.pretty import pretty
 from pvgr.runtime import (
-    _PRIORITY,
-    Candidate,
     DeadlockReport,
     Path,
     StepOutcome,
@@ -61,10 +61,30 @@ from pvgr.runtime import (
     classify_expr,
     get_at,
     replace_at,
-    replace_proc,
     split_eval,
     step_expr,
 )
+
+
+def replace_proc(cfg: Config, path: Path, new_expr: Expr) -> Config:
+    return replace_at(cfg, path, CProc(new_expr))
+
+
+class Candidate(NamedTuple):
+    rule: str
+    describe: Callable[[], str]  # the trace text, formatted on demand
+    apply: Callable[[Config], Config]
+
+
+_PRIORITY = {
+    "CR-Expr": 0,
+    "CR-Fork": 1,
+    "CR-New": 2,
+    "CR-RequestAccept": 3,
+    "CR-SendRecv": 4,
+    "CR-SelectCase": 5,
+    "CR-Close": 6,
+}
 
 
 def iter_procs(cfg: Config, path: Path = ()) -> Iterator[tuple[Path, Expr]]:

@@ -133,6 +133,22 @@ def test_corpus_empty_dir_warns(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def test_corpus_missing_dir_is_an_io_diagnostic_exit_2(tmp_path, capsys):
+    d = str(tmp_path / "missing")
+    assert main(["corpus", d]) == 2
+    assert capsys.readouterr().err == f"error[io]: cannot read {d}: No such file or directory\n"
+
+
+def test_corpus_sidecar_not_utf8_is_an_io_diagnostic_exit_2(tmp_path, capsys):
+    write(tmp_path, "server.pvgr", SERVER)
+    sidecar = tmp_path / "server.pvgr.expected"
+    sidecar.write_bytes(b"\xff\xfe")
+    assert main(["corpus", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error[io]: cannot read {sidecar}: not UTF-8 text")
+
+
 def test_check_idempotent_no_side_effects(tmp_path, capsys):
     f = write(tmp_path, "server.pvgr", SERVER)
     assert main(["check", f]) == 0

@@ -416,23 +416,28 @@ def _procs_recursive(cfg: Config, visit, path: list[str]) -> None:
         path.pop()
 
 
+def _soup(last: str, n: int = 5000) -> Config:
+    """A right-nested `CPar` of n processes, built in a loop: n - 1 values
+    and a last process given by its source."""
+    soup = CProc(anf_transform(parse_expr(last, open_world=True)))
+    unit = CProc(parse_expr("()", open_world=False))
+    for _ in range(n - 1):
+        soup = CPar(unit, soup)
+    return soup
+
+
 @pytest.mark.parametrize("last", ["()", "let x = () in x", "recv (chan c)"])
 def test_walks_of_a_5000_process_soup_need_no_deep_stack(last):
-    """A right-nested `CPar` of 5000 processes, built in a loop: 4999 values
-    and a last process that is a value, a CR-Expr redex or blocked. At the
-    default recursion limit `iter_procs`, `is_final`, `find_candidates` and
-    `classify_config` walk it to the end. Stepping such a soup is not
-    covered: `Machine`'s `_flatten_procs` and `replace_at` still recurse
-    along a path."""
+    """A soup of 5000 processes whose last is a value, a CR-Expr redex or
+    blocked. At the default recursion limit `iter_procs`, `is_final`,
+    `find_candidates` and `classify_config` walk it to the end; the next
+    test steps it."""
     import sys
 
     from pvgr.runtime import is_final
 
     n = 5000
-    soup = CProc(anf_transform(parse_expr(last, open_world=True)))
-    unit = CProc(parse_expr("()", open_world=False))
-    for _ in range(n - 1):
-        soup = CPar(unit, soup)
+    soup = _soup(last, n)
     assert sys.getrecursionlimit() <= 1000
 
     assert sum(1 for _ in iter_procs(soup)) == n
@@ -459,3 +464,18 @@ def test_walks_of_a_5000_process_soup_need_no_deep_stack(last):
 
 def _expect(want, got) -> None:
     assert got == want
+
+
+def test_machine_steps_a_5000_process_soup_without_deep_stack():
+    # `Machine` flattens the soup's processes, applies the one CR-Expr
+    # candidate along a path 5000 steps long and classifies the result,
+    # all at the default recursion limit
+    import sys
+
+    assert sys.getrecursionlimit() <= 1000
+    soup = _soup("let x = () in x")
+    m = Machine(soup)
+    assert [e for _, e in iter_procs(m.config)] == [e for _, e in iter_procs(soup)]
+    out = m.run()
+    assert (out.kind, m.steps) == ("final", 1)
+    assert [pretty(e) for _, e in iter_procs(m.config)] == ["()"] * 5000
