@@ -4,6 +4,7 @@ session calculus with disjointness constraints."""
 from .anf import anf_transform, is_strict_anf
 from .ast import alpha_equiv, canonicalize, free_vars, subst
 from .constraints import atomize, close, entails
+from .diagnostic import Diagnostic
 from .kinding import (
     KindError,
     check_ctx,
@@ -14,7 +15,7 @@ from .kinding import (
     restrict_only_dom,
 )
 from .normalize import conv, dual, normalize
-from .parser import ParseError, parse_expr, parse_kind, parse_program, parse_type
+from .parser import ParseError, parse_expr, parse_program, parse_type
 from .pretty import pretty
 from .runtime import Machine, classify_config, classify_expr, step_expr
 from .typing import (
@@ -28,11 +29,11 @@ from .typing import (
 
 __all__ = [
     "anf_transform", "is_strict_anf", "canonicalize", "free_vars", "subst",
-    "atomize", "close", "entails", "KindError", "check_ctx", "check_kind",
-    "disjoint_append", "infer_kind", "restrict_non_dom", "restrict_only_dom",
-    "alpha_equiv", "conv", "dual", "normalize", "ParseError", "parse_expr",
-    "parse_kind", "parse_program", "parse_type", "pretty", "Machine",
-    "classify_config", "classify_expr", "step_expr", "ExprTyping",
-    "TypecheckError", "match_existential", "type_config", "type_expr",
-    "type_value",
+    "atomize", "close", "entails", "Diagnostic", "KindError", "check_ctx",
+    "check_kind", "disjoint_append", "infer_kind", "restrict_non_dom",
+    "restrict_only_dom", "alpha_equiv", "conv", "dual", "normalize",
+    "ParseError", "parse_expr", "parse_program", "parse_type", "pretty",
+    "Machine", "classify_config", "classify_expr", "step_expr",
+    "ExprTyping", "TypecheckError", "match_existential", "type_config",
+    "type_expr", "type_value",
 ]

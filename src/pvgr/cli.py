@@ -5,12 +5,19 @@ Exit codes: check 0 ok / 1 type error / 2 parse error, unreadable file
 that is not an integer); run additionally 3 deadlock / 4 out of fuel;
 corpus 0 all ok (or no `.pvgr` file, with a warning) / 1 a file fails its
 sidecar / 2 a directory, program or sidecar that cannot be read
-(`error[io]`). Any
-other failure inside pvgr (a recursion limit hit on a deeply nested
-program, say) is reported as an `error[internal]` diagnostic with exit
-code 5, never as a traceback. Output goes to stdout, diagnostics to
-stderr. A reader that closes stdout early (`pvgr run F --trace | head`)
-ends the command quietly, with exit code 0.
+(`error[io]`). Any other failure inside pvgr (a recursion limit hit on a
+deeply nested program, say) is reported as an `error[internal]`
+diagnostic with exit code 5, never as a traceback.
+
+Every failure is one `pvgr.diagnostic.Diagnostic`, printed once: its
+location, `error[CODE]: message`, then the `expected:`, `found:` and
+`state:` lines it has (with `--format json`, one object with those keys
+in that order). A type error's code is the failing rule. A kind failure
+inside a typing rule keeps its own K-/KF-/CF- code and location, and a
+type the checker built, which has no location, is reported at the typing
+site. Output goes to stdout, diagnostics to stderr. A reader that closes
+stdout early (`pvgr run F --trace | head`) ends the command quietly, with
+exit code 0.
 """
 
 from __future__ import annotations
@@ -20,74 +27,28 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 from .anf import anf_transform
-from .ast import Config, CProc
-from .kinding import KindError
+from .ast import CProc
+from .diagnostic import Diagnostic
 from .normalize import conv
-from .parser import ParseError, Program, parse_program, parse_type
+from .parser import Program, parse_program, parse_type
 from .pretty import pretty, pretty_ctx
 from .runtime import Machine, iter_procs
-from .typing import ExprTyping, TypecheckError, type_config, type_expr
+from .typing import ExprTyping, type_config, type_expr
 
 DEFAULT_FUEL = 100_000
 
 
-class Diagnostic(NamedTuple):
-    severity: str
-    code: str
-    message: str
-    file: str | None = None
-    line: int | None = None
-    col: int | None = None
-    expected: str | None = None
-    found: str | None = None
-
-    def to_json(self) -> dict:
-        return {k: v for k, v in self._asdict().items() if v is not None}
-
-    def render(self) -> str:
-        loc = ""
-        if self.file is not None and self.line is not None:
-            loc = f"{self.file}:{self.line}:{self.col}: "
-        out = f"{loc}{self.severity}[{self.code}]: {self.message}"
-        if self.expected is not None:
-            out += f"\n  expected: {self.expected}"
-        if self.found is not None:
-            out += f"\n  found:    {self.found}"
-        return out
-
-
-class CliError(Exception):
+class CliError(Diagnostic):
     """A failure outside the program being checked or run: its input file
-    cannot be read (`io`) or a setting is invalid (`usage`). Exit code 2."""
+    cannot be read (`io`) or a setting is invalid (`usage`)."""
 
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-        self.message = message
-
-
-def _diag_from_error(e: Exception) -> Diagnostic:
-    if isinstance(e, CliError):
-        return Diagnostic("error", e.code, e.message)
-    if isinstance(e, ParseError):
-        return Diagnostic(
-            "error", "parse", e.message,
-            file=e.span.file, line=e.span.line, col=e.span.col,
-        )
-    if isinstance(e, (TypecheckError, KindError)):
-        loc = {"file": e.span.file, "line": e.span.line, "col": e.span.col} if e.span else {}
-        return Diagnostic("error", e.rule, e.message, expected=e.expected, found=e.found, **loc)
-    return Diagnostic("error", "internal", f"{type(e).__name__}: {e}")
+    status = 2
 
 
 def _emit(diag: Diagnostic, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(diag.to_json()), file=sys.stderr)
-    else:
-        print(diag.render(), file=sys.stderr)
+    print(diag.to_json() if fmt == "json" else diag, file=sys.stderr)
 
 
 def _read(path: str) -> str:
@@ -117,16 +78,7 @@ def _check_program(prog: Program) -> ExprTyping | None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     fmt = args.format
-    try:
-        prog = _load(args.file)
-    except ParseError as e:
-        _emit(_diag_from_error(e), fmt)
-        return 2
-    try:
-        typing = _check_program(prog)
-    except (TypecheckError, KindError) as e:
-        _emit(_diag_from_error(e), fmt)
-        return 1
+    typing = _check_program(_load(args.file))  # a diagnostic is main's to report
     if typing is None:
         if fmt == "json":
             print(json.dumps({"ok": True, "kind": "config"}))
@@ -152,10 +104,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _recheck(cfg: Config) -> None:
-    type_config((), parse_type("."), cfg)
-
-
 def _fuel(args: argparse.Namespace) -> int:
     if args.max_steps is not None:
         return args.max_steps
@@ -169,41 +117,29 @@ def _fuel(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    fmt = "pretty"
-    try:
-        prog = _load(args.file)
-    except ParseError as e:
-        _emit(_diag_from_error(e), fmt)
-        return 2
+    prog = _load(args.file)
     if not args.no_check:
         try:
             _check_program(prog)
-        except (TypecheckError, KindError) as e:
-            _emit(_diag_from_error(e), fmt)
+        except Diagnostic as e:
+            _emit(e, "pretty")
             print("refusing to run an ill-typed program (use --no-check to override)", file=sys.stderr)
-            return 1
+            return e.status
     cfg = prog.config if prog.config is not None else CProc(prog.expr)
     machine = Machine(cfg, max_steps=_fuel(args), seed=args.seed, trace=[] if args.trace else None)
     while True:
         if args.check:
             try:
-                _recheck(machine.config)
-            except (TypecheckError, KindError) as e:
-                _emit(_diag_from_error(e), fmt)
+                type_config((), parse_type("."), machine.config)
+            except Diagnostic as e:
+                _emit(e, "pretty")
                 print("subject reduction violated", file=sys.stderr)
-                return 1
-        out = machine.step()
-        if args.trace and out.kind == "stepped":
-            print(machine.trace[-1])
+                return e.status
+        out = machine.step()  # one that does not step leaves the configuration as checked
         if out.kind != "stepped":
             break
-    if args.check:
-        try:
-            _recheck(machine.config)
-        except (TypecheckError, KindError) as e:
-            _emit(_diag_from_error(e), fmt)
-            print("subject reduction violated", file=sys.stderr)
-            return 1
+        if args.trace:
+            print(machine.trace[-1])
     if out.kind == "final":
         values = [pretty(e) for _, e in iter_procs(machine.config)]
         print(f"final after {machine.steps} steps: " + " | ".join(values))
@@ -245,26 +181,20 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 def _corpus_one(path: Path, want: str) -> tuple[str, str]:
     try:
         prog = _load(str(path))
-    except ParseError as e:
-        return "FAIL", f"parse error: {e}"
+        typing = _check_program(prog)
+    except CliError:
+        raise  # an unreadable program stops the whole run
+    except Diagnostic as e:
+        return "FAIL", str(e)
     if want.startswith("type:"):
-        expected_src = want[len("type:") :].strip()
-        try:
-            typing = _check_program(prog)
-        except (TypecheckError, KindError) as e:
-            return "FAIL", f"type error: {e}"
         if typing is None:
             return "FAIL", "expected a type but file is a configuration"
-        expected = parse_type(expected_src, open_world=False)
+        expected = parse_type(want[len("type:") :].strip(), open_world=False)
         if conv(typing.ty, expected):
             return "ok", pretty(typing.ty)
         return "FAIL", f"type mismatch: got {pretty(typing.ty)}"
     if want.startswith("outcome:"):
         expected_outcome = want[len("outcome:") :].strip()
-        try:
-            _check_program(prog)
-        except (TypecheckError, KindError) as e:
-            return "FAIL", f"type error: {e}"
         cfg = prog.config if prog.config is not None else CProc(prog.expr)
         out = Machine(cfg, max_steps=DEFAULT_FUEL).run()
         got = {"final": "final", "deadlock": "deadlock", "out-of-fuel": "out-of-fuel"}[out.kind]
@@ -309,12 +239,10 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    except CliError as e:
-        _emit(_diag_from_error(e), fmt)
-        return 2
-    except Exception as e:  # every failure the commands do not diagnose themselves
-        _emit(_diag_from_error(e), fmt)
-        return 5
+    except Exception as e:  # every failure the commands do not report themselves
+        diag = e if isinstance(e, Diagnostic) else Diagnostic("internal", f"{type(e).__name__}: {e}")
+        _emit(diag, fmt)
+        return diag.status
 
 
 if __name__ == "__main__":

@@ -45,32 +45,28 @@ from .ast import (
     state_atoms,
 )
 from .constraints import Context, context, entails
+from .diagnostic import Diagnostic
 from .normalize import conv, normalize
 from .pretty import pretty
 
 
-class KindError(Exception):
-    """Kinding failure; `rule` is the failing rule label, `trail` the rule
-    labels unwound while propagating (deepest first)."""
+class KindError(Diagnostic):
+    """A failure of context formation (CF-), kind formation (KF-) or
+    kinding (K-), coded by the failing rule."""
 
-    def __init__(
-        self,
-        rule: str,
-        message: str,
-        span: Span | None = None,
-        expected: str | None = None,
-        found: str | None = None,
-    ) -> None:
-        self.rule, self.message, self.span = rule, message, span
-        self.expected, self.found = expected, found
-        self.trail: list[str] = []
+    status = 1
 
-    def __str__(self) -> str:
-        loc = f"{self.span}: " if self.span else ""
-        extra = ""
-        if self.expected is not None or self.found is not None:
-            extra = f" (expected {self.expected}, found {self.found})"
-        return f"{loc}[{self.rule}] {self.message}{extra}"
+
+def located(span: Span | None, judgment, *args):
+    """judgment(*args), a formation or kinding judgment made at a typing
+    site: a failure with no span of its own (on a type the checker built,
+    or on a context binding) is reported at span."""
+    try:
+        return judgment(*args)
+    except KindError as e:
+        if e.span is None:
+            e.span = span
+        raise
 
 
 # -- context helpers ---------------------------------------------------------
@@ -165,43 +161,8 @@ def check_kind(g: Ctx, k: Kind) -> None:
 
 # -- kinding -------------------------------------------------------------------
 
-_RULE_OF = {
-    TVar: "K-Var",
-    TApp: "K-App",
-    TLam: "K-Lam",
-    TAll: "K-All",
-    TArr: "K-Arr",
-    TChan: "K-Chan",
-    TAccess: "K-AccessPoint",
-    TUnit: "K-Unit",
-    TPair: "K-Pair",
-    TSend: "K-Send",
-    TRecv: "K-Recv",
-    TChoice: "K-Choice",
-    TBranch: "K-Branch",
-    TEnd: "K-End",
-    TDual: "K-Dual",
-    ShZero: "K-ShapeZero",
-    ShOne: "K-ShapeOne",
-    DomZero: "K-DomZero",
-    DomMerge: "K-DomMerge",
-    DomProj: "K-DomProj",
-    StEmpty: "K-StEmpty",
-    StBind: "K-StChan",
-    StMerge: "K-StMerge",
-}
-
-
-def infer_kind(g: Ctx, t: Type) -> Kind:
-    """The unique kind of t under g; raises KindError at the deepest failing
-    premise, recording the rule trail on the way out."""
-    try:
-        return _infer(context(g), t)
-    except KindError as e:
-        rule = _RULE_OF.get(type(t))
-        if rule and (not e.trail or e.trail[-1] != rule):
-            e.trail.append(rule)
-        raise
+# the rule of each session constructor, for the premises they share
+_SESSION_RULE = {TSend: "K-Send", TRecv: "K-Recv", TChoice: "K-Choice", TBranch: "K-Branch"}
 
 
 def _fail(rule: str, msg: str, t: Type, **kw) -> KindError:
@@ -214,7 +175,10 @@ def _expect(g: Ctx, t: Type, want: Kind, rule: str) -> None:
         raise _fail(rule, f"{pretty(t)} has the wrong kind", t, expected=pretty(want), found=pretty(k))
 
 
-def _infer(g: Ctx, t: Type) -> Kind:
+def infer_kind(g: Ctx, t: Type) -> Kind:
+    """The unique kind of t under g; raises KindError at the deepest failing
+    premise."""
+    g = context(g)
     match t:
         case TVar(nm):
             k = lookup_tvar(g, nm)
@@ -295,7 +259,7 @@ def _infer(g: Ctx, t: Type) -> Kind:
                 return KType()
             raise _fail("K-Pair", "pair component must be a type or a shape", t, found=pretty(kl))
         case TSend(binder, shape, state, payload, cont) | TRecv(binder, shape, state, payload, cont):
-            rule = _RULE_OF[type(t)]
+            rule = _SESSION_RULE[type(t)]
             _expect(g, shape, KShape(), rule)
             inner = restrict_non_dom(g) + (BTVar(binder, KDom(shape)),)
             _expect(inner, state, KState(), rule)
@@ -303,7 +267,7 @@ def _infer(g: Ctx, t: Type) -> Kind:
             _expect(g, cont, KSession(), rule)
             return KSession()
         case TChoice(l, r) | TBranch(l, r):
-            rule = _RULE_OF[type(t)]
+            rule = _SESSION_RULE[type(t)]
             _expect(g, l, KSession(), rule)
             _expect(g, r, KSession(), rule)
             return KSession()

@@ -76,6 +76,7 @@ from .ast import (
     Value,
     fresh_name,
 )
+from .diagnostic import Diagnostic
 
 KEYWORDS = {
     "let", "in", "fork", "new", "accept", "request", "send", "recv", "select",
@@ -90,11 +91,10 @@ PUNCT = [
 ]
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, span: Span):
-        super().__init__(f"{span}: {message}")
-        self.message = message
-        self.span = span
+class ParseError(Diagnostic):
+    """A failure to parse, with code `parse`."""
+
+    status = 2
 
 
 class Token:
@@ -154,7 +154,7 @@ def tokenize(src: str, filename: str = "<input>") -> list[Token]:
                 i += len(p)
                 break
         else:
-            raise ParseError(f"unexpected character {c!r}", span(i, i + 1, line, col))
+            raise ParseError("parse", f"unexpected character {c!r}", span(i, i + 1, line, col))
     toks.append(Token("eof", "", span(n, n, line, col)))
     return toks
 
@@ -220,12 +220,12 @@ class Parser:
     def eat(self, kind: str) -> Token:
         t = self.peek()
         if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text or 'end of input'!r}", t.span)
+            raise ParseError("parse", f"expected {kind!r}, found {t.text or 'end of input'!r}", t.span)
         return self.next()
 
     def fail(self, msg: str) -> ParseError:
         t = self.peek()
-        return ParseError(f"{msg}, found {t.text or 'end of input'!r}", t.span)
+        return ParseError("parse", f"{msg}, found {t.text or 'end of input'!r}", t.span)
 
     def ident(self) -> str:
         return self.eat("ident").text
@@ -234,7 +234,7 @@ class Parser:
         t = self.eat("ident")
         nm = self.scope.lookup(t.text)
         if nm is None:
-            raise ParseError(f"unbound identifier {t.text!r}", t.span)
+            raise ParseError("parse", f"unbound identifier {t.text!r}", t.span)
         return nm
 
     # -- kinds --------------------------------------------------------------
@@ -314,7 +314,7 @@ class Parser:
                     return ShZero(span=sp)
                 if t.text == "1":
                     return ShOne(span=sp)
-                raise ParseError(f"unexpected number {t.text!r} in type", sp)
+                raise ParseError("parse", f"unexpected number {t.text!r} in type", sp)
             case "dual":
                 self.next()
                 return TDual(self.type_atom(), span=sp)
@@ -642,7 +642,7 @@ class Parser:
             return Label.L1
         if t.text == "2":
             return Label.L2
-        raise ParseError(f"expected label 1 or 2, found {t.text!r}", t.span)
+        raise ParseError("parse", f"expected label 1 or 2, found {t.text!r}", t.span)
 
     def app_chain(self) -> Expr:
         """value (value | '[' type ']')*; chains of length > 1 desugar into lets."""
@@ -720,7 +720,7 @@ class Parser:
 def parse_program(src: str, filename: str = "<input>") -> Program:
     p = Parser(src, filename, open_world=False)
     if p.at("eof"):
-        raise ParseError("empty program", p.peek().span)
+        raise ParseError("parse", "empty program", p.peek().span)
     if p.config_starts():
         c = p.config()
         p.eat("eof")
@@ -743,9 +743,3 @@ def parse_type(src: str, filename: str = "<input>", open_world: bool = True) -> 
     p.eat("eof")
     return t
 
-
-def parse_kind(src: str, filename: str = "<input>") -> Kind:
-    p = Parser(src, filename, open_world=True)
-    k = p.kind()
-    p.eat("eof")
-    return k

@@ -84,42 +84,18 @@ from .ast import (
     subst,
 )
 from .constraints import context, entails
-from .kinding import (
-    KindError,
-    check_ctx_suffix,
-    check_kind,
-    disjoint_append,
-    infer_kind,
-    kind_equiv,
-    lookup_val,
-)
+from .diagnostic import Diagnostic
+from .kinding import check_ctx_suffix, disjoint_append, infer_kind, kind_equiv, located, lookup_val
 from .normalize import conv, dual, normalize
 from .pretty import pretty, pretty_ctx
 
 
-class TypecheckError(Exception):
-    def __init__(
-        self,
-        rule: str,
-        message: str,
-        span: Span | None = None,
-        expected: str | None = None,
-        found: str | None = None,
-        state: str | None = None,
-    ) -> None:
-        self.rule, self.message, self.span = rule, message, span
-        self.expected, self.found, self.state = expected, found, state
+class TypecheckError(Diagnostic):
+    """A failure of an algorithmic typing rule (T-), coded by the rule. A
+    formation or kinding failure met on the way is a KindError instead,
+    under its own rule."""
 
-    def __str__(self) -> str:
-        loc = f"{self.span}: " if self.span else ""
-        parts = [f"{loc}[{self.rule}] {self.message}"]
-        if self.expected is not None:
-            parts.append(f"  expected: {self.expected}")
-        if self.found is not None:
-            parts.append(f"  found:    {self.found}")
-        if self.state is not None:
-            parts.append(f"  state:    {self.state}")
-        return "\n".join(parts)
+    status = 1
 
 
 class ExprTyping(NamedTuple):
@@ -149,13 +125,6 @@ Renaming = dict[int, Type]
 
 def _atoms_of(state: Type) -> list[Type]:
     return state_atoms(normalize(state))
-
-
-def _find_binding(atoms: list[Type], dom: Type) -> int | None:
-    for i, a in enumerate(atoms):
-        if isinstance(a, StBind) and conv(a.dom, dom):
-            return i
-    return None
 
 
 def _remove(atoms: list[Type], wanted: list[Type]) -> tuple[list[Type], Type | None]:
@@ -202,10 +171,7 @@ def type_value(g: Ctx, v: Value) -> Type:
         case VUnit():
             return TUnit()
         case VChan(dom):
-            try:
-                kd = infer_kind(g, dom)
-            except KindError as e:
-                raise TypecheckError("T-Chan", str(e), v.span) from e
+            kd = located(v.span, infer_kind, g, dom)
             if not kind_equiv(kd, KDom(ShOne())):
                 raise TypecheckError(
                     "T-Chan",
@@ -223,30 +189,18 @@ def type_value(g: Ctx, v: Value) -> Type:
             _kind_check(g, nargty, KType(), "T-Abs", v.span)
             r = _type_expr(g + (BVal(binder, nargty),), _atoms_of(npre), body)
             arr = TArr(npre, nargty, r.exctx, r.post_state, r.ty)
-            try:
-                infer_kind(g, arr)
-            except KindError as e:
-                raise TypecheckError(
-                    "T-Abs", f"function type is not wellformed: {e}", v.span, found=pretty(arr)
-                ) from e
+            located(v.span, infer_kind, g, arr)
             return arr
         case VTAbs(binder, kind, cstr, body):
-            try:
-                check_kind(g, kind)
-                g2 = g + ((BTVar(binder, kind),) + cstr)
-                check_ctx_suffix(g, g2)
-            except KindError as e:
-                raise TypecheckError("T-TAbs", str(e), v.span) from e
+            g2 = g + ((BTVar(binder, kind),) + cstr)
+            located(v.span, check_ctx_suffix, g, g2)  # forms the kind and each constraint
             ty = type_value(g2, body)
             return TAll(binder, kind, cstr, ty)
     raise TypecheckError("T-Var", f"not a value: {v!r}", v.span)
 
 
 def _kind_check(g: Ctx, t: Type, want: Kind, rule: str, span: Span | None) -> None:
-    try:
-        k = infer_kind(g, t)
-    except KindError as e:
-        raise TypecheckError(rule, str(e), span or t.span) from e
+    k = located(span or t.span, infer_kind, g, t)
     if not kind_equiv(k, want):
         raise TypecheckError(
             rule, f"{pretty(t)} has kind {pretty(k)}", span or t.span, expected=pretty(want)
@@ -314,10 +268,7 @@ def _type_expr(g: Ctx, atoms: list[Type], e: Expr) -> ExprTyping:
                 raise TypecheckError(
                     "T-TApp", "type application of a non-polymorphic value", e.span, found=pretty(tv)
                 )
-            try:
-                ka = infer_kind(g, targ)
-            except KindError as err:
-                raise TypecheckError("T-TApp", str(err), e.span) from err
+            ka = located(e.span, infer_kind, g, targ)
             if not kind_equiv(ka, tv.kind):
                 raise TypecheckError(
                     "T-TApp",
@@ -363,17 +314,7 @@ def _type_expr(g: Ctx, atoms: list[Type], e: Expr) -> ExprTyping:
             return _type_send(g, atoms, e, payload, chanv)
 
         case ERecv(v):
-            dom = _chan_dom(g, v, "T-Recv", e.span)
-            i, ses = _session_at(atoms, dom, "T-Recv", e.span)
-            if not isinstance(ses, TRecv):
-                raise TypecheckError(
-                    "T-Recv",
-                    "channel is not ready to receive",
-                    e.span,
-                    expected="?{..}(..).. session",
-                    found=pretty(ses),
-                )
-            rest = atoms[:i] + atoms[i + 1 :]
+            dom, ses, rest = _channel_op(g, atoms, e, v)
             b2 = fresh_name(ses.binder.text or "d")
             inst = {ses.binder.uid: TVar(b2)}
             new_state = _atoms_of(subst(inst, ses.state))
@@ -385,35 +326,16 @@ def _type_expr(g: Ctx, atoms: list[Type], e: Expr) -> ExprTyping:
             )
 
         case ESelect(lab, v):
-            dom = _chan_dom(g, v, "T-Select", e.span)
-            i, ses = _session_at(atoms, dom, "T-Select", e.span)
-            if not isinstance(ses, TChoice):
-                raise TypecheckError(
-                    "T-Select",
-                    "channel does not offer a choice",
-                    e.span,
-                    expected="S +c S session",
-                    found=pretty(ses),
-                )
+            dom, ses, rest = _channel_op(g, atoms, e, v)
             chosen = ses.left if lab is Label.L1 else ses.right
-            rest = atoms[:i] + atoms[i + 1 :]
             return ExprTyping((), rest + [StBind(dom, chosen)], TUnit())
 
         case ECase(v, left, right):
             return _type_case(g, atoms, e, v, left, right)
 
         case EClose(v):
-            dom = _chan_dom(g, v, "T-Close", e.span)
-            i, ses = _session_at(atoms, dom, "T-Close", e.span)
-            if not isinstance(ses, TEnd):
-                raise TypecheckError(
-                    "T-Close",
-                    "channel session has not ended",
-                    e.span,
-                    expected="End",
-                    found=pretty(ses),
-                )
-            return ExprTyping((), atoms[:i] + atoms[i + 1 :], TUnit())
+            _, _, rest = _channel_op(g, atoms, e, v)
+            return ExprTyping((), rest, TUnit())
 
         case EFork(v):
             tv = normalize(type_value(g, v))
@@ -436,23 +358,39 @@ def _type_expr(g: Ctx, atoms: list[Type], e: Expr) -> ExprTyping:
     raise TypecheckError("T-Val", f"cannot type expression {e!r}", e.span)
 
 
-def _chan_dom(g: Ctx, v: Value, rule: str, span: Span | None) -> Type:
+# The precondition of each channel operation: its rule, the constructor
+# its channel's session must have, and the failure when it has another.
+_CHANNEL_OPS = {
+    ESend: ("T-Send", TSend, "channel is not ready to send", "!{..}(..).. session"),
+    ERecv: ("T-Recv", TRecv, "channel is not ready to receive", "?{..}(..).. session"),
+    ESelect: ("T-Select", TChoice, "channel does not offer a choice", "S +c S session"),
+    ECase: ("T-Case", TBranch, "channel does not offer a branch", "S +b S session"),
+    EClose: ("T-Close", TEnd, "channel session has not ended", "End"),
+}
+
+
+def _channel_op(g: Ctx, atoms: list[Type], e: Expr, v: Value) -> tuple[Type, Type, list[Type]]:
+    """Check the precondition of channel operation e on v: v is a channel
+    whose session in the state has the operation's constructor. Returns the
+    channel's domain, its session, and the other state atoms."""
+    rule, ctor, message, expected = _CHANNEL_OPS[type(e)]
     tv = normalize(type_value(g, v))
     if not isinstance(tv, TChan):
-        raise TypecheckError(rule, "operation needs a channel", span, found=pretty(tv))
-    return tv.dom
-
-
-def _session_at(atoms: list[Type], dom: Type, rule: str, span: Span | None) -> tuple[int, Type]:
-    i = _find_binding(atoms, dom)
-    if i is None:
+        raise TypecheckError(rule, "operation needs a channel", e.span, found=pretty(tv))
+    for i, a in enumerate(atoms):
+        if isinstance(a, StBind) and conv(a.dom, tv.dom):
+            break
+    else:
         raise TypecheckError(
             rule,
-            f"channel {pretty(dom)} is not in the current state",
-            span,
+            f"channel {pretty(tv.dom)} is not in the current state",
+            e.span,
             state=pretty(normalize(state_of_atoms(atoms))),
         )
-    return i, normalize(atoms[i].ses)  # type: ignore[union-attr]
+    ses = normalize(a.ses)
+    if not isinstance(ses, ctor):
+        raise TypecheckError(rule, message, e.span, expected=expected, found=pretty(ses))
+    return tv.dom, ses, atoms[:i] + atoms[i + 1 :]
 
 
 def _instantiate_arr(tf: TArr) -> tuple[Ctx, list[Type], Type]:
@@ -521,17 +459,7 @@ def _gc_package(r: ExprTyping) -> ExprTyping:
 
 
 def _type_send(g: Ctx, atoms: list[Type], e: Expr, payload: Value, chanv: Value) -> ExprTyping:
-    dom = _chan_dom(g, chanv, "T-Send", e.span)
-    i, ses = _session_at(atoms, dom, "T-Send", e.span)
-    if not isinstance(ses, TSend):
-        raise TypecheckError(
-            "T-Send",
-            "channel is not ready to send",
-            e.span,
-            expected="!{..}(..).. session",
-            found=pretty(ses),
-        )
-    rest = atoms[:i] + atoms[i + 1 :]
+    dom, ses, rest = _channel_op(g, atoms, e, chanv)
     tpay = normalize(type_value(g, payload))
     rho = match_existential(
         g,
@@ -545,10 +473,7 @@ def _type_send(g: Ctx, atoms: list[Type], e: Expr, payload: Value, chanv: Value)
     guessed = rho.get(ses.binder.uid)
     if guessed is None:
         raise TypecheckError("T-Send", "could not determine the transferred domain", e.span)
-    try:
-        kd = infer_kind(g, guessed)
-    except KindError as err:
-        raise TypecheckError("T-Send", f"guessed domain is not wellformed: {err}", e.span) from err
+    kd = located(e.span, infer_kind, g, guessed)
     if not kind_equiv(kd, KDom(normalize(ses.shape))):
         raise TypecheckError(
             "T-Send",
@@ -750,17 +675,7 @@ def _verify(rho: Renaming, pat_state: Type, pat_ty: Type, act_atoms: list[Type],
 
 
 def _type_case(g: Ctx, atoms: list[Type], e: Expr, v: Value, left: Expr, right: Expr) -> ExprTyping:
-    dom = _chan_dom(g, v, "T-Case", e.span)
-    i, ses = _session_at(atoms, dom, "T-Case", e.span)
-    if not isinstance(ses, TBranch):
-        raise TypecheckError(
-            "T-Case",
-            "channel does not offer a branch",
-            e.span,
-            expected="S +b S session",
-            found=pretty(ses),
-        )
-    rest = atoms[:i] + atoms[i + 1 :]
+    dom, ses, rest = _channel_op(g, atoms, e, v)
     r1 = _gc_package(_type_expr(g, rest + [StBind(dom, ses.left)], left))
     r2 = _gc_package(_type_expr(g, rest + [StBind(dom, ses.right)], right))
     _require_equal_packages(g, r1, r2, e.span)

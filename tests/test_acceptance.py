@@ -191,7 +191,7 @@ def test_criterion_2_aliasing_negative_example():
     """
     with pytest.raises(TypecheckError) as exc:
         type_expr((), EMPTY, anf_transform(parse_expr(two_chan, open_world=False)))
-    assert exc.value.rule == "T-TApp"
+    assert exc.value.code == "T-TApp"
     assert "constraint" in exc.value.message
 
     one_chan = """

@@ -80,6 +80,79 @@ def test_let_diagnostic_has_the_let_location(tmp_path, capsys):
     )
 
 
+# A kind failure met by a typing rule (named by the id) is one diagnostic:
+# the kind rule's code, its own column on line 1, its message and details.
+KIND_FAILURES = {
+    "T-Abs": (
+        r"/\d:Dom(1)[]. \[{d: Int}](x: Unit). ()",
+        "K-StChan", 21, "Unit has the wrong kind", {"expected": "Session", "found": "Type"},
+    ),
+    "T-Chan": ("let x = () in chan x", "K-Var", 20, "unbound type variable x", {}),
+    "T-TAbs": (
+        r"/\a:Dom(Unit)[]. ()",
+        "KF-Dom", 9, "domain kind index must be a shape", {"expected": "Shape", "found": "Type"},
+    ),
+    "T-TApp": (
+        r"let y = () in let f = /\a:Session[]. () in f [y]", "K-Var", 47, "unbound type variable y", {},
+    ),
+    "T-New": ("let y = () in let ap = new (dual y) in ()", "K-Var", 34, "unbound type variable y", {}),
+    # a constraint binding has no span: the failure is at the type abstraction
+    "T-TAbs-cstr": (r"/\a:Session[a # a]. ()", "CF-ConsCstr", 1, "constraint over a non-domain", {}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+@pytest.mark.parametrize("site", list(KIND_FAILURES))
+def test_kind_failure_in_a_typing_rule_is_reported_once(tmp_path, capsys, site, fmt):
+    src, code, col, message, details = KIND_FAILURES[site]
+    f = write(tmp_path, "kind.pvgr", src)
+    assert main(["check", f, "--format", fmt]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f) == 1 and err.count(code) == 1
+    if fmt == "json":
+        assert json.loads(err) == {
+            "severity": "error", "code": code, "message": message,
+            "file": f, "line": 1, "col": col, **details,
+        }
+    else:
+        first = f"{f}:1:{col}: error[{code}]: {message}\n"
+        rest = "".join(f"  {key}:{' ' * (9 - len(key))}{text}\n" for key, text in details.items())
+        assert err == first + rest
+
+
+def test_state_is_the_last_line_and_key(tmp_path, capsys):
+    f = write(
+        tmp_path, "state.pvgr",
+        "let ap = new End in let v = request ap in let u = close v in close v",
+    )
+    assert main(["check", f]) == 1
+    assert capsys.readouterr().err == (
+        f"{f}:1:62: error[T-Close]: channel c is not in the current state\n"
+        "  state:    .\n"
+    )
+    assert main(["check", f, "--format", "json"]) == 1
+    assert capsys.readouterr().err == (
+        '{"severity": "error", "code": "T-Close", "message": "channel c is not in the current state",'
+        f' "file": {json.dumps(f)}, "line": 1, "col": 62, "state": "."}}\n'
+    )
+    f = write(
+        tmp_path, "state2.pvgr",
+        "let ap = new End in let [c] v = request ap in let u = close v in\n"
+        "let g = /\\d:Dom(1)[]. \\[{d: End}](x: Chan d). close x in let h = g [c] in h v\n",
+    )
+    assert main(["check", f]) == 1
+    assert capsys.readouterr().err == (
+        f"{f}:2:75: error[T-App]: state does not provide a required binding\n"
+        "  expected: {c: End}\n"
+        "  state:    .\n"
+    )
+    assert main(["check", f, "--format", "json"]) == 1
+    assert capsys.readouterr().err == (
+        '{"severity": "error", "code": "T-App", "message": "state does not provide a required binding",'
+        f' "file": {json.dumps(f)}, "line": 2, "col": 75, "expected": "{{c: End}}", "state": "."}}\n'
+    )
+
+
 def test_run_deadlock_exit_3_names_blocked_site(tmp_path, capsys):
     f = write(tmp_path, "dl.pvgr", DEADLOCK)
     assert main(["run", f]) == 3
