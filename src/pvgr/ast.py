@@ -17,7 +17,8 @@ field that `SCOPES` does not list.
 
 The scope table `SCOPES` is the one statement of binder scoping: free
 variables, substitution, canonical renaming and normalization all walk
-trees through it with `scope_walk`.
+trees through it with `scope_walk`, and existential matching
+(`typing._match`) walks pairs of trees through its `LAYOUT`.
 """
 
 from __future__ import annotations

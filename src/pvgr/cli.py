@@ -197,10 +197,9 @@ def _corpus_one(path: Path, want: str) -> tuple[str, str]:
         expected_outcome = want[len("outcome:") :].strip()
         cfg = prog.config if prog.config is not None else CProc(prog.expr)
         out = Machine(cfg, max_steps=DEFAULT_FUEL).run()
-        got = {"final": "final", "deadlock": "deadlock", "out-of-fuel": "out-of-fuel"}[out.kind]
-        if got == expected_outcome:
-            return "ok", got
-        return "FAIL", f"outcome mismatch: got {got}"
+        if out.kind == expected_outcome:
+            return "ok", out.kind
+        return "FAIL", f"outcome mismatch: got {out.kind}"
     return "FAIL", f"bad sidecar: {want[:40]!r}"
 
 

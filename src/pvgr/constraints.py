@@ -5,12 +5,12 @@ Constraints are normalized and decomposed into atomic constraints: pairs
 of projection chains rooted at type variables. The closed set of a context
 is the least set that holds its atoms and the sibling axiom (both
 projections of a pair-shaped domain are disjoint) and is closed under
-symmetry and projection splitting; `atomize`, `close` and `shape_env`
-compute it. `entails` never builds it. A `Context` keeps the normalized
-shape of each domain variable and its atoms in both orientations, and each
-goal atom is decided from those by two membership rules, without a fixed
-point (docs/constraints.md states the rules and proves them equal to
-membership in the closed set).
+symmetry and projection splitting; `atomize` and `close` compute it, for
+the reference `entails_ref` in tests/oracles.py. `entails` never builds
+it. A `Context` keeps the normalized shape of each domain variable and its
+atoms in both orientations, and each goal atom is decided from those by
+two membership rules, without a fixed point (docs/constraints.md states
+the rules and proves them equal to membership in the closed set).
 """
 
 from __future__ import annotations
@@ -90,14 +90,6 @@ def atomize(constraints: ConstraintSet | Ctx) -> set[AtomicConstraint]:
             for r in _sides(normalize(b.right)):
                 out.add((l, r))
     return out
-
-
-def shape_env(g: Ctx) -> _Shapes:
-    return {
-        b.name.uid: normalize(b.kind.shape)
-        for b in g
-        if isinstance(b, BTVar) and isinstance(b.kind, KDom)
-    }
 
 
 def _shape_at(shapes: _Shapes, uid: int, path: tuple[Label, ...]) -> Type | None:

@@ -149,7 +149,7 @@ def check_kind(g: Ctx, k: Kind) -> None:
                     "KF-Dom",
                     "domain kind index must be a shape",
                     span=shape.span,
-                    expected="Shape",
+                    expected=pretty(KShape()),
                     found=pretty(sk),
                 )
         case KArrow(src, dst):

@@ -58,10 +58,6 @@ def conv(t1: Type, t2: Type) -> bool:
     return alpha_equiv(normalize(t1), normalize(t2))
 
 
-def is_normal(t: Type) -> bool:
-    return normalize(t) == t
-
-
 def dual(s: Type) -> NormalType:
     return normalize(TDual(s))
 

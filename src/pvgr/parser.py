@@ -7,6 +7,7 @@ unique names at parse time; the parser accepts non-strict let nesting
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from .ast import (
@@ -78,11 +79,22 @@ from .ast import (
 )
 from .diagnostic import Diagnostic
 
+# Keyword tables: the one spelling of each form's keyword. The printer and
+# the deadlock report read them too.
+KINDS = {"Type": KType, "Session": KSession, "State": KState, "Shape": KShape}
+TYPE_WORDS = {"End": TEnd, "Unit": TUnit}
+TYPE_PREFIXES = {"dual": TDual, "Chan": TChan}
+OPERATIONS = {
+    EFork: "fork", EAccept: "accept", ERequest: "request", ERecv: "recv", EClose: "close",
+    ENew: "new", ESend: "send", ESelect: "select", ECase: "case",
+}
+
+_TYPE_ATOM_WORDS = {**TYPE_WORDS, "Int": TUnit}  # `Int` is read as `Unit`
+_OPERATION_OF = {kw: cls for cls, kw in OPERATIONS.items()}
+
 KEYWORDS = {
-    "let", "in", "fork", "new", "accept", "request", "send", "recv", "select",
-    "case", "close", "proj1", "proj2", "chan", "dual", "End", "Unit", "Int",
-    "Type", "Session", "State", "Shape", "Dom", "AP", "forall", "ex", "nu",
-    "nuap", "pi1", "pi2", "Chan",
+    *KINDS, *_TYPE_ATOM_WORDS, *TYPE_PREFIXES, *_OPERATION_OF, "let", "in", "proj1", "proj2",
+    "chan", "Dom", "AP", "forall", "ex", "nu", "nuap", "pi1", "pi2",
 }
 
 PUNCT = [
@@ -230,6 +242,20 @@ class Parser:
     def ident(self) -> str:
         return self.eat("ident").text
 
+    def comma_list(self, item) -> list:
+        """item (',' item)*"""
+        out = [item()]
+        while self.at(","):
+            self.next()
+            out.append(item())
+        return out
+
+    def whole(self, rule):
+        """The parser method `rule`, which must read the rest of the input."""
+        out = rule(self)
+        self.eat("eof")
+        return out
+
     def name_use(self) -> Name:
         t = self.eat("ident")
         nm = self.scope.lookup(t.text)
@@ -248,18 +274,9 @@ class Parser:
 
     def kind_atom(self) -> Kind:
         t = self.peek()
-        if t.kind == "Type":
+        if t.kind in KINDS:
             self.next()
-            return KType()
-        if t.kind == "Session":
-            self.next()
-            return KSession()
-        if t.kind == "State":
-            self.next()
-            return KState()
-        if t.kind == "Shape":
-            self.next()
-            return KShape()
+            return KINDS[t.kind]()
         if t.kind == "Dom":
             self.next()
             self.eat("(")
@@ -301,13 +318,13 @@ class Parser:
     def type_atom(self) -> Type:
         t = self.peek()
         sp = t.span
+        if t.kind in _TYPE_ATOM_WORDS:
+            self.next()
+            return _TYPE_ATOM_WORDS[t.kind](span=sp)
+        if t.kind in TYPE_PREFIXES:
+            self.next()
+            return TYPE_PREFIXES[t.kind](self.type_atom(), span=sp)
         match t.kind:
-            case "End":
-                self.next()
-                return TEnd(span=sp)
-            case "Unit" | "Int":
-                self.next()
-                return TUnit(span=sp)
             case "num":
                 self.next()
                 if t.text == "0":
@@ -315,12 +332,6 @@ class Parser:
                 if t.text == "1":
                     return ShOne(span=sp)
                 raise ParseError("parse", f"unexpected number {t.text!r} in type", sp)
-            case "dual":
-                self.next()
-                return TDual(self.type_atom(), span=sp)
-            case "Chan":
-                self.next()
-                return TChan(self.type_atom(), span=sp)
             case "AP":
                 self.next()
                 self.eat("(")
@@ -416,15 +427,9 @@ class Parser:
         if self.at("}"):
             self.next()
             return DomZero(span=sp)
-        binds = [self.state_binding()]
-        while self.at(","):
-            self.next()
-            binds.append(self.state_binding())
+        binds = self.comma_list(self.state_binding)
         self.eat("}")
-        out: Type = binds[0]
-        for b in binds[1:]:
-            out = StMerge(out, b)
-        return out
+        return reduce(StMerge, binds)
 
     def state_binding(self) -> Type:
         dom = self.type_app()
@@ -433,14 +438,7 @@ class Parser:
         return StBind(dom, ses)
 
     def state(self) -> Type:
-        atoms = [self.state_atom()]
-        while self.at(","):
-            self.next()
-            atoms.append(self.state_atom())
-        out = atoms[0]
-        for a in atoms[1:]:
-            out = StMerge(out, a)
-        return out
+        return reduce(StMerge, self.comma_list(self.state_atom))
 
     def state_atom(self) -> Type:
         if self.at("."):
@@ -468,40 +466,28 @@ class Parser:
         return TArr(pre, arg, ex, post, res, span=sp)
 
     def ex_bindings(self) -> tuple[Binding, ...]:
-        out: list[Binding] = []
         if self.at("."):
             return ()
-        while True:
-            if self.at("ident") and self.peek(1).kind == ":":
-                txt = self.ident()
-                self.eat(":")
-                k = self.kind()
-                out.append(BTVar(self.scope.bind(txt), k))
-            else:
-                left = self.type_app()
-                self.eat("#")
-                right = self.type_app()
-                out.append(BDisjoint(left, right))
-            if self.at(","):
-                self.next()
-                continue
-            return tuple(out)
+        return tuple(self.comma_list(self.ex_binding))
+
+    def ex_binding(self) -> Binding:
+        if self.at("ident") and self.peek(1).kind == ":":
+            txt = self.ident()
+            self.eat(":")
+            k = self.kind()
+            return BTVar(self.scope.bind(txt), k)
+        return self.disjointness()
+
+    def disjointness(self) -> BDisjoint:
+        left = self.type_app()
+        self.eat("#")
+        return BDisjoint(left, self.type_app())
 
     def constraints(self) -> tuple[BDisjoint, ...]:
         self.eat("[")
-        out: list[BDisjoint] = []
-        if not self.at("]"):
-            while True:
-                left = self.type_app()
-                self.eat("#")
-                right = self.type_app()
-                out.append(BDisjoint(left, right))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+        out = () if self.at("]") else tuple(self.comma_list(self.disjointness))
         self.eat("]")
-        return tuple(out)
+        return out
 
     # -- values and expressions ---------------------------------------------
 
@@ -560,10 +546,7 @@ class Parser:
     def value_starts(self) -> bool:
         return self.peek().kind in {"\\", "/\\", "chan", "(", "ident"}
 
-    _EXPR_KEYWORDS = {
-        "let", "fork", "new", "accept", "request", "send", "recv", "select",
-        "case", "close", "proj1", "proj2",
-    }
+    _EXPR_KEYWORDS = {"let", "proj1", "proj2", *_OPERATION_OF}
 
     def expr(self) -> Expr:
         t = self.peek()
@@ -573,16 +556,17 @@ class Parser:
             e = self.expr()
             self.eat(")")
             return e
+        op = _OPERATION_OF.get(t.kind)
+        if op is not None:
+            self.next()
+            return self.operation(op, sp)
         match t.kind:
             case "let":
                 self.next()
                 exnames_txt: list[str] = []
                 if self.at("["):
                     self.next()
-                    exnames_txt.append(self.ident())
-                    while self.at(","):
-                        self.next()
-                        exnames_txt.append(self.ident())
+                    exnames_txt = self.comma_list(self.ident)
                     self.eat("]")
                 txt = self.ident()
                 self.eat("=")
@@ -594,47 +578,31 @@ class Parser:
                 body = self.expr()
                 self.scope.pop()
                 return ELet(binder, head, body, exnames=exnames, span=sp)
-            case "fork":
-                self.next()
-                return EFork(self.value(), span=sp)
-            case "new":
-                self.next()
-                return ENew(self.type_atom(), span=sp)
-            case "accept":
-                self.next()
-                return EAccept(self.value(), span=sp)
-            case "request":
-                self.next()
-                return ERequest(self.value(), span=sp)
-            case "send":
-                self.next()
-                payload = self.value()
-                return ESend(payload, self.value(), span=sp)
-            case "recv":
-                self.next()
-                return ERecv(self.value(), span=sp)
-            case "select":
-                self.next()
-                lab = self.label()
-                return ESelect(lab, self.value(), span=sp)
-            case "case":
-                self.next()
-                v = self.value()
-                self.eat("{")
-                left = self.expr()
-                self.eat(";")
-                right = self.expr()
-                self.eat("}")
-                return ECase(v, left, right, span=sp)
-            case "close":
-                self.next()
-                return EClose(self.value(), span=sp)
             case "proj1" | "proj2":
                 self.next()
                 lab = Label.L1 if t.kind == "proj1" else Label.L2
                 return EProj(lab, self.value(), span=sp)
             case _:
                 return self.app_chain()
+
+    def operation(self, op: type, sp: Span) -> Expr:
+        """The operands of the operation whose keyword was just read."""
+        if op is ENew:
+            return ENew(self.type_atom(), span=sp)
+        if op is ESelect:
+            lab = self.label()
+            return ESelect(lab, self.value(), span=sp)
+        v = self.value()
+        if op is ESend:
+            return ESend(v, self.value(), span=sp)
+        if op is ECase:
+            self.eat("{")
+            left = self.expr()
+            self.eat(";")
+            right = self.expr()
+            self.eat("}")
+            return ECase(v, left, right, span=sp)
+        return op(v, span=sp)  # fork, accept, request, recv, close
 
     def label(self) -> Label:
         t = self.eat("num")
@@ -722,24 +690,14 @@ def parse_program(src: str, filename: str = "<input>") -> Program:
     if p.at("eof"):
         raise ParseError("parse", "empty program", p.peek().span)
     if p.config_starts():
-        c = p.config()
-        p.eat("eof")
-        return Program(config=c, expr=None, filename=filename)
-    e = p.expr()
-    p.eat("eof")
-    return Program(config=None, expr=e, filename=filename)
+        return Program(config=p.whole(Parser.config), expr=None, filename=filename)
+    return Program(config=None, expr=p.whole(Parser.expr), filename=filename)
 
 
 def parse_expr(src: str, filename: str = "<input>", open_world: bool = True) -> Expr:
-    p = Parser(src, filename, open_world=open_world)
-    e = p.expr()
-    p.eat("eof")
-    return e
+    return Parser(src, filename, open_world=open_world).whole(Parser.expr)
 
 
 def parse_type(src: str, filename: str = "<input>", open_world: bool = True) -> Type:
-    p = Parser(src, filename, open_world=open_world)
-    t = p.type_()
-    p.eat("eof")
-    return t
+    return Parser(src, filename, open_world=open_world).whole(Parser.type_)
 

@@ -69,6 +69,11 @@ from .ast import (
     Value,
     state_atoms,
 )
+from .parser import KINDS, OPERATIONS, TYPE_PREFIXES, TYPE_WORDS
+
+# the parser's keyword tables, read from class to keyword
+_KEYWORD = {cls: kw for table in (KINDS, TYPE_WORDS, TYPE_PREFIXES) for kw, cls in table.items()}
+_KEYWORD.update(OPERATIONS)
 
 
 class _Printer:
@@ -93,14 +98,8 @@ class _Printer:
 
     def kind(self, k: Kind) -> str:
         match k:
-            case KType():
-                return "Type"
-            case KSession():
-                return "Session"
-            case KState():
-                return "State"
-            case KShape():
-                return "Shape"
+            case KType() | KSession() | KState() | KShape():
+                return _KEYWORD[k.__class__]
             case KDom(shape):
                 return f"Dom({self.ty(shape)})"
             case KArrow(src, dst):
@@ -140,14 +139,10 @@ class _Printer:
         match t:
             case TVar(nm):
                 return self.var(nm)
-            case TEnd():
-                return "End"
-            case TUnit():
-                return "Unit"
-            case TDual(s):
-                return f"dual {self.ty_atom(s)}"
-            case TChan(d):
-                return f"Chan {self.ty_atom(d)}"
+            case TEnd() | TUnit():
+                return _KEYWORD[t.__class__]
+            case TDual(s) | TChan(s):
+                return f"{_KEYWORD[t.__class__]} {self.ty_atom(s)}"
             case TAccess(s):
                 return f"AP({self.ty(s)})"
             case TPair(l, r):
@@ -272,24 +267,16 @@ class _Printer:
                 return f"proj{int(lab)} {self.value(v)}"
             case ETApp(v, ty):
                 return f"{self.value(v)} [{self.ty(ty)}]"
-            case EFork(v):
-                return f"fork {self.value(v)}"
+            case EFork(v) | EAccept(v) | ERequest(v) | ERecv(v) | EClose(v):
+                return f"{_KEYWORD[e.__class__]} {self.value(v)}"
             case ENew(s):
-                return f"new {self.ty_atom(s)}"
-            case EAccept(v):
-                return f"accept {self.value(v)}"
-            case ERequest(v):
-                return f"request {self.value(v)}"
+                return f"{_KEYWORD[ENew]} {self.ty_atom(s)}"
             case ESend(p, c):
-                return f"send {self.value(p)} {self.value(c)}"
-            case ERecv(v):
-                return f"recv {self.value(v)}"
+                return f"{_KEYWORD[ESend]} {self.value(p)} {self.value(c)}"
             case ESelect(lab, v):
-                return f"select {int(lab)} {self.value(v)}"
+                return f"{_KEYWORD[ESelect]} {int(lab)} {self.value(v)}"
             case ECase(v, l, r):
-                return f"case {self.value(v)} {{{self.expr(l)}; {self.expr(r)}}}"
-            case EClose(v):
-                return f"close {self.value(v)}"
+                return f"{_KEYWORD[ECase]} {self.value(v)} {{{self.expr(l)}; {self.expr(r)}}}"
         raise AssertionError(f"unknown expr {e!r}")
 
     def config(self, c: Config) -> str:

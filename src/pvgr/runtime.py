@@ -82,6 +82,7 @@ from .ast import (
     subst1,
 )
 from .normalize import normalize
+from .parser import OPERATIONS
 from .pretty import pretty
 
 Path = tuple[str, ...]  # 'left' | 'right' | 'body' steps from the root
@@ -431,20 +432,11 @@ def is_final(cfg: Config) -> bool:
 
 def _blocked_site(path: Path, op: Expr) -> BlockedSite | None:
     match op:
-        case EAccept(v):
-            return BlockedSite(path, "accept", pretty(v))
-        case ERequest(v):
-            return BlockedSite(path, "request", pretty(v))
-        case ESend(_, VChan(d)):
-            return BlockedSite(path, "send", pretty(d))
-        case ERecv(VChan(d)):
-            return BlockedSite(path, "recv", pretty(d))
-        case ESelect(_, VChan(d)):
-            return BlockedSite(path, "select", pretty(d))
-        case ECase(VChan(d), _, _):
-            return BlockedSite(path, "case", pretty(d))
-        case EClose(VChan(d)):
-            return BlockedSite(path, "close", pretty(d))
+        case (
+            EAccept(subject) | ERequest(subject) | ESend(_, VChan(subject)) | ERecv(VChan(subject))
+            | ESelect(_, VChan(subject)) | ECase(VChan(subject), _, _) | EClose(VChan(subject))
+        ):
+            return BlockedSite(path, OPERATIONS[op.__class__], pretty(subject))
     return None
 
 
@@ -551,7 +543,3 @@ def _flatten_procs(cfg: Config) -> Config:
         else:
             done.append(replace(c, body=done.pop()))
     return done.pop()
-
-
-def run_expr(e: Expr, max_steps: int = 100_000, seed: int = 0) -> StepOutcome:
-    return Machine(CProc(e), max_steps=max_steps, seed=seed).run()

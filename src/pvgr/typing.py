@@ -43,11 +43,13 @@ from .ast import (
     ETApp,
     EVal,
     Expr,
+    IN,
     KDom,
     KSession,
     KState,
     KType,
     Kind,
+    LAYOUT,
     Label,
     Name,
     ShOne,
@@ -59,6 +61,7 @@ from .ast import (
     TAll,
     TApp,
     TArr,
+    TBIND,
     TBranch,
     TChan,
     TChoice,
@@ -70,6 +73,7 @@ from .ast import (
     TUnit,
     TVar,
     Type,
+    VAR,
     VAbs,
     VChan,
     VPair,
@@ -203,7 +207,8 @@ def _kind_check(g: Ctx, t: Type, want: Kind, rule: str, span: Span | None) -> No
     k = located(span or t.span, infer_kind, g, t)
     if not kind_equiv(k, want):
         raise TypecheckError(
-            rule, f"{pretty(t)} has kind {pretty(k)}", span or t.span, expected=pretty(want)
+            rule, f"{pretty(t)} has the wrong kind", span or t.span,
+            expected=pretty(want), found=pretty(k),
         )
 
 
@@ -365,7 +370,7 @@ _CHANNEL_OPS = {
     ERecv: ("T-Recv", TRecv, "channel is not ready to receive", "?{..}(..).. session"),
     ESelect: ("T-Select", TChoice, "channel does not offer a choice", "S +c S session"),
     ECase: ("T-Case", TBranch, "channel does not offer a branch", "S +b S session"),
-    EClose: ("T-Close", TEnd, "channel session has not ended", "End"),
+    EClose: ("T-Close", TEnd, "channel session has not ended", pretty(TEnd())),
 }
 
 
@@ -553,6 +558,10 @@ def _same_renaming(a: Renaming, b: Renaming) -> bool:
     return a.keys() == b.keys() and all(conv(a[k], b[k]) for k in a)
 
 
+# the constructors that _match walks field by field
+_MATCHED = {TVar, TApp, TChan, TAccess, TPair, TDual, TUnit, TEnd, DomMerge, TChoice, TBranch, TSend, TRecv}
+
+
 def _match(pat: Type, act: Type, pvars: set[int], alpha: dict[int, int], parts) -> bool:
     """Structural first-order matching; pattern-variable projection chains
     are collected into `parts` keyed by (uid, path)."""
@@ -564,44 +573,22 @@ def _match(pat: Type, act: Type, pvars: set[int], alpha: dict[int, int], parts) 
             return conv(prev, act)
         parts[(uid, path)] = act
         return True
-    match (pat, act):
-        case (TVar(a), TVar(b)):
-            return alpha.get(a.uid, a.uid) == b.uid
-        case (TApp(f1, a1), TApp(f2, a2)):
-            return _match(f1, f2, pvars, alpha, parts) and _match(a1, a2, pvars, alpha, parts)
-        case (TChan(d1), TChan(d2)):
-            return _match(d1, d2, pvars, alpha, parts)
-        case (TAccess(s1), TAccess(s2)):
-            return _match(s1, s2, pvars, alpha, parts)
-        case (TPair(l1, r1), TPair(l2, r2)):
-            return _match(l1, l2, pvars, alpha, parts) and _match(r1, r2, pvars, alpha, parts)
-        case (TDual(s1), TDual(s2)):
-            return _match(s1, s2, pvars, alpha, parts)
-        case (TUnit(), TUnit()) | (TEnd(), TEnd()):
-            return True
-        case (DomMerge(l1, r1), DomMerge(l2, r2)):
-            return _match(l1, l2, pvars, alpha, parts) and _match(r1, r2, pvars, alpha, parts)
-        case (TChoice(l1, r1), TChoice(l2, r2)) | (TBranch(l1, r1), TBranch(l2, r2)):
-            return _match(l1, l2, pvars, alpha, parts) and _match(r1, r2, pvars, alpha, parts)
-        case (TSend(b1, sh1, st1, p1, c1), TSend(b2, sh2, st2, p2, c2)) | (
-            TRecv(b1, sh1, st1, p1, c1),
-            TRecv(b2, sh2, st2, p2, c2),
-        ):
-            if type(pat) is not type(act):
+    cls = pat.__class__
+    if cls is not act.__class__ or cls not in _MATCHED:
+        # remaining pairs must agree up to conversion without touching
+        # pattern variables
+        return not {n.uid for n in free_vars(pat)} & pvars and conv(pat, act)
+    inner = alpha  # alpha extended by the node's binder, seen by IN fields
+    for name, role, _ in LAYOUT[cls].fields:
+        p, a = getattr(pat, name), getattr(act, name)
+        if role is VAR:
+            if alpha.get(p.uid, p.uid) != a.uid:
                 return False
-            alpha2 = {**alpha, b1.uid: b2.uid}
-            return (
-                _match(sh1, sh2, pvars, alpha, parts)
-                and _match(st1, st2, pvars, alpha2, parts)
-                and _match(p1, p2, pvars, alpha2, parts)
-                and _match(c1, c2, pvars, alpha, parts)
-            )
-        case _:
-            # remaining constructors must agree up to conversion without
-            # touching pattern variables
-            if {n.uid for n in free_vars(pat)} & pvars:
-                return False
-            return conv(pat, act)
+        elif role is TBIND:
+            inner = {**alpha, p.uid: a.uid}
+        elif not _match(p, a, pvars, inner if role is IN else alpha, parts):
+            return False
+    return True
 
 
 def _pattern_chain(t: Type, pvars: set[int]) -> tuple[int, tuple[int, ...]] | None:

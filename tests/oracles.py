@@ -77,7 +77,8 @@ from pvgr.ast import (
     state_atoms,
     subst1,
 )
-from pvgr.constraints import Chain, atomize, close, shape_env
+from pvgr.constraints import Chain, atomize, close
+from pvgr.normalize import normalize
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +350,15 @@ def entails_search(g: Ctx, c: list[BDisjoint], depth: int = 6) -> bool:
         return h is not None and h <= depth
 
     return all(derivable(b) for b in c)
+
+
+def shape_env(g: Ctx) -> dict[int, Type]:
+    """The normalized shape of each domain variable of g, by uid."""
+    return {
+        b.name.uid: normalize(b.kind.shape)
+        for b in g
+        if isinstance(b, BTVar) and isinstance(b.kind, KDom)
+    }
 
 
 def entails_ref(g: Ctx, c: list[BDisjoint]) -> bool:

@@ -87,6 +87,10 @@ KIND_FAILURES = {
         r"/\d:Dom(1)[]. \[{d: Int}](x: Unit). ()",
         "K-StChan", 21, "Unit has the wrong kind", {"expected": "Session", "found": "Type"},
     ),
+    # a well-formed type of the wrong kind, found by the typing rule itself
+    "T-Abs-kind": (
+        r"\[.](x: End). ()", "T-Abs", 1, "End has the wrong kind", {"expected": "Type", "found": "Session"},
+    ),
     "T-Chan": ("let x = () in chan x", "K-Var", 20, "unbound type variable x", {}),
     "T-TAbs": (
         r"/\a:Dom(Unit)[]. ()",

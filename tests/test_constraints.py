@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from oracles import entails_search, random_entailment_instance
+from oracles import entails_search, random_entailment_instance, shape_env
 
 from pvgr.ast import (
     BDisjoint,
@@ -18,7 +18,7 @@ from pvgr.ast import (
     TVar,
     fresh_name,
 )
-from pvgr.constraints import AtomizeError, Chain, atomize, close, entails, shape_env
+from pvgr.constraints import AtomizeError, Chain, atomize, close, entails
 
 
 def dom1():

@@ -8,11 +8,27 @@ from oracles import random_session, random_type
 
 from pvgr.anf import anf_transform, flatten_lets, is_strict_anf
 from pvgr.ast import (
+    CProc,
+    EAccept,
+    ECase,
+    EClose,
     ELet,
+    ENew,
+    ERecv,
+    ERequest,
+    ESelect,
+    ESend,
     EVal,
     EFork,
+    KSession,
+    KShape,
+    KState,
+    KType,
     ShZero,
     StEmpty,
+    TChan,
+    TDual,
+    TEnd,
     TSend,
     TUnit,
     VAbs,
@@ -21,9 +37,23 @@ from pvgr.ast import (
     alpha_equiv,
     fresh_name,
 )
-from pvgr.parser import ParseError, parse_expr, parse_program, parse_type
+from pvgr.parser import (
+    KINDS,
+    OPERATIONS,
+    TYPE_PREFIXES,
+    TYPE_WORDS,
+    ParseError,
+    Parser,
+    parse_expr,
+    parse_program,
+    parse_type,
+)
 from pvgr.pretty import pretty
-from pvgr.runtime import run_expr
+from pvgr.runtime import Machine
+
+
+def run_expr(e, max_steps):
+    return Machine(CProc(e), max_steps=max_steps).run()
 
 
 def test_parse_unit_value():
@@ -79,6 +109,44 @@ def test_pretty_examples():
 
     assert pretty(TEnd()) == "End"
     assert pretty(parse_program("()").expr) == "()"
+
+
+# One form per entry of the parser's keyword tables, spelled out here so that
+# a misspelt or swapped entry fails: (source, grammar rule, class, printed).
+KEYWORD_FORMS = [
+    ("Type", Parser.kind, KType, "Type"),
+    ("Session", Parser.kind, KSession, "Session"),
+    ("State", Parser.kind, KState, "State"),
+    ("Shape", Parser.kind, KShape, "Shape"),
+    ("End", Parser.type_, TEnd, "End"),
+    ("Unit", Parser.type_, TUnit, "Unit"),
+    ("Int", Parser.type_, TUnit, "Unit"),
+    ("dual a", Parser.type_, TDual, "dual a"),
+    ("Chan a", Parser.type_, TChan, "Chan a"),
+    ("fork x", Parser.expr, EFork, "fork x"),
+    ("accept x", Parser.expr, EAccept, "accept x"),
+    ("request x", Parser.expr, ERequest, "request x"),
+    ("recv x", Parser.expr, ERecv, "recv x"),
+    ("close x", Parser.expr, EClose, "close x"),
+    ("new End", Parser.expr, ENew, "new End"),
+    ("send x y", Parser.expr, ESend, "send x y"),
+    ("select 1 x", Parser.expr, ESelect, "select 1 x"),
+    ("case x {(); ()}", Parser.expr, ECase, "case x {(); ()}"),
+]
+
+
+@pytest.mark.parametrize("src, rule, cls, printed", KEYWORD_FORMS, ids=[f[0] for f in KEYWORD_FORMS])
+def test_keyword_form_round_trips(src, rule, cls, printed):
+    tree = Parser(src, open_world=True).whole(rule)
+    assert tree.__class__ is cls
+    assert pretty(tree) == printed
+
+
+def test_keyword_forms_cover_every_table_entry():
+    tables = [*KINDS.items(), *TYPE_WORDS.items(), *TYPE_PREFIXES.items()]
+    tables += [(kw, cls) for cls, kw in OPERATIONS.items()]
+    covered = {(src.split()[0], cls) for src, _, cls, printed in KEYWORD_FORMS if src == printed}
+    assert covered == set(tables)
 
 
 @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)

@@ -98,6 +98,26 @@ def test_classify_config_deadlock_two_blocked_receivers():
     assert len(out[1].blocked) == 2
 
 
+@pytest.mark.parametrize(
+    "src, operation, subject",
+    [
+        ("nuap p : End . <accept p>", "accept", "p"),
+        ("nuap p : End . <request p>", "request", "p"),
+        ("nu a b : !Int.End . (<send () (chan a)> | <()>)", "send", "a"),
+        ("nu a b : ?Int.End . (<recv (chan b)> | <()>)", "recv", "b"),
+        ("nu a b : End +c End . (<select 1 (chan a)> | <()>)", "select", "a"),
+        ("nu a b : End +b End . (<case (chan a) {(); ()}> | <()>)", "case", "a"),
+        ("nu a b : End . (<close (chan a)> | <()>)", "close", "a"),
+    ],
+)
+def test_deadlock_report_names_each_blocking_operation(src, operation, subject):
+    out = classify_config(config(src))
+    assert isinstance(out, tuple) and out[0] == "deadlock"
+    (site,) = out[1].blocked
+    assert (site.operation, site.subject) == (operation, subject)
+    assert str(out[1]) == f"{operation} on {subject}"
+
+
 def test_classify_config_reducible():
     assert classify_config(CProc(expr("let x = () in x"))) == "reducible"
 

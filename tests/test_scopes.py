@@ -4,6 +4,8 @@ free_vars, subst, canonicalize, the normalization key and normalize are
 compared with their reference versions in oracles.py on every tree the corpus reaches
 (parsed programs, their ANF, their typings, and each configuration the
 machine passes through for seeds 1-3) and on seeded binder-heavy trees.
+The existential matcher is compared with its reference in match_ref.py on
+seeded types.
 """
 
 from __future__ import annotations
@@ -13,14 +15,17 @@ import random
 
 import pytest
 from conftest import corpus_files
+from match_ref import match_ref
 from oracles import (
     _key_ref,
     alpha_oracle,
     canonicalize_ref,
     free_vars_ref,
+    mutate_type,
     node_fields,
     normalize_ref,
     random_binder_tree,
+    random_type,
     subst_ref,
 )
 
@@ -31,8 +36,12 @@ from pvgr.ast import (
     BTVar,
     BVal,
     CProc,
+    DomMerge,
+    DomProj,
+    DomZero,
     EVal,
     Kind,
+    Label,
     Name,
     Node,
     ShOne,
@@ -57,7 +66,7 @@ from pvgr.ast import (
 from pvgr.normalize import _key, normalize
 from pvgr.parser import parse_program, parse_type
 from pvgr.runtime import Machine
-from pvgr.typing import TypecheckError, type_config, type_expr
+from pvgr.typing import TypecheckError, _match, type_config, type_expr
 
 EMPTY = parse_type(".")
 
@@ -220,6 +229,29 @@ def test_normalize_agrees_with_reference(source):
             assert alpha_oracle(new, old)
             # diagnostics print spans, and normal forms keep only the leaves'
             assert [x.span for x in _subtrees(new)] == [x.span for x in _subtrees(old)]
+
+
+def test_match_agrees_with_reference():
+    # a pattern over two pattern variables and a free name, matched against
+    # an instance (every binder renamed by subst), a conversion-preserving
+    # mutation of it, and an unrelated type
+    rng = random.Random(1017)
+    matched = 0
+    for _ in range(600):
+        pv = [fresh_name("p"), fresh_name("p")]
+        other = fresh_name("f")
+        pat = normalize(random_type(rng, rng.randrange(1, 14), pv + [other]))
+        doms = [TVar(fresh_name("d")), DomZero(), DomProj(Label.L1, TVar(other))]
+        doms.append(DomMerge(TVar(other), DomZero()))
+        inst = subst({p.uid: rng.choice(doms) for p in pv}, pat)
+        for act in (inst, normalize(mutate_type(rng, inst)), random_type(rng, 6, [other])):
+            pvars = {p.uid for p in pv}
+            parts, ref_parts = {}, {}
+            got = _match(pat, act, pvars, {}, parts)
+            assert got == match_ref(pat, act, pvars, {}, ref_parts)
+            assert parts == ref_parts
+            matched += got
+    assert matched > 600
 
 
 def _node_classes(cls=Node) -> list[type]:
