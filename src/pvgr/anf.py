@@ -6,10 +6,10 @@ every let body is a let or a value, and the same holds in every case
 branch and lambda body. The checker requires strict ANF
 (`typing.type_expr`), and the CLI puts expression programs into it with
 `anf_transform`: the parser accepts nested let heads, and `v [T] [T']`
-chains desugar into lets. The interpreter requires flat processes:
-`runtime.Machine` flattens its starting configuration once, and each step
-keeps it flat: substituting values keeps a spine flat, new heads go in
-through `let_in`, and an applied lambda body is flattened.
+chains desugar into lets. The interpreter's processes read back flat:
+`runtime` runs a head that is a let, an applied lambda body and a chosen
+case branch each in a frame of its own, and reads each frame's spine back
+in front of the let below it with `let_in`.
 
 Each function loops along a spine, recursing only into heads, case
 branches and lambda bodies, so a long spine needs no deep recursion.

@@ -1,8 +1,9 @@
 """Command-line interface: check, run, and corpus verification.
 
 Exit codes: check 0 ok / 1 type error / 2 parse error, unreadable file
-(`error[io]`) or bad setting (`error[usage]`, such as a `PVGR_MAX_STEPS`
-that is not an integer); run additionally 3 deadlock / 4 out of fuel;
+(`error[io]`) or bad setting (`error[usage]`, such as a `--max-steps` or
+`PVGR_MAX_STEPS` that is negative, or a `PVGR_MAX_STEPS` that is not an
+integer); run additionally 3 deadlock / 4 out of fuel;
 corpus 0 all ok (or no `.pvgr` file, with a warning) / 1 a file fails its
 sidecar / 2 a directory, program or sidecar that cannot be read
 (`error[io]`). Any other failure inside pvgr (a recursion limit hit on a
@@ -106,14 +107,19 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _fuel(args: argparse.Namespace) -> int:
     if args.max_steps is not None:
+        if args.max_steps < 0:
+            raise CliError("usage", f"--max-steps must not be negative, got {args.max_steps}")
         return args.max_steps
     setting = os.environ.get("PVGR_MAX_STEPS")
     if setting is None:
         return DEFAULT_FUEL
     try:
-        return int(setting)
+        fuel = int(setting)
     except ValueError:
         raise CliError("usage", f"PVGR_MAX_STEPS must be an integer, got {setting!r}") from None
+    if fuel < 0:
+        raise CliError("usage", f"PVGR_MAX_STEPS must not be negative, got {setting!r}")
+    return fuel
 
 
 def cmd_run(args: argparse.Namespace) -> int:

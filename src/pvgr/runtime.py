@@ -1,6 +1,6 @@
-"""Operational semantics: expression reduction, congruence-based redex
-search over configurations, a deterministic scheduler, and the final /
-deadlock classifiers.
+"""Operational semantics: expression reduction, the redex search over
+configurations, a deterministic scheduler, and the final / deadlock
+classifiers.
 
 The redex search flattens each binder scope into its parallel processes
 (associativity/commutativity/unit of parallel composition), treats the two
@@ -8,26 +8,46 @@ channel ends symmetrically (channel-name swap), and inserts new binders
 directly under the governing one (scope extrusion); this is exactly the
 congruence closure the reduction rules assume.
 
-A step costs one search, in the manner of the Chemical Abstract Machine
-(Berry & Boudol, TCS 1992):
+The machine is an environment machine, in the manner of the CEK machine
+(Felleisen & Friedman 1986), over a live tree of the configuration, so that
+a step costs what it touches (Accattoli & Barras, PPDP 2017):
 
-- One walk over an explicit stack yields the configuration's processes and
-  binders, depth-first and left-first (a binder before its body). The
-  search, the finality test and `iter_procs` all read it. `replace_at` and
-  `_flatten_procs` are loops as well, so a soup of thousands of processes
-  needs no deep Python stack.
-- The evaluation hole of each process is keyed once: a `request` or
-  `accept` by the uid of its access point, and a `send`, `recv`, `select`,
-  `case` or `close` by the channel end that its domain normalizes to, when
-  that is a variable. Each binder reads the holes of its access point, or
-  of its two ends, from that index and keeps those in its scope, so
-  matching a communication redex tests no conversion.
-- A candidate is data: its rule, the path of its governing binder, and the
-  path and expression of each participating process. `Candidate.apply`
-  reads each site's operation back with `split_eval`, and so the rule's
-  payload: it rewrites one process in place for CR-Expr, CR-Fork and
-  CR-New, and rebuilds the binder's body by one rendezvous for the four
-  communication rules. `step_expr` runs only inside an applied CR-Expr.
+- A process is a stack of frames. A frame is a cursor into a let-spine
+  together with an environment that maps each variable the spine has bound
+  to its value closure, or to its type. A `let x = v` step, a beta or type
+  application, and a resolved `let [c]` each add one binding; nothing is
+  substituted into the rest of the spine. A head that is itself a let, an
+  applied lambda body and a chosen case branch each run in a frame pushed
+  above the let that waits for their value, which is how a flat spine
+  looks when read as a stack. Each environment belongs to one run of a
+  spine or of one application, and binders are unique, so no binding is
+  ever overwritten and a closure can share its environment.
+- The configuration is a `Soup`: binder, parallel and process cells, linked
+  to their parents and kept in walk order (depth-first, left-first, a
+  binder before its body) by an order-maintenance list. A step rewrites
+  the cells it touches: a fork puts a parallel cell where its process was,
+  `new` a binder cell, and a request/accept rendezvous a channel cell
+  directly under the access point.
+- The hole index is kept across steps. The evaluation hole of each process
+  is keyed once: a `request` or `accept` by the uid of its access point,
+  and a `send`, `recv`, `select`, `case` or `close` by the channel end
+  that its domain normalizes to, when that is a variable. It is filed in
+  walk order under the binder of that name whose scope holds it, and only
+  the processes a step changed are re-keyed. Binders with holes that could
+  meet are kept in walk order too, so the candidates come out in the
+  order of a walk over the whole configuration, and the seeded scheduler
+  picks the same redex as one would.
+- A candidate is data: its rule, its binder cell (None for CR-Expr,
+  CR-Fork and CR-New) and its process cells, in trace order.
+- `Machine.config`, the configuration of a terminal `StepOutcome`, and
+  the report of `classify_config` are read back from the cells on demand,
+  by substituting each frame's environment into its spine (binders
+  freshened) and lifting each frame's spine in front of the let below it:
+  the flat processes, and the `CPar`/binder shape, of a machine that
+  substitutes. `find_candidates`, `classify_config`, `is_final`,
+  `classify_expr`, `step_expr`, `split_eval` and `Candidate.apply` on
+  plain configurations and expressions build cells, run the same code and
+  read back.
 - `Machine.step` searches once per step. A configuration with a candidate
   is reducible, so `classify_config` runs only when the search is empty.
 """
@@ -35,9 +55,10 @@ A step costs one search, in the manner of the Chemical Abstract Machine
 from __future__ import annotations
 
 import random
+from bisect import insort
 from typing import Callable, Iterator, NamedTuple
 
-from .anf import flatten_lets, let_in
+from .anf import let_in
 from .ast import (
     Config,
     CNuAccess,
@@ -62,7 +83,7 @@ from .ast import (
     EVal,
     Expr,
     Label,
-    Name,
+    Span,
     TEnd,
     TRecv,
     TSend,
@@ -77,9 +98,9 @@ from .ast import (
     VUnit,
     VVar,
     Value,
+    free_vars,
     fresh_name,
-    replace,
-    subst1,
+    subst,
 )
 from .normalize import normalize
 from .parser import OPERATIONS
@@ -89,100 +110,315 @@ Path = tuple[str, ...]  # 'left' | 'right' | 'body' steps from the root
 
 
 # ---------------------------------------------------------------------------
-# expression reduction (single evaluation context: the let-header hole)
+# environments
 # ---------------------------------------------------------------------------
 
 
-def _value_domains(v: Value) -> Type | None:
+class _Env:
+    """The bindings of one run of a spine or of one application: uid -> a
+    value closure `(value, env)` or a type; `up` is the scope it extends."""
+
+    __slots__ = ("vars", "up")
+
+    def __init__(self, vars: dict, up: _Env | None) -> None:
+        self.vars, self.up = vars, up
+
+
+Closure = tuple[Value, "_Env | None"]
+
+
+def _lookup(env: _Env | None, uid: int):
+    while env is not None:
+        hit = env.vars.get(uid)
+        if hit is not None:
+            return hit
+        env = env.up
+    return None
+
+
+def _whnf(v: Value, env: _Env | None) -> Closure:
+    """v under env, a bound variable replaced by its closure (whose value is
+    never a bound variable)."""
+    if v.__class__ is VVar:
+        hit = _lookup(env, v.name.uid)
+        if hit is not None:
+            return hit
+    return v, env
+
+
+def _read(t, env: _Env | None):
+    """t with every variable env binds replaced by its value or type, read
+    back by substitution; t itself under an empty scope."""
+    if env is None or (not env.vars and env.up is None):
+        return t
+    s = {}
+    for name in free_vars(t):
+        hit = _lookup(env, name.uid)
+        if hit is not None:
+            s[name.uid] = _read(*hit) if hit.__class__ is tuple else hit
+    return subst(s, t)
+
+
+def _type(t: Type, env: _Env | None) -> Type:
+    if t.__class__ is TVar:
+        hit = _lookup(env, t.name.uid)
+        return t if hit is None else hit
+    return _read(t, env)
+
+
+def _value_domains(v: Value, env: _Env | None = None) -> Type | None:
     """The domain aggregate a value's channels form, read off structurally."""
+    v, env = _whnf(v, env)
     match v:
         case VChan(d):
-            return d
+            return _type(d, env)
         case VUnit():
             return DomZero()
         case VPair(l, r):
-            dl, dr = _value_domains(l), _value_domains(r)
+            dl, dr = _value_domains(l, env), _value_domains(r, env)
             if dl is not None and dr is not None:
                 return DomMerge(dl, dr)
-            return None
-        case _:
-            return None
+    return None
 
 
-def _resolve_exnames(e: ELet) -> ELet:
-    """Discharge `let [c] x = v in body` by instantiating the named
-    existential with the value's concrete domain (single-name form only)."""
-    if len(e.exnames) == 1:
-        d = _value_domains(e.head.value)
-        if d is not None:
-            return ELet(e.binder, e.head, subst1(e.exnames[0], d, e.body), span=e.span)
+# ---------------------------------------------------------------------------
+# processes: frames over let-spines
+# ---------------------------------------------------------------------------
+
+
+class _Frame:
+    """A cursor `expr` into a spine under `env`. A let whose head has been
+    replaced by a value holds it as the EVal `head` under `henv`; `exnames`
+    are the let's existential names not yet resolved."""
+
+    __slots__ = ("expr", "env", "head", "henv", "exnames")
+
+    def __init__(self, expr: Expr, env: _Env | None) -> None:
+        self.expr, self.env, self.head, self.henv = expr, env, None, None
+        self.exnames = expr.exnames if expr.__class__ is ELet else ()
+
+
+class _Mark:
+    """A position in the walk order: `label` grows along it."""
+
+    __slots__ = ("label", "prev", "next")
+
+
+class _Proc(_Mark):
+    """A process cell: its frames (the top last), its parent cell, its span
+    (None once it has stepped), and the hole index lists it is filed in. It
+    starts as expr under env, by default an empty scope of its own."""
+
+    __slots__ = ("frames", "parent", "span", "key", "lists")
+
+    def __init__(self, expr: Expr, env: _Env | None = None, parent=None, span: Span | None = None) -> None:
+        self.frames = [_Frame(expr, env or _Env({}, None))]
+        self.parent, self.span, self.key, self.lists = parent, span, None, []
+        _settle(self)
+
+
+class _Par:
+    __slots__ = ("parent", "left", "right", "span")
+
+    def __init__(self, parent, left, right, span: Span | None = None) -> None:
+        self.parent, self.left, self.right, self.span = parent, left, right, span
+
+
+# the hole lists of each binder kind, by the operation at the hole
+_OPS = {CNuAccess: (ERequest, EAccept), CNuChan: (ESend, ERecv, ESelect, ECase, EClose)}
+
+
+class _Nu(_Mark):
+    """A binder cell: `names` is (access point,) or (end1, end2), `close`
+    marks the end of its scope in the walk order, and `holes` files the
+    holes keyed by its names that lie in that scope, in walk order.
+    `normal` tells that `ses` is in normal form."""
+
+    __slots__ = ("kind", "names", "ses", "normal", "body", "closed", "parent", "span", "close", "holes", "active")
+
+    def __init__(self, kind: type, names, ses: Type, body, parent, closed=False, span=None) -> None:
+        self.kind, self.names, self.ses, self.body, self.closed = kind, names, ses, body, closed
+        self.parent, self.span, self.close, self.active, self.normal = parent, span, _Mark(), False, False
+        self.holes = {op: [] for op in _OPS[kind]}
+
+
+def _settle(p: _Proc) -> None:
+    """Bring p's hole to its top frame: a head that is a let runs in a frame
+    of its own, and a value at the top hands itself to the let below."""
+    frames = p.frames
+    while True:
+        f = frames[-1]
+        e = f.expr
+        if e.__class__ is ELet:
+            if f.head is None and e.head.__class__ is ELet:
+                frames.append(_Frame(e.head, f.env))
+                continue
+        elif e.__class__ is EVal and len(frames) > 1:
+            frames.pop()
+            below = frames[-1]
+            below.head, below.henv = e, f.env
+        return
+
+
+def _hole(p: _Proc) -> tuple[Expr, _Env | None]:
+    """The operation at p's evaluation hole and its environment."""
+    f = p.frames[-1]
+    e = f.expr
+    if e.__class__ is not ELet:
+        return e, f.env
+    if f.head is not None:
+        return f.head, f.henv
+    return e.head, f.env
+
+
+# the operand field of each operation that needs one in a given form, and
+# that form: a lambda to apply or fork, a pair, a type abstraction, a channel
+_OPERAND = {
+    EApp: ("fn", VAbs),
+    EProj: ("value", VPair),
+    ETApp: ("value", VTAbs),
+    EFork: ("value", VAbs),
+    ESend: ("chan", VChan),
+    ERecv: ("value", VChan),
+    ESelect: ("value", VChan),
+    ECase: ("value", VChan),
+    EClose: ("value", VChan),
+}
+_BETA = (EApp, EProj, ETApp)
+
+
+def _operand(op: Expr, env: _Env | None) -> Closure | None:
+    """op's operand under env, when it has the form op needs."""
+    need = _OPERAND.get(op.__class__)
+    if need is not None:
+        v = _whnf(getattr(op, need[0]), env)
+        if v[0].__class__ is need[1]:
+            return v
+    return None
+
+
+def _reduces(p: _Proc) -> bool:
+    """Whether p has a CR-Expr redex."""
+    f = p.frames[-1]
+    e = f.expr
+    if e.__class__ is ELet and (f.head is not None or e.head.__class__ is EVal):
+        return True
+    op, env = _hole(p)
+    return op.__class__ in _BETA and _operand(op, env) is not None
+
+
+def _step(p: _Proc) -> None:
+    """p after its CR-Expr step: bind the value at a let head, or reduce the
+    application, projection or type application at its hole."""
+    frames = p.frames
+    f = frames[-1]
+    e = f.expr
+    if e.__class__ is ELet and (f.head is not None or e.head.__class__ is EVal):
+        head, henv = (f.head, f.henv) if f.head is not None else (e.head, f.env)
+        val = _whnf(head.value, henv)
+        if len(f.exnames) == 1:
+            d = _value_domains(*val)
+            if d is not None:
+                f.env.vars[f.exnames[0].uid] = d
+        f.env.vars[e.binder.uid] = val
+        frames[-1] = _Frame(e.body, f.env)
+    else:
+        op, env = _hole(p)
+        v, venv = _operand(op, env)
+        if op.__class__ is EApp:
+            new = _Frame(v.body, _Env({v.binder.uid: _whnf(op.arg, env)}, venv))
+        elif op.__class__ is EProj:
+            new = _Frame(EVal(v.left if op.label is Label.L1 else v.right), venv)
+        else:
+            new = _Frame(EVal(v.body), _Env({v.binder.uid: _type(op.type, env)}, venv))
+        if e.__class__ is ELet:
+            frames.append(new)
+        else:
+            frames[-1] = new
+    _settle(p)
+
+
+def _plug(p: _Proc, h: Expr, env: _Env | None) -> None:
+    """p with its hole replaced by h under env, as a communication rule
+    does: a value at a `let [c]` head resolves c to the value's domain."""
+    frames = p.frames
+    if frames[-1].expr.__class__ is not ELet and len(frames) > 1:
+        frames.pop()  # the hole ends its spine: its value heads the let below
+    f = frames[-1]
+    if f.expr.__class__ is not ELet:
+        frames[-1] = _Frame(h, env)
+    elif h.__class__ is EVal:
+        f.head, f.henv = h, env
+        if len(f.exnames) == 1:
+            d = _value_domains(h.value, env)
+            if d is not None:
+                f.env.vars[f.exnames[0].uid] = d
+                f.exnames = ()
+    else:
+        frames.append(_Frame(h, env))
+    _settle(p)
+
+
+def _read_proc(p: _Proc) -> Expr:
+    """p's expression, read back: each frame's spine lifted in front of the
+    let below it."""
+    e = None
+    for f in reversed(p.frames):
+        x = f.expr
+        if x.__class__ is not ELet or (f.head is None and e is None):
+            e = _read(x, f.env)
+            continue
+        head = _read(f.head, f.henv) if f.head is not None else e
+        let = _read(ELet(x.binder, _UNIT, x.body, exnames=f.exnames, span=x.span), f.env)
+        e = let_in(let.binder, head, let.body, let.exnames, let.span)
     return e
+
+
+def _status(p: _Proc) -> str:
+    """'value' | 'comm' | 'reducible' (total; unspecified on ill-typed input)."""
+    if p.frames[-1].expr.__class__ is EVal:
+        return "value"
+    if _reduces(p):
+        return "reducible"
+    op, env = _hole(p)
+    if op.__class__ in (ENew, EAccept, ERequest) or (op.__class__ not in _BETA and _operand(op, env)):
+        return "comm"
+    return "reducible"
+
+
+# ---------------------------------------------------------------------------
+# expressions, through a process cell
+# ---------------------------------------------------------------------------
 
 
 def step_expr(e: Expr) -> Expr | None:
     """One expression-level step, or None when no redex exists. The result
     of a flat expression is flat (see pvgr.anf)."""
-    match e:
-        case ELet(_, EVal(v), _):
-            e = _resolve_exnames(e)
-            return subst1(e.binder, v, e.body)
-        case ELet(binder, head, body):
-            h = step_expr(head)
-            if h is None:
-                return None
-            return let_in(binder, h, body, e.exnames, e.span)
-        case EApp(VAbs(_, binder, _, fbody), arg):
-            return flatten_lets(subst1(binder, arg, fbody))
-        case EProj(lab, VPair(l, r)):
-            return EVal(l if lab is Label.L1 else r)
-        case ETApp(VTAbs(binder, _, _, vbody), ty):
-            return EVal(subst1(binder, ty, vbody))
-        case _:
-            return None
+    p = _Proc(e)
+    if not _reduces(p):
+        return None
+    _step(p)
+    return _read_proc(p)
 
 
 def classify_expr(e: Expr) -> str:
     """'value' | 'comm' | 'reducible' (total; unspecified on ill-typed input)."""
-    if isinstance(e, EVal):
-        return "value"
-    if _is_comm(e):
-        return "comm"
-    return "reducible"
-
-
-def _is_comm(e: Expr) -> bool:
-    match e:
-        case EFork(VAbs()):
-            return True
-        case ENew(_) | EAccept(_) | ERequest(_):
-            return True
-        case ESend(_, VChan(_)) | ERecv(VChan(_)) | ESelect(_, VChan(_)) | EClose(VChan(_)):
-            return True
-        case ECase(VChan(_), _, _):
-            return True
-        case ELet(_, head, _):
-            return _is_comm(head)
-        case _:
-            return False
+    return _status(_Proc(e))
 
 
 def split_eval(e: Expr) -> tuple[Expr, Callable[[Expr], Expr]] | None:
     """The header redex position of a flat e and its plug function, which
     keeps e flat; None for values."""
-    match e:
-        case EVal(_):
-            return None
-        case ELet(binder, head, body):
+    p = _Proc(e)
+    if _status(p) == "value":
+        return None
 
-            def plug(h: Expr, e=e) -> Expr:
-                if isinstance(h, EVal):
-                    let = ELet(e.binder, h, e.body, exnames=e.exnames, span=e.span)
-                    return _resolve_exnames(let)
-                return let_in(e.binder, h, e.body, e.exnames, e.span)
+    def plug(h: Expr) -> Expr:
+        q = _Proc(e)
+        _plug(q, h, None)
+        return _read_proc(q)
 
-            return head, plug
-        case _:
-            return e, flatten_lets
+    return _read(*_hole(p)), plug
 
 
 # ---------------------------------------------------------------------------
@@ -190,42 +426,19 @@ def split_eval(e: Expr) -> tuple[Expr, Callable[[Expr], Expr]] | None:
 # ---------------------------------------------------------------------------
 
 
-def _walk(cfg: Config, path: Path = ()) -> Iterator[tuple[Path, Config]]:
-    """Every process and binder of cfg with its path, depth-first and
-    left-first (a binder before its body), from one loop over an explicit
-    stack."""
+def iter_procs(cfg: Config, path: Path = ()) -> Iterator[tuple[Path, Expr]]:
+    """Every process of cfg with its path, depth-first and left-first, from
+    one loop over an explicit stack."""
     stack = [(path, cfg)]
     while stack:
         path, c = stack.pop()
         if isinstance(c, CPar):
             stack.append((path + ("right",), c.right))
             stack.append((path + ("left",), c.left))
+        elif isinstance(c, CProc):
+            yield path, c.expr
         else:
-            yield path, c
-            if isinstance(c, (CNuChan, CNuAccess)):
-                stack.append((path + ("body",), c.body))
-
-
-def iter_procs(cfg: Config, path: Path = ()) -> Iterator[tuple[Path, Expr]]:
-    return ((p, c.expr) for p, c in _walk(cfg, path) if isinstance(c, CProc))
-
-
-def get_at(cfg: Config, path: Path) -> Config:
-    for step in path:
-        cfg = getattr(cfg, step)
-    return cfg
-
-
-def replace_at(cfg: Config, path: Path, new: Config) -> Config:
-    """cfg with the node at path replaced by new, rebuilt in two loops along
-    the path."""
-    spine = []
-    for step in path:
-        spine.append(cfg)
-        cfg = getattr(cfg, step)
-    for node, step in zip(reversed(spine), reversed(path)):
-        new = replace(node, **{step: new})
-    return new
+            stack.append((path + ("body",), c.body))
 
 
 # ---------------------------------------------------------------------------
@@ -234,167 +447,360 @@ def replace_at(cfg: Config, path: Path, new: Config) -> Config:
 
 # the reduction rules, in the order the scheduler is offered their candidates
 RULES = ("CR-Expr", "CR-Fork", "CR-New", "CR-RequestAccept", "CR-SendRecv", "CR-SelectCase", "CR-Close")
+_ALONE = RULES[:3]
 
-# per binder kind, each communication rule and the operations of its two sites
-_PAIRS = {
-    CNuAccess: (("CR-RequestAccept", ERequest, EAccept),),
-    CNuChan: (
-        ("CR-SendRecv", ESend, ERecv),
-        ("CR-SelectCase", ESelect, ECase),
-        ("CR-Close", EClose, EClose),
-    ),
-}
-
-Site = tuple[Path, Expr]  # a participating process: its path and expression
+# each communication rule, its binder kind and the operations of its two sites
+_PAIRS = (
+    ("CR-RequestAccept", CNuAccess, ERequest, EAccept),
+    ("CR-SendRecv", CNuChan, ESend, ERecv),
+    ("CR-SelectCase", CNuChan, ESelect, ECase),
+    ("CR-Close", CNuChan, EClose, EClose),
+)
 
 
 class Candidate(NamedTuple):
-    """A redex as data: its rule, the path of its governing binder (None for
+    """A redex as data: its rule, its governing binder cell (None for
     CR-Expr, CR-Fork and CR-New, which rewrite one process in place), and
-    each participating process, in trace order."""
+    each participating process cell, in trace order."""
 
     rule: str
-    binder: Path | None
-    sites: tuple[Site, ...]
+    binder: _Nu | None
+    sites: tuple[_Proc, ...]
 
     def describe(self) -> str:
-        """The trace text: the operation at each site's hole."""
-        return " | ".join(pretty(split_eval(e)[0]) for _, e in self.sites)
+        """The trace text: the operation at each site's hole (read before
+        the candidate is applied)."""
+        return " | ".join(pretty(_read(*_hole(p))) for p in self.sites)
 
     def apply(self, cfg: Config) -> Config:
-        if self.binder is None:
-            ((path, e),) = self.sites
-            return replace_at(cfg, path, _step_alone(self.rule, e))
-        return replace_at(cfg, self.binder, _rendezvous(self, get_at(cfg, self.binder)))
+        """cfg after this candidate, found on cfg itself, has stepped."""
+        soup = Soup(cfg)
+        cells = soup.cells()
+        at = {id(c): k for k, c in enumerate(_order(self.sites[0]))}
+        move = lambda c: None if c is None else cells[at[id(c)]]  # noqa: E731
+        soup.apply(Candidate(self.rule, move(self.binder), tuple(move(p) for p in self.sites)))
+        return soup.config()
 
 
-def _step_alone(rule: str, e: Expr) -> Config:
-    """The process e after its CR-Expr, CR-Fork or CR-New step."""
-    if rule == "CR-Expr":
-        return CProc(step_expr(e))
-    op, plug = split_eval(e)
-    if rule == "CR-Fork":
-        return CPar(CProc(plug(EVal(VUnit()))), CProc(EApp(op.value, VUnit())))
-    ap = fresh_name("p")
-    return CNuAccess(ap, op.ses, CProc(plug(EVal(VVar(ap)))))
+def _order(cell: _Mark) -> list[_Mark]:
+    """The walk order of the soup cell belongs to, from its first mark."""
+    while cell.prev is not None:
+        cell = cell.prev
+    out = []
+    while cell is not None:
+        out.append(cell)
+        cell = cell.next
+    return out
 
 
-def _rendezvous(c: Candidate, nu: Config) -> Config:
-    """The binder nu after its candidate's two sites meet in its body. A
-    request gets the second of two fresh ends and its accept the first; a
-    receive gets the payload, a case its chosen branch, and every other site
-    unit."""
-    n = len(c.binder) + 1
-    first, second = c.sites
-    op, other = split_eval(first[1])[0], split_eval(second[1])[0]
-    if isinstance(op, ERequest):
-        c1, c2 = fresh_name("c"), fresh_name("c")
-        body = _fill(nu.body, n, second, EVal(VChan(TVar(c1))))  # the accept side first
-        body = _fill(body, n, first, EVal(VChan(TVar(c2))))
-        return replace(nu, body=CNuChan(c1, c2, nu.ses, body))
-    match op:
-        case ESend(payload, _):
-            got = EVal(payload)
-        case ESelect(lab, _):
-            got = other.left if lab is Label.L1 else other.right
-        case _:
-            got = EVal(VUnit())
-    body = _fill(_fill(nu.body, n, first, EVal(VUnit())), n, second, got)
-    if isinstance(op, EClose):
-        return replace(nu, closed=True, body=body)
-    return replace(nu, ses=_session_after(nu.ses, op), body=body)
+def _label(m: _Mark) -> int:
+    return m.label
 
 
-def _fill(body: Config, n: int, site: Site, h: Expr) -> Config:
-    """body with the hole of the process at site (a path n steps below
-    body's root) plugged with h."""
-    path, e = site
-    return replace_at(body, path[n:], CProc(split_eval(e)[1](h)))
+_GAP = 1 << 32  # the label distance between neighbours after a relabelling
 
 
-def _session_after(ses: Type, op: Expr) -> Type:
-    """A channel's session after a send, or after a select of a branch; ses
-    itself when its normal form does not allow op (off the well-typed
-    fragment)."""
-    h = normalize(ses)
+class Soup:
+    """A configuration as live cells, with its hole index kept across steps."""
+
+    def __init__(self, cfg: Config) -> None:
+        self.first, self.last = _Mark(), _Mark()
+        self.first.prev = self.last.next = None
+        self.first.next, self.last.prev = self.last, self.first
+        self.binders: dict[int, list[_Nu]] = {}  # name uid -> binder cells
+        self.singles: dict[str, list[_Proc]] = {rule: [] for rule in _ALONE}
+        self.active: list[_Nu] = []  # binders whose holes may meet, in walk order
+        self._build(cfg)
+        self._relabel()
+        for p in self.procs():
+            self._key(p)
+
+    # -- cells and order -------------------------------------------------------
+
+    def _build(self, cfg: Config) -> None:
+        """Make the cells of cfg in walk order, from an explicit stack."""
+        stack: list = [(cfg, None, None)]  # node, parent cell, its field
+        while stack:
+            c, parent, field = stack.pop()
+            if c.__class__ is _Mark:  # the end of a binder's scope
+                self._link(c, self.last)
+                continue
+            if isinstance(c, CProc):
+                cell = _Proc(c.expr, parent=parent, span=c.span)
+                self._link(cell, self.last)
+            elif isinstance(c, CPar):
+                cell = _Par(parent, None, None, c.span)
+                stack += ((c.right, cell, "right"), (c.left, cell, "left"))
+            else:
+                if isinstance(c, CNuChan):
+                    cell = _Nu(CNuChan, (c.end1, c.end2), c.ses, None, parent, c.closed, c.span)
+                else:
+                    cell = _Nu(CNuAccess, (c.binder,), c.ses, None, parent, span=c.span)
+                self._link(cell, self.last)
+                self._bind(cell)
+                stack += ((cell.close, None, None), (c.body, cell, "body"))
+            if parent is None:
+                self.root = cell
+            else:
+                setattr(parent, field, cell)
+
+    def _link(self, m: _Mark, before: _Mark) -> None:
+        m.prev, m.next = before.prev, before
+        before.prev.next = m
+        before.prev = m
+
+    def _insert(self, m: _Mark, before: _Mark) -> None:
+        """Put m into the walk order just before `before`, labelled between
+        its neighbours; everything is relabelled when they are adjacent."""
+        if before.label - before.prev.label < 2:
+            self._relabel()
+        m.label = (before.prev.label + before.label) // 2
+        self._link(m, before)
+
+    def _relabel(self) -> None:
+        m, k = self.first, 0
+        while m is not None:
+            m.label = k
+            m, k = m.next, k + _GAP
+
+    def _bind(self, nu: _Nu) -> None:
+        for name in nu.names:
+            self.binders.setdefault(name.uid, []).append(nu)
+
+    def _put(self, cell, new) -> None:
+        """new in cell's place under cell's parent."""
+        parent = new.parent = cell.parent
+        if parent is None:
+            self.root = new
+        elif parent.__class__ is _Par:
+            if parent.left is cell:
+                parent.left = new
+            else:
+                parent.right = new
+        else:
+            parent.body = new
+        cell.parent = new
+
+    def cells(self) -> list[_Mark]:
+        return _order(self.first)
+
+    def procs(self) -> Iterator[_Proc]:
+        m = self.first.next
+        while m is not self.last:
+            if m.__class__ is _Proc:
+                yield m
+            m = m.next
+
+    # -- the hole index ----------------------------------------------------------
+
+    def _key(self, p: _Proc) -> None:
+        """File p's hole: under its rule, or under each binder of its name
+        whose scope holds p."""
+        if p.frames[-1].expr.__class__ is EVal:
+            return
+        if _reduces(p):
+            self._file(p, None, self.singles["CR-Expr"])
+            return
+        op, env = _hole(p)
+        cls = op.__class__
+        if cls is EFork or cls is ENew:
+            self._file(p, None, self.singles["CR-Fork" if cls is EFork else "CR-New"])
+            return
+        if cls is ERequest or cls is EAccept:
+            x = _whnf(op.value, env)[0]
+            if x.__class__ is not VVar:
+                return
+            key = x.name.uid
+        elif cls in _OPERAND:  # a channel operation, or an application that is stuck
+            ch = _operand(op, env)
+            if ch is None:
+                return
+            # conv(dom, TVar(end)) holds exactly when dom normalizes to TVar(end)
+            end = normalize(_type(ch[0].dom, ch[1]))
+            if end.__class__ is not TVar:
+                return
+            key = end.name.uid
+        else:
+            return
+        p.key = key
+        for nu in self.binders.get(key, ()):
+            holes = nu.holes.get(cls)
+            if holes is not None and nu.label < p.label < nu.close.label:
+                self._file(p, nu, holes)
+                self._touch(nu)
+
+    def _file(self, p: _Proc, nu: _Nu | None, holes: list[_Proc]) -> None:
+        insort(holes, p, key=_label)
+        p.lists.append((nu, holes))
+
+    def _rekey(self, p: _Proc) -> None:
+        lists, p.lists, p.key = p.lists, [], None
+        for nu, holes in lists:
+            holes.remove(p)
+            if nu is not None:
+                self._touch(nu)
+        self._key(p)
+
+    def _touch(self, nu: _Nu) -> None:
+        """Keep nu in the active list exactly while two of its holes may meet."""
+        h = nu.holes
+        if nu.closed:
+            live = False
+        elif nu.kind is CNuAccess:
+            live = bool(h[ERequest] and h[EAccept])
+        else:
+            live = bool((h[ESend] and h[ERecv]) or (h[ESelect] and h[ECase]) or len(h[EClose]) > 1)
+        if live != nu.active:
+            nu.active = live
+            if live:
+                insort(self.active, nu, key=_label)
+            else:
+                self.active.remove(nu)
+
+    def candidates(self) -> list[Candidate]:
+        out = [Candidate(rule, None, (p,)) for rule in _ALONE for p in self.singles[rule]]
+        # a channel's two sites must use its two different ends
+        for rule, kind, first, second in _PAIRS:
+            for nu in self.active:
+                if nu.kind is not kind:
+                    continue
+                seconds = nu.holes[second]
+                for k, s1 in enumerate(nu.holes[first]):
+                    for s2 in seconds[k + 1 :] if first is second else seconds:
+                        if kind is CNuAccess or s1.key != s2.key:
+                            out.append(Candidate(rule, nu, (s1, s2)))
+        return out
+
+    # -- steps -------------------------------------------------------------------
+
+    def apply(self, c: Candidate) -> None:
+        """Rewrite the cells c touches, then re-key its processes."""
+        if c.binder is not None:
+            self._rendezvous(c)
+            changed = c.sites
+        elif c.rule == "CR-Expr":
+            _step(c.sites[0])
+            changed = c.sites
+        elif c.rule == "CR-Fork":
+            changed = (c.sites[0], self._fork(c.sites[0]))
+        else:
+            self._new(c.sites[0])
+            changed = c.sites
+        for p in changed:
+            p.span = None
+            self._rekey(p)
+        if c.binder is not None:
+            self._touch(c.binder)
+
+    def _fork(self, p: _Proc) -> _Proc:
+        op, env = _hole(p)
+        child = _Proc(EApp(op.value, VUnit()), _Env({}, env))
+        _plug(p, _UNIT, None)
+        par = _Par(None, p, child)
+        self._put(p, par)
+        child.parent = par
+        self._insert(child, p.next)
+        return child
+
+    def _new(self, p: _Proc) -> None:
+        op, env = _hole(p)
+        ap = fresh_name("p")
+        nu = _Nu(CNuAccess, (ap,), _type(op.ses, env), p, None)
+        _plug(p, EVal(VVar(ap)), None)
+        self._put(p, nu)
+        self._insert(nu, p)
+        self._insert(nu.close, p.next)
+        self._bind(nu)
+
+    def _rendezvous(self, c: Candidate) -> None:
+        """The binder's two sites meet. A request gets the second of two
+        fresh ends and its accept the first; a receive gets the payload, a
+        case its chosen branch, and every other site unit."""
+        nu = c.binder
+        first, second = c.sites
+        op, env = _hole(first)
+        if op.__class__ is ERequest:
+            c1, c2 = fresh_name("c"), fresh_name("c")
+            chan = _Nu(CNuChan, (c1, c2), nu.ses, nu.body, nu)
+            nu.body.parent = chan
+            nu.body = chan
+            self._insert(chan, nu.next)
+            self._insert(chan.close, nu.close)
+            self._bind(chan)
+            _plug(second, EVal(VChan(TVar(c1))), None)
+            _plug(first, EVal(VChan(TVar(c2))), None)
+            return
+        if op.__class__ is ESend:
+            _plug(second, EVal(op.payload), env)
+        elif op.__class__ is ESelect:
+            other, oenv = _hole(second)
+            _plug(second, other.left if op.label is Label.L1 else other.right, oenv)
+        else:
+            _plug(second, _UNIT, None)
+        _plug(first, _UNIT, None)
+        if op.__class__ is EClose:
+            nu.closed = True
+            return
+        rest = _session_after(nu.ses if nu.normal else normalize(nu.ses), op)
+        if rest is not None:  # a part of a normal form, so normal itself
+            nu.ses, nu.normal = rest, True
+
+    # -- reading back --------------------------------------------------------------
+
+    def config(self) -> Config:
+        """The configuration the cells stand for, rebuilt bottom-up from an
+        explicit stack."""
+        stack: list = [(self.root, False)]
+        done: list[Config] = []  # rebuilt subtrees, the rightmost last
+        while stack:
+            c, children_done = stack.pop()
+            if c.__class__ is _Proc:
+                done.append(CProc(_read_proc(c), span=c.span))
+            elif not children_done:
+                stack.append((c, True))
+                if c.__class__ is _Par:
+                    stack += ((c.right, False), (c.left, False))
+                else:
+                    stack.append((c.body, False))
+            elif c.__class__ is _Par:
+                right = done.pop()
+                done.append(CPar(done.pop(), right, span=c.span))
+            elif c.kind is CNuChan:
+                done.append(CNuChan(*c.names, c.ses, done.pop(), c.closed, span=c.span))
+            else:
+                done.append(CNuAccess(*c.names, c.ses, done.pop(), span=c.span))
+        return done.pop()
+
+    def is_final(self) -> bool:
+        """Every process a value and every channel closed or at End."""
+        if any(p.frames[-1].expr.__class__ is not EVal for p in self.procs()):
+            return False
+        return all(
+            m.closed or isinstance(normalize(m.ses), TEnd)
+            for m in self.cells()
+            if m.__class__ is _Nu and m.kind is CNuChan
+        )
+
+
+_UNIT = EVal(VUnit())
+
+
+def _session_after(h: Type, op: Expr) -> Type | None:
+    """The rest of the normal session h after a send, or after a select of
+    a branch; None when h does not allow op (off the well-typed fragment)."""
     if isinstance(op, ESend) and isinstance(h, (TSend, TRecv)):
         return h.cont
     if isinstance(op, ESelect) and isinstance(h, (TChoice, TBranch)):
         return h.left if op.label is Label.L1 else h.right
-    return ses
+    return None
 
 
-def _reduces(e: Expr) -> bool:
-    """Whether `step_expr(e) is not None`, decided without building the step."""
-    while isinstance(e, ELet):
-        if isinstance(e.head, EVal):
-            return True
-        e = e.head
-    match e:
-        case EApp(VAbs()) | EProj(_, VPair()) | ETApp(VTAbs()):
-            return True
-    return False
+def _soup(cfg: Config | Soup) -> Soup:
+    return cfg if isinstance(cfg, Soup) else Soup(cfg)
 
 
-# a process's evaluation hole: its position in the walk, path, operation, expression
-Hole = tuple[int, Path, Expr, Expr]
-
-
-def find_candidates(cfg: Config) -> list[Candidate]:
-    found: dict[str, list[Candidate]] = {rule: [] for rule in RULES}
-    points: dict[int, list[Hole]] = {}  # access-point uid -> request/accept holes
-    ends: dict[Name, list[Hole]] = {}  # channel end -> send/recv/select/case/close holes
-    binders: list[tuple[Path, Config]] = []
-
-    # CR-Expr / CR-Fork / CR-New per process; every other hole is indexed
-    for i, (path, node) in enumerate(_walk(cfg)):
-        if not isinstance(node, CProc):
-            binders.append((path, node))
-            continue
-        e = node.expr
-        if isinstance(e, EVal):
-            continue
-        op = e.head if isinstance(e, ELet) else e  # split_eval(e)[0], with no plug built
-        if _reduces(e):
-            found["CR-Expr"].append(Candidate("CR-Expr", None, ((path, e),)))
-        match op:
-            case EFork() | ENew():
-                rule = "CR-Fork" if isinstance(op, EFork) else "CR-New"
-                found[rule].append(Candidate(rule, None, ((path, e),)))
-            case ERequest(VVar(x)) | EAccept(VVar(x)):
-                points.setdefault(x.uid, []).append((i, path, op, e))
-            case (
-                ESend(_, VChan(dom)) | ERecv(VChan(dom)) | ESelect(_, VChan(dom))
-                | ECase(VChan(dom), _, _) | EClose(VChan(dom))
-            ):
-                # conv(dom, TVar(end)) holds exactly when dom normalizes to TVar(end)
-                nd = normalize(dom)
-                if isinstance(nd, TVar):
-                    ends.setdefault(nd.name, []).append((i, path, op, e))
-
-    # communication rules per governing binder, over the holes in its scope;
-    # a channel's two sites must use its two different ends
-    for bpath, binder in binders:
-        if isinstance(binder, CNuAccess):
-            tagged = [(h, None) for h in points.get(binder.binder.uid, ())]
-        elif not binder.closed:  # both ends' holes, back in walk order
-            tagged = sorted((h, end) for end in (binder.end1, binder.end2) for h in ends.get(end, ()))
-        else:
-            continue
-        under = bpath + ("body",)
-        n = len(under)
-        by_op: dict[type, list[tuple[Name | None, Site]]] = {}
-        for (_, p, op, e), end in tagged:
-            if p[:n] == under:
-                by_op.setdefault(type(op), []).append((end, (p, e)))
-        for rule, first, second in _PAIRS[type(binder)]:
-            seconds = by_op.get(second, [])
-            for k, (end1, s1) in enumerate(by_op.get(first, ())):
-                for end2, s2 in seconds[k + 1 :] if first is second else seconds:
-                    if end1 is None or end1.uid != end2.uid:
-                        found[rule].append(Candidate(rule, bpath, (s1, s2)))
-
-    return [c for cands in found.values() for c in cands]
+def find_candidates(cfg: Config | Soup) -> list[Candidate]:
+    return _soup(cfg).candidates()
 
 
 # ---------------------------------------------------------------------------
@@ -418,49 +824,44 @@ class DeadlockReport(NamedTuple):
         return "; ".join(str(b) for b in self.blocked)
 
 
-def is_final(cfg: Config) -> bool:
-    """Every process a value and every channel closed or at End."""
-    chans = []
-    for _, c in _walk(cfg):
-        if isinstance(c, CProc):
-            if not isinstance(c.expr, EVal):
-                return False
-        elif isinstance(c, CNuChan):
-            chans.append(c)
-    return all(c.closed or isinstance(normalize(c.ses), TEnd) for c in chans)
+def is_final(cfg: Config | Soup) -> bool:
+    return _soup(cfg).is_final()
 
 
-def _blocked_site(path: Path, op: Expr) -> BlockedSite | None:
-    match op:
-        case (
-            EAccept(subject) | ERequest(subject) | ESend(_, VChan(subject)) | ERecv(VChan(subject))
-            | ESelect(_, VChan(subject)) | ECase(VChan(subject), _, _) | EClose(VChan(subject))
-        ):
-            return BlockedSite(path, OPERATIONS[op.__class__], pretty(subject))
-    return None
+def _path(cell) -> Path:
+    steps = []
+    while cell.parent is not None:
+        parent = cell.parent
+        steps.append(("left" if parent.left is cell else "right") if parent.__class__ is _Par else "body")
+        cell = parent
+    return tuple(reversed(steps))
 
 
-def classify_config(cfg: Config):
+def _blocked_site(p: _Proc) -> BlockedSite:
+    """The operation p is blocked on, and its channel end or access point."""
+    op = _read(*_hole(p))
+    subject = op.value if op.__class__ in (EAccept, ERequest) else _operand(op, None)[0].dom
+    return BlockedSite(_path(p), OPERATIONS[op.__class__], pretty(subject))
+
+
+def classify_config(cfg: Config | Soup):
     """'final' | ('deadlock', DeadlockReport) | 'reducible', per the paper's
     predicates: deadlocked iff every process is a value or blocked on a
     communication (not fork/new) and no matchable pair exists."""
-    if is_final(cfg):
+    soup = _soup(cfg)
+    if soup.is_final():
         return "final"
-    blocked: list[tuple[Path, Expr]] = []
-    for path, e in iter_procs(cfg):
-        cls = classify_expr(e)
+    blocked: list[_Proc] = []
+    for p in soup.procs():
+        cls = _status(p)
         if cls == "value":
             continue
-        if cls != "comm":
+        if cls != "comm" or isinstance(_hole(p)[0], (EFork, ENew)):
             return "reducible"
-        op = split_eval(e)[0]
-        if isinstance(op, (EFork, ENew)):
-            return "reducible"
-        blocked.append((path, op))
-    if any(c.rule != "CR-Expr" for c in find_candidates(cfg)):
+        blocked.append(p)
+    if any(c.rule != "CR-Expr" for c in find_candidates(soup)):
         return "reducible"
-    sites = (_blocked_site(path, op) for path, op in blocked)
-    return ("deadlock", DeadlockReport(tuple(site for site in sites if site is not None)))
+    return ("deadlock", DeadlockReport(tuple(_blocked_site(p) for p in blocked)))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +871,7 @@ def classify_config(cfg: Config):
 
 class StepOutcome(NamedTuple):
     kind: str  # 'stepped' | 'final' | 'deadlock' | 'out-of-fuel'
-    config: Config
+    config: Config | None  # read back for a terminal outcome; None after a step
     rule: str | None = None
     report: DeadlockReport | None = None
 
@@ -483,19 +884,24 @@ class Machine:
     def __init__(
         self, config: Config, max_steps: int = 100_000, seed: int = 0, trace: list[str] | None = None
     ) -> None:
-        self.config = _flatten_procs(config)
+        self.soup = Soup(config)
         self.max_steps = max_steps
         self.seed = seed
         self.steps = 0
         self.trace = trace
         self._rng = random.Random(seed)
 
+    @property
+    def config(self) -> Config:
+        """The current configuration, read back from the cells."""
+        return self.soup.config()
+
     def step(self) -> StepOutcome:
-        cands = find_candidates(self.config)
+        cands = find_candidates(self.soup)
         if not cands:
             # a configuration with a candidate is reducible, so only one
             # without any needs classifying
-            cls = classify_config(self.config)
+            cls = classify_config(self.soup)
             if cls == "final":
                 return StepOutcome("final", self.config)
             if isinstance(cls, tuple):
@@ -508,38 +914,14 @@ class Machine:
             return StepOutcome("deadlock", self.config, report=DeadlockReport(()))
         idx = 0 if self.seed == 0 else self._rng.randrange(len(cands))
         chosen = cands[idx]
-        self.config = chosen.apply(self.config)
         if self.trace is not None:
             self.trace.append(f"{self.steps}\t{chosen.rule}\t{chosen.describe()}")
+        self.soup.apply(chosen)
         self.steps += 1
-        return StepOutcome("stepped", self.config, rule=chosen.rule)
+        return StepOutcome("stepped", None, rule=chosen.rule)
 
     def run(self) -> StepOutcome:
         while True:
             out = self.step()
             if out.kind != "stepped":
                 return out
-
-
-def _flatten_procs(cfg: Config) -> Config:
-    """cfg with every process flat, the shape each step keeps (see pvgr.anf).
-    The tree is rebuilt bottom-up from an explicit stack, left before right,
-    each node with `replace` so that spans stay."""
-    stack: list[tuple[Config, bool]] = [(cfg, False)]
-    done: list[Config] = []  # rebuilt subtrees, the rightmost last
-    while stack:
-        c, children_done = stack.pop()
-        if isinstance(c, CProc):
-            done.append(replace(c, expr=flatten_lets(c.expr)))
-        elif not children_done:
-            stack.append((c, True))
-            if isinstance(c, CPar):
-                stack += ((c.right, False), (c.left, False))
-            else:
-                stack.append((c.body, False))
-        elif isinstance(c, CPar):
-            right = done.pop()
-            done.append(replace(c, left=done.pop(), right=right))
-        else:
-            done.append(replace(c, body=done.pop()))
-    return done.pop()

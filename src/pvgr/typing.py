@@ -188,9 +188,8 @@ def type_value(g: Ctx, v: Value) -> Type:
         case VPair(l, r):
             return TPair(type_value(g, l), type_value(g, r))
         case VAbs(pre, binder, argty, body):
-            npre, nargty = normalize(pre), normalize(argty)
-            _kind_check(g, npre, KState(), "T-Abs", v.span)
-            _kind_check(g, nargty, KType(), "T-Abs", v.span)
+            npre = _kind_check(g, pre, KState(), "T-Abs", v.span, normal=True)
+            nargty = _kind_check(g, argty, KType(), "T-Abs", v.span, normal=True)
             r = _type_expr(g + (BVal(binder, nargty),), _atoms_of(npre), body)
             arr = TArr(npre, nargty, r.exctx, r.post_state, r.ty)
             located(v.span, infer_kind, g, arr)
@@ -203,13 +202,19 @@ def type_value(g: Ctx, v: Value) -> Type:
     raise TypecheckError("T-Var", f"not a value: {v!r}", v.span)
 
 
-def _kind_check(g: Ctx, t: Type, want: Kind, rule: str, span: Span | None) -> None:
+def _kind_check(g: Ctx, t: Type, want: Kind, rule: str, span: Span | None, normal: bool = False) -> Type:
+    """t, of kind `want` under g. With `normal` it is returned normalized,
+    and a wrong kind is reported on its normal form: t is normalized only
+    once it is kinded, as normalizing an ill-kinded type need not end."""
     k = located(span or t.span, infer_kind, g, t)
+    if normal:
+        t = normalize(t)
     if not kind_equiv(k, want):
         raise TypecheckError(
             rule, f"{pretty(t)} has the wrong kind", span or t.span,
             expected=pretty(want), found=pretty(k),
         )
+    return t
 
 
 # ---------------------------------------------------------------------------

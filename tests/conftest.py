@@ -18,6 +18,16 @@ def corpus_files() -> list[Path]:
     return sorted(CORPUS.glob("*.pvgr"))
 
 
+def perfbench_gen():
+    """perfbench's generators of the chain, fan and hold programs."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 def rename_free(t: Tree, mapping: dict[int, Name]) -> Tree:
     """Rename free variable occurrences by uid, preserving their category."""
     from oracles import node_fields, replace_fields

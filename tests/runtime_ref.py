@@ -8,32 +8,41 @@ tests every hole against both ends of every binder with `conv`, builds
 every CR-Expr step up front and hands out each candidate as a pair of
 closures (its `Candidate`, `_PRIORITY` table and `replace_proc` are copied
 too), a classifier that searches on its own, and a `Machine.step` that
-searches a second time. Helpers that did not change are imported from
-`pvgr.runtime`. This module is kept apart from `oracles.py`,
-which perfbench loads to verify outputs.
+searches a second time. The expression steps, the classifier of one
+process, the paths into a configuration tree and the machine's state as
+such a tree are copied from the `pvgr.runtime` that substituted (before it
+became an environment machine over live cells), so nothing here runs
+`pvgr.runtime`. This module is kept apart from `oracles.py`, which
+perfbench loads to verify outputs.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Iterator, NamedTuple
 
-from pvgr import runtime
+from pvgr.anf import flatten_lets, let_in
 from pvgr.ast import (
     CNuAccess,
     CNuChan,
     CPar,
     CProc,
     Config,
+    DomMerge,
+    DomZero,
     EAccept,
     EApp,
     ECase,
     EClose,
     EFork,
+    ELet,
     ENew,
+    EProj,
     ERecv,
     ERequest,
     ESelect,
     ESend,
+    ETApp,
     EVal,
     Expr,
     Label,
@@ -45,25 +54,166 @@ from pvgr.ast import (
     TSend,
     TVar,
     Type,
+    VAbs,
     VChan,
+    VPair,
+    VTAbs,
     VUnit,
     VVar,
+    Value,
     fresh_name,
     replace,
+    subst1,
 )
 from pvgr.normalize import conv, normalize
+from pvgr.parser import OPERATIONS
 from pvgr.pretty import pretty
-from pvgr.runtime import (
-    DeadlockReport,
-    Path,
-    StepOutcome,
-    _blocked_site,
-    classify_expr,
-    get_at,
-    replace_at,
-    split_eval,
-    step_expr,
-)
+
+
+Path = tuple[str, ...]  # 'left' | 'right' | 'body' steps from the root
+
+
+def _value_domains(v: Value) -> Type | None:
+    """The domain aggregate a value's channels form, read off structurally."""
+    match v:
+        case VChan(d):
+            return d
+        case VUnit():
+            return DomZero()
+        case VPair(l, r):
+            dl, dr = _value_domains(l), _value_domains(r)
+            if dl is not None and dr is not None:
+                return DomMerge(dl, dr)
+            return None
+        case _:
+            return None
+
+
+def _resolve_exnames(e: ELet) -> ELet:
+    """Discharge `let [c] x = v in body` by instantiating the named
+    existential with the value's concrete domain (single-name form only)."""
+    if len(e.exnames) == 1:
+        d = _value_domains(e.head.value)
+        if d is not None:
+            return ELet(e.binder, e.head, subst1(e.exnames[0], d, e.body), span=e.span)
+    return e
+
+
+def step_expr(e: Expr) -> Expr | None:
+    """One expression-level step, or None when no redex exists. The result
+    of a flat expression is flat (see pvgr.anf)."""
+    match e:
+        case ELet(_, EVal(v), _):
+            e = _resolve_exnames(e)
+            return subst1(e.binder, v, e.body)
+        case ELet(binder, head, body):
+            h = step_expr(head)
+            if h is None:
+                return None
+            return let_in(binder, h, body, e.exnames, e.span)
+        case EApp(VAbs(_, binder, _, fbody), arg):
+            return flatten_lets(subst1(binder, arg, fbody))
+        case EProj(lab, VPair(l, r)):
+            return EVal(l if lab is Label.L1 else r)
+        case ETApp(VTAbs(binder, _, _, vbody), ty):
+            return EVal(subst1(binder, ty, vbody))
+        case _:
+            return None
+
+
+def classify_expr(e: Expr) -> str:
+    """'value' | 'comm' | 'reducible' (total; unspecified on ill-typed input)."""
+    if isinstance(e, EVal):
+        return "value"
+    if _is_comm(e):
+        return "comm"
+    return "reducible"
+
+
+def _is_comm(e: Expr) -> bool:
+    match e:
+        case EFork(VAbs()):
+            return True
+        case ENew(_) | EAccept(_) | ERequest(_):
+            return True
+        case ESend(_, VChan(_)) | ERecv(VChan(_)) | ESelect(_, VChan(_)) | EClose(VChan(_)):
+            return True
+        case ECase(VChan(_), _, _):
+            return True
+        case ELet(_, head, _):
+            return _is_comm(head)
+        case _:
+            return False
+
+
+def split_eval(e: Expr) -> tuple[Expr, Callable[[Expr], Expr]] | None:
+    """The header redex position of a flat e and its plug function, which
+    keeps e flat; None for values."""
+    match e:
+        case EVal(_):
+            return None
+        case ELet(binder, head, body):
+
+            def plug(h: Expr, e=e) -> Expr:
+                if isinstance(h, EVal):
+                    let = ELet(e.binder, h, e.body, exnames=e.exnames, span=e.span)
+                    return _resolve_exnames(let)
+                return let_in(e.binder, h, e.body, e.exnames, e.span)
+
+            return head, plug
+        case _:
+            return e, flatten_lets
+
+
+def get_at(cfg: Config, path: Path) -> Config:
+    for step in path:
+        cfg = getattr(cfg, step)
+    return cfg
+
+
+def replace_at(cfg: Config, path: Path, new: Config) -> Config:
+    """cfg with the node at path replaced by new, rebuilt in two loops along
+    the path."""
+    spine = []
+    for step in path:
+        spine.append(cfg)
+        cfg = getattr(cfg, step)
+    for node, step in zip(reversed(spine), reversed(path)):
+        new = replace(node, **{step: new})
+    return new
+
+
+class BlockedSite(NamedTuple):
+    path: Path
+    operation: str
+    subject: str  # pretty channel end or access point
+
+    def __str__(self) -> str:
+        return f"{self.operation} on {self.subject}"
+
+
+class DeadlockReport(NamedTuple):
+    blocked: tuple[BlockedSite, ...]
+
+    def __str__(self) -> str:
+        return "; ".join(str(b) for b in self.blocked)
+
+
+def _blocked_site(path: Path, op: Expr) -> BlockedSite | None:
+    match op:
+        case (
+            EAccept(subject) | ERequest(subject) | ESend(_, VChan(subject)) | ERecv(VChan(subject))
+            | ESelect(_, VChan(subject)) | ECase(VChan(subject), _, _) | EClose(VChan(subject))
+        ):
+            return BlockedSite(path, OPERATIONS[op.__class__], pretty(subject))
+    return None
+
+
+class StepOutcome(NamedTuple):
+    kind: str  # 'stepped' | 'final' | 'deadlock' | 'out-of-fuel'
+    config: Config
+    rule: str | None = None
+    report: DeadlockReport | None = None
 
 
 def replace_proc(cfg: Config, path: Path, new_expr: Expr) -> Config:
@@ -310,7 +460,52 @@ def classify_config(cfg: Config):
     return ("deadlock", DeadlockReport(tuple(site for site in sites if site is not None)))
 
 
-class Machine(runtime.Machine):
+class TreeMachine:
+    """The machine's state as a substituted configuration tree: what the
+    earlier `pvgr.runtime.Machine` kept, without its `step`."""
+
+    def __init__(
+        self, config: Config, max_steps: int = 100_000, seed: int = 0, trace: list[str] | None = None
+    ) -> None:
+        self.config = _flatten_procs(config)
+        self.max_steps = max_steps
+        self.seed = seed
+        self.steps = 0
+        self.trace = trace
+        self._rng = random.Random(seed)
+
+    def run(self) -> StepOutcome:
+        while True:
+            out = self.step()
+            if out.kind != "stepped":
+                return out
+
+
+def _flatten_procs(cfg: Config) -> Config:
+    """cfg with every process flat, the shape each step keeps (see pvgr.anf).
+    The tree is rebuilt bottom-up from an explicit stack, left before right,
+    each node with `replace` so that spans stay."""
+    stack: list[tuple[Config, bool]] = [(cfg, False)]
+    done: list[Config] = []  # rebuilt subtrees, the rightmost last
+    while stack:
+        c, children_done = stack.pop()
+        if isinstance(c, CProc):
+            done.append(replace(c, expr=flatten_lets(c.expr)))
+        elif not children_done:
+            stack.append((c, True))
+            if isinstance(c, CPar):
+                stack += ((c.right, False), (c.left, False))
+            else:
+                stack.append((c.body, False))
+        elif isinstance(c, CPar):
+            right = done.pop()
+            done.append(replace(c, left=done.pop(), right=right))
+        else:
+            done.append(replace(c, body=done.pop()))
+    return done.pop()
+
+
+class Machine(TreeMachine):
     """The earlier machine: `step` as it was, and a trace always kept."""
 
     def __init__(self, config: Config, max_steps: int = 100_000, seed: int = 0) -> None:

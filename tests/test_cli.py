@@ -274,6 +274,29 @@ def test_bad_fuel_setting_is_a_usage_diagnostic_exit_2(tmp_path, capsys, monkeyp
     assert main(["run", f]) == 4
 
 
+def test_negative_fuel_is_a_usage_diagnostic_exit_2(tmp_path, capsys, monkeypatch):
+    f = write(tmp_path, "cs.pvgr", CLIENT_SERVER)
+    assert main(["run", f, "--max-steps", "-3"]) == 2
+    assert capsys.readouterr() == ("", "error[usage]: --max-steps must not be negative, got -3\n")
+    monkeypatch.setenv("PVGR_MAX_STEPS", "-3")
+    assert main(["run", f]) == 2
+    assert capsys.readouterr() == ("", "error[usage]: PVGR_MAX_STEPS must not be negative, got '-3'\n")
+    # the option is read before the setting, and zero fuel is still fuel
+    assert main(["run", f, "--max-steps", "0"]) == 4
+    assert capsys.readouterr().out == "out of fuel after 0 steps\n"
+
+
+def test_ill_kinded_lambda_annotation_is_a_kind_error_not_a_hang(tmp_path, capsys):
+    # the annotation is kinded before it is normalized: its normal form
+    # does not exist (the self-application of a type-level lambda)
+    f = write(tmp_path, "omega.pvgr", r"let f = \[.](x: ((\a:0. a a) (\a:0. a a))). () in ()")
+    for argv in (["check", f], ["run", f]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{f}:1:9: error[K-App]: application of a non-arrow type\n")
+        assert "internal" not in err
+
+
 def test_closed_stdout_ends_quietly_exit_0():
     # stdout is a pipe whose reader is gone before pvgr writes to it
     read_end, write_end = os.pipe()

@@ -1,6 +1,6 @@
 """The indexed redex search against the earlier search in `runtime_ref`.
 
-Every configuration reached from the corpus programs, from three untyped
+Every configuration reached from the corpus programs, from five untyped
 configurations and from perfbench's chain, fan and hold programs at N = 3
 under scheduler seeds 0-10, and from those at N = 8 and 16 under seeds 0-2,
 gets the same candidates from both searches (rule and trace text, in
@@ -13,12 +13,11 @@ trace on both machines. The whole file runs in about 5 s.
 
 from __future__ import annotations
 
-import importlib.util
 import random
 
 import pytest
 import runtime_ref
-from conftest import ROOT, corpus_files
+from conftest import corpus_files, perfbench_gen
 
 from pvgr import runtime
 from pvgr.anf import anf_transform
@@ -35,23 +34,25 @@ LARGE_SEEDS = range(3)
 APPLY_SEEDS = {SEEDS: range(3), LARGE_SEEDS: range(1)}
 
 
-def _perfbench_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 # Configurations outside the well-typed fragment that no program above
 # reaches: holes on both ends of one channel, in the walk order opposite to
 # the binder's, and a channel named by a domain that only normalizes to an
-# end.
+# end. The last two hold the environments of one lambda's applications
+# apart: a let-bound lambda applied twice in one process, and a closure
+# over a parameter applied before and after another application of the
+# lambda that made it. An environment that leaks a binding from one
+# application into another ends with other channels in the final values.
 UNTYPED = {
     "sends-on-both-ends": "nu a b : !Int.End . (<send () (chan b)> | <send () (chan a)>"
     " | <recv (chan a)> | <recv (chan b)>)",
     "closes-on-both-ends": "nu a b : End . (<close (chan b)> | <close (chan a)>)",
     "projected-end": "nu a b : ?Int.End . (<let x = recv (chan (pi1 (a, {}))) in"
     " close (chan (pi1 (a, {})))> | <let y = send () (chan b) in close (chan b)>)",
+    "lambda-applied-twice": "nu a b : End . <let f = \\[.](x: Unit). let y = (x, ()) in y in"
+    " let p = f (chan a) in let q = f (chan b) in (p, q)>",
+    "closure-over-parameter": "nu a b : End . <let mk = \\[.](x: Unit). \\[.](u: Unit). x in"
+    " let g = mk (chan a) in let c1 = g () in let h = mk (chan b) in let c2 = g () in"
+    " let c3 = h () in (c1, (c2, c3))>",
 }
 
 
@@ -59,7 +60,7 @@ def _sources() -> dict[str, tuple[str, range]]:
     """Each program's text and the scheduler seeds it is run under."""
     out = {path.name: (path.read_text(), SEEDS) for path in corpus_files()}
     out.update({name: (src, SEEDS) for name, src in UNTYPED.items()})
-    for family, make in _perfbench_gen().FAMILIES.items():
+    for family, make in perfbench_gen().FAMILIES.items():
         for n in SIZES:
             out[f"{family}{n}"] = (make(n, random.Random(n)), SEEDS if n == min(SIZES) else LARGE_SEEDS)
     return out

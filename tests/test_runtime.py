@@ -499,3 +499,60 @@ def test_machine_steps_a_5000_process_soup_without_deep_stack():
     out = m.run()
     assert (out.kind, m.steps) == ("final", 1)
     assert [pretty(e) for _, e in iter_procs(m.config)] == ["()"] * 5000
+
+
+# -- the run path: flat per step, and stack-safe -----------------------------------
+
+
+def _scope_walks_per_step(monkeypatch, cfg) -> float:
+    """Calls to `pvgr.ast.scope_walk` per step of a run of cfg to its end,
+    its final configuration read back."""
+    import importlib
+
+    calls = [0]
+    modules = [importlib.import_module(f"pvgr.{name}") for name in ("ast", "normalize")]
+    walk = modules[0].scope_walk
+
+    def counted(*args):
+        calls[0] += 1
+        return walk(*args)
+
+    for module in modules:  # the package binds `normalize` to the function
+        monkeypatch.setattr(module, "scope_walk", counted)
+    m = Machine(cfg, seed=1)
+    out = m.run()
+    assert out.kind == "final" and isinstance(out.config, Config)
+    return calls[0] / m.steps
+
+
+def test_run_costs_the_same_per_step_at_every_size(monkeypatch):
+    # a step substitutes into no spine and walks no configuration: fan 32
+    # has four times the processes of fan 8, and about the same walks per step
+    import random
+
+    from conftest import perfbench_gen
+
+    fan = perfbench_gen().fan
+    small, large = (
+        _scope_walks_per_step(monkeypatch, config(fan(n, random.Random(n)))) for n in (8, 32)
+    )
+    assert large <= 1.5 * small, (small, large)
+
+
+def test_a_5000_let_spine_runs_at_the_default_recursion_limit():
+    # built as a tree, not parsed (the parser recurses along a spine):
+    # let x1 = () in let x2 = x1 in ... in x5000
+    import sys
+
+    from pvgr.ast import ELet, VVar, fresh_name
+
+    n = 5000
+    names = [fresh_name(f"x{i}") for i in range(1, n + 1)]
+    e = EVal(VVar(names[-1]))
+    for k in range(n - 1, -1, -1):
+        e = ELet(names[k], EVal(VVar(names[k - 1]) if k else VUnit()), e)
+    assert sys.getrecursionlimit() <= 1000
+    m = Machine(CProc(e))
+    out = m.run()
+    assert (out.kind, m.steps) == ("final", n)
+    assert [pretty(v) for _, v in iter_procs(out.config)] == ["()"]
