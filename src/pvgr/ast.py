@@ -34,6 +34,7 @@ from typing import Iterator, NamedTuple, Union
 
 _METHODS = """
 def __init__(self, {params}):
+    d = self.__dict__
     {stores}
 def __eq__(self, other):
     if other.__class__ is self.__class__:
@@ -50,11 +51,12 @@ class Record:
     Defining a subclass appends its annotations to its base's `_fields`
     (field name -> annotation text, in declaration order) and compiles an
     `__init__`, `__eq__` and `__hash__` for exactly those fields, as
-    `dataclasses` would. A field's default is the value its annotation
-    assigns; fields with a default come last. Equality and hash are those
-    of the tuple of fields, between instances of one class. Node classes
-    also take a keyword-only `span`, which equality, hash and repr leave
-    out.
+    `dataclasses` would. The constructor writes the fields straight into
+    the instance's `__dict__`, past the `__setattr__` that freezes them.
+    A field's default is the value its annotation assigns; fields with a
+    default come last. Equality and hash are those of the tuple of fields,
+    between instances of one class. Node classes also take a keyword-only
+    `span`, which equality, hash and repr leave out.
     """
 
     _fields = {}  # not annotated, as every annotation declares a field
@@ -64,11 +66,11 @@ class Record:
         cls._fields = {**cls._fields, **cls.__dict__.get("__annotations__", {})}
         names = cls.__match_args__ = tuple(cls._fields)
         params, stored = (names + ("*", "span=None"), names + ("span",)) if cls._spanned else (names, names)
-        methods: dict = {"_set": object.__setattr__}
+        methods: dict = {}
         exec(
             _METHODS.format(
                 params=", ".join(params),
-                stores="\n    ".join(f"_set(self, {f!r}, {f})" for f in stored),
+                stores="\n    ".join(f"d[{f!r}] = {f}" for f in stored),
                 mine="".join(f"self.{f}, " for f in names),
                 theirs="".join(f"other.{f}, " for f in names),
             ),
@@ -125,6 +127,11 @@ class Node(Record):
     """A syntax tree node: its fields, and a keyword-only source `span`."""
 
     _spanned = True
+    # pvgr.normalize sets these on a normal form it returns, in the
+    # instance's __dict__: the mark of a top-level normal form, and its
+    # canonical form once `conv` has needed it
+    _normal = False
+    _canon = None
 
 
 class Label(IntEnum):

@@ -160,7 +160,7 @@ class _Disjointness:
 
 class Context(tuple):
     """A typing context: its bindings in order, plus the indexes that
-    lookups and entailment read.
+    lookups, disjoint extension and entailment read.
 
     It iterates, slices and compares as the tuple of its bindings. `g + bs`
     is a Context that remembers g. Each index is built on first use, from
@@ -170,6 +170,7 @@ class Context(tuple):
 
     _parent: "Context | None" = None
     _names: dict[int, Binding] | None = None
+    _domains: tuple[Name, ...] | None = None
     _disjointness: _Disjointness | None = None
 
     def __add__(self, more: tuple) -> "Context":
@@ -197,6 +198,16 @@ class Context(tuple):
                     names[b.name.uid] = b
             self._names = names
         return self._names
+
+    @property
+    def domains(self) -> tuple[Name, ...]:
+        """The names of the domain variables, in binding order."""
+        if self._domains is None:
+            base, new = self._since("_domains")
+            self._domains = (() if base is None else base._domains) + tuple(
+                b.name for b in new if isinstance(b, BTVar) and isinstance(b.kind, KDom)
+            )
+        return self._domains
 
     @property
     def disjointness(self) -> _Disjointness:

@@ -121,12 +121,10 @@ def disjoint_append(g1: Ctx, g2: Ctx) -> Ctx:
     names = g1.names
     if any(isinstance(b, (BTVar, BVal)) and b.name.uid in names for b in g2):
         raise KindError("CF-ConsKind", "disjoint extension requires fresh identifiers")
-    d2 = [b.name for b in restrict_only_dom(g2)]
-    d1 = [b.name for b in restrict_only_dom(g1)] if d2 else []
-    c2 = tuple(
-        BDisjoint(TVar(a), TVar(b)) for i, a in enumerate(d2) for b in d2[i + 1 :]
-    )
-    c12 = tuple(BDisjoint(TVar(a), TVar(b)) for a in d1 for b in d2)
+    d2 = [TVar(b.name) for b in restrict_only_dom(g2)]
+    d1 = [TVar(a) for a in g1.domains] if d2 else []
+    c2 = tuple(BDisjoint(a, b) for i, a in enumerate(d2) for b in d2[i + 1 :])
+    c12 = tuple(BDisjoint(a, b) for a in d1 for b in d2)
     return g1 + (tuple(g2) + c2 + c12)
 
 
@@ -215,23 +213,10 @@ def infer_kind(g: Ctx, t: Type) -> Kind:
             if not isinstance(kb, KType):
                 raise _fail("K-All", "quantified body must have kind Type", t, found=pretty(kb))
             return KType()
-        case TArr(pre, arg, exctx, post, res):
+        case TArr(pre, arg):
             _expect(g, pre, KState(), "K-Arr")
             _expect(g, arg, KType(), "K-Arr")
-            for b in exctx:
-                if isinstance(b, BVal):
-                    raise _fail("K-Arr", "existential context may not bind values", t)
-                if isinstance(b, BTVar) and not isinstance(b.kind, KDom):
-                    raise _fail(
-                        "K-Arr",
-                        "existential context may only bind domains",
-                        t,
-                        found=pretty(b.kind),
-                    )
-            gx = disjoint_append(g, exctx)
-            check_ctx_suffix(g, gx)
-            _expect(gx, post, KState(), "K-Arr")
-            _expect(gx, res, KType(), "K-Arr")
+            check_arrow_package(g, t)
             return KType()
         case TChan(dom):
             kd = infer_kind(g, dom)
@@ -330,6 +315,26 @@ def infer_kind(g: Ctx, t: Type) -> Kind:
                         _require_disjoint(g, d1, d2, "K-StMerge", t)
             return KState()
     raise _fail("K-Var", f"not a type: {t!r}", t)
+
+
+def check_arrow_package(g: Ctx, t: TArr) -> None:
+    """The premises of K-Arr after the pre-state and the argument: the
+    existential context, then the post-state and result under it. Alone,
+    it kinds an arrow whose pre-state and argument are already kinded."""
+    for b in t.exctx:
+        if isinstance(b, BVal):
+            raise _fail("K-Arr", "existential context may not bind values", t)
+        if isinstance(b, BTVar) and not isinstance(b.kind, KDom):
+            raise _fail(
+                "K-Arr",
+                "existential context may only bind domains",
+                t,
+                found=pretty(b.kind),
+            )
+    gx = disjoint_append(g, t.exctx)
+    check_ctx_suffix(g, gx)
+    _expect(gx, t.post, KState(), "K-Arr")
+    _expect(gx, t.res, KType(), "K-Arr")
 
 
 def _require_disjoint(g: Ctx, d1: Type, d2: Type, rule: str, at: Type) -> None:

@@ -6,6 +6,13 @@ units, and sorts state bindings by an alpha-invariant key so conversion
 treats states as multisets. Conversion is alpha-equivalence of normal
 forms. The rewrite system terminates: each rule is size-reducing (see
 docs/normalization.md).
+
+A normal form is known by identity: every tree that `_norm` returns at the
+top (scope depth 0) is marked, and normalizing a marked tree returns it as
+it is. Only top-level results are marked, as a tree normalized under a
+binder orders its states by the binder's level (docs/normalization.md).
+`conv` compares canonical forms, each computed once and kept on its normal
+form.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from .ast import (
     TVar,
     Tree,
     Type,
-    alpha_equiv,
+    alpha_equiv,  # re-exported: conversion is alpha-equivalence of normal forms
+    canonicalize,
     scope_walk,
     state_atoms,
     subst1,
@@ -55,7 +63,20 @@ def normalize(t: Type) -> NormalType:
 
 def conv(t1: Type, t2: Type) -> bool:
     """Decides the conversion relation: alpha-equivalence of normal forms."""
-    return alpha_equiv(normalize(t1), normalize(t2))
+    n1, n2 = normalize(t1), normalize(t2)
+    return n1 is n2 or _canonical(n1) == _canonical(n2)
+
+
+def _canonical(nf: NormalType) -> Tree:
+    """canonicalize(nf), computed once per normal form and kept on it. A tree
+    without binders is its own canonical form; that is kept as False, so
+    that no node refers to itself."""
+    c = nf._canon
+    if c is None:
+        c = canonicalize(nf)
+        nf.__dict__["_canon"] = False if c is nf else c
+        return c
+    return c or nf
 
 
 def dual(s: Type) -> NormalType:
@@ -68,29 +89,38 @@ def dual(s: Type) -> NormalType:
 def _norm(t: Type, scope: _Scope) -> Type:
     if not LAYOUT[t.__class__].children:
         return t  # leaves are normal and keep their spans
+    top = scope is _TOP  # _bind_level makes a new scope for each binder
+    if top and t._normal:
+        return t
     match t:
         case TApp(fn, arg):
             nf = _norm(fn, scope)
             na = _norm(arg, scope)
             if isinstance(nf, TLam):
-                return _norm(subst1(nf.binder, na, nf.body), scope)
-            return TApp(nf, na)
+                out = _norm(subst1(nf.binder, na, nf.body), scope)
+            else:
+                out = TApp(nf, na)
         case TDual(s):
-            return _dual_push(_norm(s, scope))
+            out = _dual_push(_norm(s, scope))
         case DomProj(lab, dom):
             nd = _norm(dom, scope)
             if isinstance(nd, DomMerge):
-                return nd.left if lab is Label.L1 else nd.right
-            return DomProj(lab, nd)
+                out = nd.left if lab is Label.L1 else nd.right
+            else:
+                out = DomProj(lab, nd)
         case StMerge():
             atoms: list[Type] = []
             for a in state_atoms(t):
                 atoms.extend(state_atoms(_norm(a, scope)))  # normalization may expose merges
             atoms = [a for a in atoms if not isinstance(a, StEmpty)]
             atoms.sort(key=lambda a: _key(a, scope))
-            return _state_rebuild(atoms)
-    # every other node: congruence, scoped by the table
-    return scope_walk(t, scope, _norm, _bind_level, _bare)[0]
+            out = _state_rebuild(atoms)
+        case _:
+            # every other node: congruence, scoped by the table
+            out = scope_walk(t, scope, _norm, _bind_level, _bare)[0]
+    if top:
+        out.__dict__["_normal"] = True
+    return out
 
 
 def _bind_level(name: Name, role: str, scope: _Scope) -> tuple[Name, _Scope]:

@@ -231,14 +231,13 @@ _OPS = {CNuAccess: (ERequest, EAccept), CNuChan: (ESend, ERecv, ESelect, ECase, 
 class _Nu(_Mark):
     """A binder cell: `names` is (access point,) or (end1, end2), `close`
     marks the end of its scope in the walk order, and `holes` files the
-    holes keyed by its names that lie in that scope, in walk order.
-    `normal` tells that `ses` is in normal form."""
+    holes keyed by its names that lie in that scope, in walk order."""
 
-    __slots__ = ("kind", "names", "ses", "normal", "body", "closed", "parent", "span", "close", "holes", "active")
+    __slots__ = ("kind", "names", "ses", "body", "closed", "parent", "span", "close", "holes", "active")
 
     def __init__(self, kind: type, names, ses: Type, body, parent, closed=False, span=None) -> None:
         self.kind, self.names, self.ses, self.body, self.closed = kind, names, ses, body, closed
-        self.parent, self.span, self.close, self.active, self.normal = parent, span, _Mark(), False, False
+        self.parent, self.span, self.close, self.active = parent, span, _Mark(), False
         self.holes = {op: [] for op in _OPS[kind]}
 
 
@@ -741,9 +740,9 @@ class Soup:
         if op.__class__ is EClose:
             nu.closed = True
             return
-        rest = _session_after(nu.ses if nu.normal else normalize(nu.ses), op)
-        if rest is not None:  # a part of a normal form, so normal itself
-            nu.ses, nu.normal = rest, True
+        rest = _session_after(normalize(nu.ses), op)
+        if rest is not None:  # a part of a normal form, itself normal
+            nu.ses = rest
 
     # -- reading back --------------------------------------------------------------
 

@@ -89,7 +89,9 @@ from .ast import (
 )
 from .constraints import context, entails
 from .diagnostic import Diagnostic
-from .kinding import check_ctx_suffix, disjoint_append, infer_kind, kind_equiv, located, lookup_val
+from .kinding import (
+    check_arrow_package, check_ctx_suffix, disjoint_append, infer_kind, kind_equiv, located, lookup_val,
+)
 from .normalize import conv, dual, normalize
 from .pretty import pretty, pretty_ctx
 
@@ -192,7 +194,7 @@ def type_value(g: Ctx, v: Value) -> Type:
             nargty = _kind_check(g, argty, KType(), "T-Abs", v.span, normal=True)
             r = _type_expr(g + (BVal(binder, nargty),), _atoms_of(npre), body)
             arr = TArr(npre, nargty, r.exctx, r.post_state, r.ty)
-            located(v.span, infer_kind, g, arr)
+            located(v.span, check_arrow_package, g, arr)  # pre and argty are kinded above
             return arr
         case VTAbs(binder, kind, cstr, body):
             g2 = g + ((BTVar(binder, kind),) + cstr)

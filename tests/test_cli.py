@@ -91,6 +91,11 @@ KIND_FAILURES = {
     "T-Abs-kind": (
         r"\[.](x: End). ()", "T-Abs", 1, "End has the wrong kind", {"expected": "Type", "found": "Session"},
     ),
+    # the post-state of a lambda's body, kinded under its existential context
+    "T-Abs-post": (
+        r"/\s:State[]. \[s](x: Unit). let ap = new End in let v = request ap in ()",
+        "K-StMerge", 14, "cannot establish disjointness of an opaque state", {},
+    ),
     "T-Chan": ("let x = () in chan x", "K-Var", 20, "unbound type variable x", {}),
     "T-TAbs": (
         r"/\a:Dom(Unit)[]. ()",

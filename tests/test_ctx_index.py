@@ -1,6 +1,7 @@
 """The indexed context: entailment decided from the index agrees with the
-closed-set reference, and an index built by extension equals the index
-built from the context's plain tuple."""
+closed-set reference, an index built by extension equals the index built
+from the context's plain tuple, and disjoint extension, which reads the
+domain index, gives what rescanning the context gave."""
 
 from __future__ import annotations
 
@@ -13,8 +14,9 @@ from oracles import entails_ref, random_entailment_instance
 import pvgr.kinding
 import pvgr.typing
 from pvgr.anf import anf_transform
-from pvgr.ast import BDisjoint, BTVar, KDom, ShOne, TUnit, TVar, fresh_name
+from pvgr.ast import BDisjoint, BTVar, BVal, KDom, KSession, ShOne, ShZero, TPair, TUnit, TVar, fresh_name
 from pvgr.constraints import AtomizeError, Context, entails
+from pvgr.kinding import disjoint_append, restrict_only_dom
 from pvgr.parser import parse_program, parse_type
 from pvgr.typing import type_config, type_expr
 
@@ -101,6 +103,91 @@ def test_index_by_extension_equals_index_from_tuple(traced):
         fresh = Context(tuple(g))
         assert g.names == fresh.names
         assert g.disjointness == fresh.disjointness
+        assert g.domains == fresh.domains == _domains_ref(g)
+
+
+def _domains_ref(g) -> tuple:
+    return tuple(b.name for b in restrict_only_dom(tuple(g)))
+
+
+def _disjoint_append_ref(g1, g2) -> tuple:
+    """Disjoint extension with g1's domains found by rescanning g1."""
+    d2 = _domains_ref(g2)
+    d1 = _domains_ref(g1) if d2 else ()
+    c2 = tuple(BDisjoint(TVar(a), TVar(b)) for i, a in enumerate(d2) for b in d2[i + 1 :])
+    c12 = tuple(BDisjoint(TVar(a), TVar(b)) for a in d1 for b in d2)
+    return tuple(g1) + tuple(g2) + c2 + c12
+
+
+def _random_bindings(rng: random.Random, n: int) -> list:
+    out: list = []
+    for _ in range(n):
+        pick = rng.randrange(5)
+        if pick < 2:
+            shape = rng.choice([ShZero(), ShOne(), TPair(ShOne(), ShOne())])
+            out.append(BTVar(fresh_name("d"), KDom(shape)))
+        elif pick == 2:
+            out.append(BTVar(fresh_name("s"), KSession()))
+        elif pick == 3:
+            out.append(BVal(fresh_name("x"), TUnit()))
+        else:
+            doms = [b.name for b in out if isinstance(b, BTVar) and isinstance(b.kind, KDom)]
+            if len(doms) >= 2:
+                out.append(BDisjoint(*(TVar(d) for d in rng.sample(doms, 2))))
+    return out
+
+
+def test_domain_index_by_extension_equals_rescan_on_random_contexts():
+    # extended in chunks, each index read at random points, so that a read
+    # starts from whichever ancestor last built it
+    rng = random.Random(1217)
+    for _ in range(200):
+        bindings = _random_bindings(rng, rng.randrange(0, 24))
+        g, i = Context(), 0
+        while i < len(bindings):
+            k = rng.randrange(1, 4)
+            g, i = g + tuple(bindings[i : i + k]), i + k
+            if rng.random() < 0.4:
+                assert g.domains == _domains_ref(g)
+            if rng.random() < 0.3:
+                g.names
+        assert g.domains == _domains_ref(g) == Context(tuple(g)).domains
+
+
+@pytest.fixture(scope="module")
+def appended():
+    """Every disjoint extension made while checking PROGRAMS, with its result."""
+    calls: list = []
+
+    def spy(g1, g2):
+        out = disjoint_append(g1, g2)
+        calls.append((g1, g2, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pvgr.kinding, "disjoint_append", spy)
+        mp.setattr(pvgr.typing, "disjoint_append", spy)
+        for name, src in PROGRAMS:
+            _check(src, name)
+    return calls
+
+
+def test_disjoint_append_agrees_with_rescan_on_checker_calls(appended):
+    assert len(appended) > 100
+    assert any(len(out) > len(g1) + len(g2) for g1, g2, out in appended)
+    for g1, g2, out in appended:
+        assert isinstance(out, Context)
+        assert out == _disjoint_append_ref(g1, g2)
+
+
+def test_disjoint_append_agrees_with_rescan_on_random_contexts():
+    rng = random.Random(1218)
+    for _ in range(200):
+        g1 = Context()
+        for _ in range(rng.randrange(0, 4)):
+            g1 = disjoint_append(g1, tuple(_random_bindings(rng, rng.randrange(0, 6))))
+        g2 = tuple(b for b in _random_bindings(rng, rng.randrange(0, 5)) if not isinstance(b, BDisjoint))
+        assert disjoint_append(g1, g2) == _disjoint_append_ref(g1, g2)
 
 
 def test_assumption_that_does_not_atomize_is_reported_by_every_query():
