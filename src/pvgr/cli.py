@@ -27,10 +27,11 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .anf import anf_transform
-from .ast import CProc
+from .ast import CProc, StEmpty
 from .diagnostic import Diagnostic
 from .normalize import conv
 from .parser import Program, parse_program, parse_type
@@ -72,8 +73,8 @@ def _load(path: str) -> Program:
 def _check_program(prog: Program) -> ExprTyping | None:
     """Type-check; returns the expression typing for expression programs."""
     if prog.expr is not None:
-        return type_expr((), parse_type("."), prog.expr)
-    type_config((), parse_type("."), prog.config)
+        return type_expr((), StEmpty(), prog.expr)
+    type_config((), StEmpty(), prog.config)
     return None
 
 
@@ -136,7 +137,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     while True:
         if args.check:
             try:
-                type_config((), parse_type("."), machine.config)
+                type_config((), StEmpty(), machine.config)
             except Diagnostic as e:
                 _emit(e, "pretty")
                 print("subject reduction violated", file=sys.stderr)
@@ -209,7 +210,12 @@ def _corpus_one(path: Path, want: str) -> tuple[str, str]:
     return "FAIL", f"bad sidecar: {want[:40]!r}"
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The command line's grammar, built on the first `main` call of a
+    process and shared by the later ones: parsing leaves it unchanged.
+    Only a caller that runs `main` more than once in a process saves by
+    it; the `pvgr` command runs it once."""
     ap = argparse.ArgumentParser(prog="pvgr", description="pvgr checker and interpreter")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -230,8 +236,11 @@ def main(argv: list[str] | None = None) -> int:
     p_corpus = sub.add_parser("corpus", help="verify a corpus directory against sidecars")
     p_corpus.add_argument("dir")
     p_corpus.set_defaults(fn=cmd_corpus)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _arg_parser().parse_args(argv)
     fmt = getattr(args, "format", "pretty")
     try:
         status = args.fn(args)

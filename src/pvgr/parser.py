@@ -7,6 +7,7 @@ unique names at parse time; the parser accepts non-strict let nesting
 
 from __future__ import annotations
 
+import re
 from functools import reduce
 from typing import NamedTuple
 
@@ -118,56 +119,63 @@ class Token:
         self.span = span
 
 
+# One match per token, with the whitespace and comments before it. The
+# group that matched gives the token's kind; none matches at the end of
+# input. Reverse order puts each punctuation mark before its prefixes, so
+# the longest is tried first. `\w` and `\d` are not exactly `str.isalpha`
+# and `str.isdigit`, so a word outside ASCII goes to `_word`.
+_TOKEN = re.compile(
+    r"""(?:[ \t\r]+|--[^\n]*)*
+    (?: (\n)                                # 1: a newline
+      | ({})                                # 2: punctuation
+      | ([A-Za-z_][\w']*)                   # 3: an identifier or keyword
+      | ([0-9]+)(?![0-9]|[^\x00-\x7f])      # 4: a number
+      | (\w[\w']*|.)                        # 5: any other word or character
+      | \Z )""".format("|".join(map(re.escape, sorted(PUNCT, reverse=True)))),
+    re.VERBOSE,
+)
+
+
+def _word(text: str) -> list[tuple[str, int, int]]:
+    """The (kind, start, end) of each token in `text`, which is a word or a
+    character: a run of digits, then an identifier or a character that
+    starts no token (kind '')."""
+    i = 0
+    while i < len(text) and text[i].isdigit():
+        i += 1
+    out = [("num", 0, i)] if i else []
+    if i < len(text):
+        if text[i].isalpha() or text[i] == "_":
+            out.append((text[i:] if text[i:] in KEYWORDS else "ident", i, len(text)))
+        else:
+            out.append(("", i, i + 1))
+    return out
+
+
 def tokenize(src: str, filename: str = "<input>") -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def span(start: int, end: int, sl: int, sc: int) -> Span:
-        return Span(filename, start, end, sl, sc)
-
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
+    append = toks.append
+    line, line_start = 1, 0  # line_start: the offset at which `line` starts
+    for m in _TOKEN.finditer(src):
+        g = m.lastindex
+        if g == 1:
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            text = src[i:j]
-            kind = text if text in KEYWORDS else "ident"
-            toks.append(Token(kind, text, span(i, j, line, col)))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("num", src[i:j], span(i, j, line, col)))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if src.startswith(p, i):
-                toks.append(Token(p, p, span(i, i + len(p), line, col)))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError("parse", f"unexpected character {c!r}", span(i, i + 1, line, col))
-    toks.append(Token("eof", "", span(n, n, line, col)))
+            line_start = m.end()
+        elif g is not None:
+            start, end = m.span(g)
+            text = m[g]
+            if g < 5:
+                sp = Span(filename, start, end, line, start - line_start + 1)
+                kind = "num" if g == 4 else text if g == 2 or text in KEYWORDS else "ident"
+                append(Token(kind, text, sp))
+                continue
+            for kind, i, j in _word(text):
+                sp = Span(filename, start + i, start + j, line, start + i - line_start + 1)
+                if not kind:
+                    raise ParseError("parse", f"unexpected character {text[i]!r}", sp)
+                append(Token(kind, text[i:j], sp))
+    n = len(src)
+    append(Token("eof", "", Span(filename, n, n, line, n - line_start + 1)))
     return toks
 
 
@@ -216,9 +224,12 @@ class Parser:
         self.scope = _Scope(open_world)
 
     # -- token helpers ------------------------------------------------------
+    # `pos` never passes the eof token that ends `toks`, and the grammar
+    # looks one token ahead only past a token that is not eof, so no read
+    # needs a bounds check
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -227,13 +238,15 @@ class Parser:
         return t
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.toks[self.pos].kind in kinds
 
     def eat(self, kind: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != kind:
             raise ParseError("parse", f"expected {kind!r}, found {t.text or 'end of input'!r}", t.span)
-        return self.next()
+        if kind != "eof":
+            self.pos += 1
+        return t
 
     def fail(self, msg: str) -> ParseError:
         t = self.peek()

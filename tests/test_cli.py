@@ -10,6 +10,7 @@ import sys
 import pytest
 from conftest import CORPUS, ROOT
 
+from pvgr import cli
 from pvgr.cli import main
 
 SERVER = (CORPUS / "server.pvgr").read_text()
@@ -41,6 +42,20 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
     f = write(tmp_path, "empty.pvgr", "")
     assert main(["check", f]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_end_of_input_after_a_trailing_comment_is_at_the_end(tmp_path, capsys, fmt):
+    f = write(tmp_path, "comment.pvgr", "let x = () in -- trailing comment")
+    assert main(["check", f, "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    message = "expected a value, found 'end of input'"
+    if fmt == "json":
+        assert json.loads(err) == {
+            "severity": "error", "code": "parse", "message": message, "file": f, "line": 1, "col": 34,
+        }
+    else:
+        assert err == f"{f}:1:34: error[parse]: {message}\n"
 
 
 def test_check_json_diagnostics_schema(tmp_path, capsys):
@@ -238,6 +253,65 @@ def test_check_idempotent_no_side_effects(tmp_path, capsys):
     assert main(["check", f]) == 0
     assert capsys.readouterr().out == first
 
+
+
+def call(capsys, argv):
+    """main's exit status (a usage error's SystemExit code), stdout and stderr."""
+    try:
+        status = main(argv)
+    except SystemExit as e:
+        status = ("SystemExit", e.code)
+    out, err = capsys.readouterr()
+    return status, out, err
+
+
+def test_the_shared_command_line_parser_keeps_nothing_between_calls(tmp_path, capsys):
+    f = write(tmp_path, "cs.pvgr", CLIENT_SERVER)
+    missing = str(tmp_path / "missing.pvgr")
+    calls = [
+        ["check", "--format", "json", f], ["run", missing], ["check", f],
+        ["run", f, "--seed", "3", "--trace"], ["run", f], ["run", f, "--trace"],
+        ["run"], ["check", f],
+    ]
+    alone = []
+    for argv in calls:
+        cli._arg_parser.cache_clear()  # a parser of its own, as in a new process
+        alone.append(call(capsys, argv))
+    cli._arg_parser.cache_clear()
+    shared = [call(capsys, argv) for argv in calls]
+    assert shared == alone
+    json_check, io_error, pretty_check, seed3_trace, plain_run, seed0_trace, usage, good = shared
+    assert json.loads(json_check[1])["ok"] is True
+    assert io_error == (2, "", f"error[io]: cannot read {missing}: No such file or directory\n")
+    assert pretty_check == good == (0, pretty_check[1], "") and pretty_check[1].startswith("ex: ")
+    assert plain_run[1].startswith("final after") and plain_run[1].count("\n") == 1
+    assert seed0_trace == call(capsys, ["run", f, "--seed", "0", "--trace"]) != seed3_trace
+    assert usage[0] == ("SystemExit", 2) and usage[2].startswith("usage: pvgr run")
+
+
+def test_importing_the_cli_builds_no_argument_parser(tmp_path):
+    f = write(tmp_path, "cs.pvgr", CLIENT_SERVER)
+    child = f"""
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import pvgr.cli
+counts = [len(built)]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        pvgr.cli.main(["check", {f!r}])
+    counts.append(len(built))
+print(*counts)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+    # none at import; the first call builds pvgr's parser and its three
+    # subcommands' parsers, and the second builds none
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 4 4\n", "")
 
 
 def test_internal_failure_is_a_diagnostic_exit_5(tmp_path, capsys):

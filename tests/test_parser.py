@@ -104,6 +104,16 @@ def test_parse_errors_have_spans():
         parse_type("Chan (")
 
 
+def test_end_of_input_after_a_trailing_comment_is_at_the_end():
+    # a `--` comment runs to the end of input, and so does the column
+    with pytest.raises(ParseError) as exc:
+        parse_program("let x = () in -- trailing comment")
+    assert str(exc.value) == "<input>:1:34: error[parse]: expected a value, found 'end of input'"
+    with pytest.raises(ParseError) as exc:
+        parse_program("\t-- only a comment")
+    assert str(exc.value) == "<input>:1:19: error[parse]: empty program"
+
+
 def test_pretty_examples():
     from pvgr.ast import TEnd
 
