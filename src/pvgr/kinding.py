@@ -118,6 +118,8 @@ def restrict_only_dom(g: Ctx) -> Ctx:
 def disjoint_append(g1: Ctx, g2: Ctx) -> Ctx:
     """g1, g2, C2, C12 with the constraints making g2's domains locally fresh."""
     g1 = context(g1)
+    if not g2:
+        return g1
     names = g1.names
     if any(isinstance(b, (BTVar, BVal)) and b.name.uid in names for b in g2):
         raise KindError("CF-ConsKind", "disjoint extension requires fresh identifiers")

@@ -3,10 +3,11 @@ threading, existential-package matching, and configuration typing.
 
 Instead of guessing state splits, each judgment threads the entire input
 state: header rules consume exactly the bindings they need and leave the
-rest. Existential binders created along the way (received channels, new
-connections) are dropped from reported packages once neither the post
-state nor the result type mentions them; such binders are checker-internal
-and cannot be referenced by the program.
+rest. A let-spine is typed in one loop, not one recursion per `let`.
+Existential binders created along it (received channels, new connections)
+are dropped from its package, once at its end, when neither the post state
+nor the result type mentions them; such binders are checker-internal and
+cannot be referenced by the program.
 """
 
 from __future__ import annotations
@@ -238,14 +239,21 @@ def _type_expr(g: Ctx, atoms: list[Type], e: Expr) -> ExprTyping:
         case EVal(v):
             return ExprTyping((), list(atoms), type_value(g, v))
 
-        case ELet(binder, head, body, exnames):
-            r1 = _type_expr(g, atoms, head)
-            if exnames:
-                r1 = _rename_exctx(r1, exnames, e.span)
-            g2 = disjoint_append(g, r1.exctx) + (BVal(binder, normalize(r1.ty)),)
-            r2 = _type_expr(g2, r1.post, body)
-            merged = r1.exctx + r2.exctx
-            return _gc_package(ExprTyping(merged, r2.post, r2.ty))
+        case ELet():
+            # T-Let along the whole spine, its package collected once: each
+            # let ends in the tail's post-state and type, so a collection at
+            # each kept the same binders, and no head's constraint names a
+            # later binder, fresh for the context (disjoint_append checks).
+            package: list[Binding] = []
+            while isinstance(e, ELet):
+                r1 = _type_expr(g, atoms, e.head)
+                if e.exnames:
+                    r1 = _rename_exctx(r1, e.exnames, e.span)
+                g = disjoint_append(g, r1.exctx) + (BVal(e.binder, normalize(r1.ty)),)
+                package += r1.exctx
+                atoms, e = r1.post, e.body
+            r2 = _type_expr(g, atoms, e)
+            return _gc_package(ExprTyping(tuple(package) + r2.exctx, r2.post, r2.ty))
 
         case EApp(f, a):
             tf = normalize(type_value(g, f))
@@ -452,6 +460,8 @@ def _rename_exctx(r: ExprTyping, names: tuple[Name, ...], span: Span | None) -> 
 def _gc_package(r: ExprTyping) -> ExprTyping:
     """Drop existential binders that neither the post state nor the result
     type mentions; they are checker-internal and unreachable."""
+    if not r.exctx:
+        return r
     used = {nm.uid for nm in free_vars(r.post_state)} | {nm.uid for nm in free_vars(r.ty)}
     kept_uids = {b.name.uid for b in r.exctx if isinstance(b, BTVar) and b.name.uid in used}
     dropped = {b.name.uid for b in r.exctx if isinstance(b, BTVar)} - kept_uids

@@ -314,21 +314,23 @@ print(*counts)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 4 4\n", "")
 
 
-def test_internal_failure_is_a_diagnostic_exit_5(tmp_path, capsys):
-    # a 600-round fan client: 1800 nested lets overflow the parser's recursion
-    server = "<let u = accept ap in let x = recv u in let r = close u in r>"
-    rounds = "".join(
-        f"let v{i} = request ap in let a{i} = send () v{i} in let b{i} = close v{i} in "
-        for i in range(600)
-    )
-    f = write(tmp_path, "deep.pvgr", f"nuap ap : ?Int.End . ({server} | <{rounds}()>)")
-    for argv in (["check", f], ["run", f]):
-        assert main(argv) == 5
-        err = capsys.readouterr().err
-        assert "error[internal]: RecursionError" in err
-        assert "Traceback" not in err
-    assert main(["check", f, "--format", "json"]) == 5
-    assert json.loads(capsys.readouterr().err)["code"] == "internal"
+def test_internal_failure_is_a_diagnostic_exit_5(tmp_path, capsys, monkeypatch):
+    # the recursion limit hit in the parser or in the checker, injected, as
+    # which programs overflow where changes while those become stack-safe
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    f = write(tmp_path, "cs.pvgr", CLIENT_SERVER)
+    for site in ("parse_program", "type_expr"):
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, site, overflow)
+            for argv in (["check", f], ["run", f]):
+                assert main(argv) == 5
+                err = capsys.readouterr().err
+                assert "error[internal]: RecursionError" in err
+                assert "Traceback" not in err
+            assert main(["check", f, "--format", "json"]) == 5
+            assert json.loads(capsys.readouterr().err)["code"] == "internal"
 
 
 def test_unreadable_file_is_an_io_diagnostic_exit_2(tmp_path, capsys):
