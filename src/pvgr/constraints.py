@@ -7,14 +7,19 @@ is the least set that holds its atoms and the sibling axiom (both
 projections of a pair-shaped domain are disjoint) and is closed under
 symmetry and projection splitting; `atomize` and `close` compute it, for
 the reference `entails_ref` in tests/oracles.py. `entails` never builds
-it. A `Context` keeps the normalized shape of each domain variable and its
-atoms in both orientations, and each goal atom is decided from those by
-two membership rules, without a fixed point (docs/constraints.md states
-the rules and proves them equal to membership in the closed set).
+it. A `Context` keeps the normalized shape of each domain variable, the
+atoms of its `#` bindings in both orientations, and where each domain was
+bound and made fresh, and each goal atom is decided from those by three
+membership rules, without a fixed point (docs/constraints.md states the
+rules and proves them equal to membership in the closed set).
+
+A disjoint extension writes no constraints: it leaves a `BFresh` marker,
+which stands for the `#` bindings `expand` writes out.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from .ast import (
@@ -122,30 +127,80 @@ def close(atoms: set[AtomicConstraint], shapes: _Shapes | None = None) -> Closed
     return frozenset(seen)
 
 
+# -- disjoint extension markers -------------------------------------------------
+
+
+class BFresh(Binding):
+    """The binding a disjoint extension ends with. `doms` merges the domain
+    variables it bound; each of them is disjoint from every other domain
+    bound before the marker. It stands for the constraints `expand` writes
+    out in its place."""
+
+    doms: Type
+
+
+def fresh_marker(names: list[Name]) -> BFresh:
+    return BFresh(reduce(DomMerge, [TVar(n) for n in names]))
+
+
+def expand(g: Ctx) -> tuple[Binding, ...]:
+    """g with each marker replaced by the `#` bindings it stands for: its
+    domains pairwise (C2), then each earlier domain with each of them (C12)."""
+    out: list[Binding] = []
+    doms: list[TVar] = []
+    for b in g:
+        if isinstance(b, BFresh):
+            d2 = [TVar(c.base) for c in _sides(b.doms)]
+            new = {d.name.uid for d in d2}
+            out += [BDisjoint(x, y) for i, x in enumerate(d2) for y in d2[i + 1 :]]
+            out += [BDisjoint(x, y) for x in doms if x.name.uid not in new for y in d2]
+        else:
+            out.append(b)
+            if isinstance(b, BTVar) and isinstance(b.kind, KDom):
+                doms.append(TVar(b.name))
+    return tuple(out)
+
+
 # -- the indexed context ------------------------------------------------------
 
 
 class _Disjointness:
-    """The normalized shape of each domain variable, and the atoms of every
-    `#` assumption in both orientations. The first assumption that does not
-    decompose is remembered; `entails` reports it, as atomizing the whole
-    context would."""
+    """The normalized shape of each domain variable, the atoms of every `#`
+    assumption in both orientations, and for each domain variable the number
+    of domains bound before it and, once a marker made it fresh, before the
+    marker. The first assumption that does not decompose is remembered;
+    `entails` reports it, as atomizing the whole context would."""
 
-    def __init__(self, shapes: _Shapes, pairs: set[tuple[_Key, _Key]], error: str | None) -> None:
+    def __init__(
+        self,
+        shapes: _Shapes,
+        pairs: set[tuple[_Key, _Key]],
+        bound: dict[int, int],
+        fresh: dict[int, int],
+        error: str | None,
+    ) -> None:
         self.shapes = shapes
         self.pairs = pairs
+        self.bound = bound
+        self.fresh = fresh
         self.error = error
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Disjointness) and vars(self) == vars(other)
 
     def copy(self) -> "_Disjointness":
-        return _Disjointness(dict(self.shapes), set(self.pairs), self.error)
+        return _Disjointness(
+            dict(self.shapes), set(self.pairs), dict(self.bound), dict(self.fresh), self.error
+        )
 
     def add(self, b: Binding) -> None:
         if isinstance(b, BTVar):
             if isinstance(b.kind, KDom):
                 self.shapes[b.name.uid] = normalize(b.kind.shape)
+                self.bound.setdefault(b.name.uid, len(self.bound))
+        elif isinstance(b, BFresh):
+            for c in _sides(b.doms):
+                self.fresh[c.base.uid] = len(self.bound)
         elif isinstance(b, BDisjoint) and self.error is None:
             try:
                 atoms = atomize((b,))
@@ -170,7 +225,6 @@ class Context(tuple):
 
     _parent: "Context | None" = None
     _names: dict[int, Binding] | None = None
-    _domains: tuple[Name, ...] | None = None
     _disjointness: _Disjointness | None = None
 
     def __add__(self, more: tuple) -> "Context":
@@ -200,20 +254,10 @@ class Context(tuple):
         return self._names
 
     @property
-    def domains(self) -> tuple[Name, ...]:
-        """The names of the domain variables, in binding order."""
-        if self._domains is None:
-            base, new = self._since("_domains")
-            self._domains = (() if base is None else base._domains) + tuple(
-                b.name for b in new if isinstance(b, BTVar) and isinstance(b.kind, KDom)
-            )
-        return self._domains
-
-    @property
     def disjointness(self) -> _Disjointness:
         if self._disjointness is None:
             base, new = self._since("_disjointness")
-            index = _Disjointness({}, set(), None) if base is None else base._disjointness.copy()
+            index = _Disjointness({}, set(), {}, {}, None) if base is None else base._disjointness.copy()
             for b in new:
                 index.add(b)
             self._disjointness = index
@@ -247,6 +291,12 @@ def _holds(index: _Disjointness, l: _Key, r: _Key) -> bool:
     # (i) siblings: one variable, paths that part, both walking pairs
     if a == b and len(ps) > 1 and len(qs) > 1 and any(x != y for x, y in zip(p, q)):
         return True
+    # (iii) a marker on the variables, each split further through pairs only:
+    # one was made fresh after the other was bound
+    if not ps[0] and not qs[0] and a != b:
+        bound, fresh = index.bound, index.fresh
+        if (b in bound and fresh.get(a, -1) > bound[b]) or (a in bound and fresh.get(b, -1) > bound[a]):
+            return True
     # (ii) an assumption on prefixes, each split further through pairs only
     pairs = index.pairs
     return any(((a, x), (b, y)) in pairs for x in ps for y in qs)

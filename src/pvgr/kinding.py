@@ -44,9 +44,9 @@ from .ast import (
     Type,
     state_atoms,
 )
-from .constraints import Context, context, entails
+from .constraints import Context, context, entails, fresh_marker
 from .diagnostic import Diagnostic
-from .normalize import conv, normalize
+from .normalize import _TOP, _key, conv, normalize
 from .pretty import pretty
 
 
@@ -116,18 +116,18 @@ def restrict_only_dom(g: Ctx) -> Ctx:
 
 
 def disjoint_append(g1: Ctx, g2: Ctx) -> Ctx:
-    """g1, g2, C2, C12 with the constraints making g2's domains locally fresh."""
+    """g1, g2 and, when g2 binds domains, a marker making them disjoint from
+    each other and from g1's: it stands for the constraints C2 and C12
+    (`constraints.expand` writes them out)."""
     g1 = context(g1)
     if not g2:
         return g1
     names = g1.names
-    if any(isinstance(b, (BTVar, BVal)) and b.name.uid in names for b in g2):
+    uids = [b.name.uid for b in g2 if isinstance(b, (BTVar, BVal))]
+    if len(set(uids)) < len(uids) or any(u in names for u in uids):
         raise KindError("CF-ConsKind", "disjoint extension requires fresh identifiers")
-    d2 = [TVar(b.name) for b in restrict_only_dom(g2)]
-    d1 = [TVar(a) for a in g1.domains] if d2 else []
-    c2 = tuple(BDisjoint(a, b) for i, a in enumerate(d2) for b in d2[i + 1 :])
-    c12 = tuple(BDisjoint(a, b) for a in d1 for b in d2)
-    return g1 + (tuple(g2) + c2 + c12)
+    d2 = [b.name for b in g2 if isinstance(b, BTVar) and isinstance(b.kind, KDom)]
+    return g1 + (tuple(g2) + (fresh_marker(d2),) if d2 else tuple(g2))
 
 
 # -- context formation --------------------------------------------------------
@@ -300,21 +300,8 @@ def infer_kind(g: Ctx, t: Type) -> Kind:
                 )
             _expect(g, ses, KSession(), "K-StChan")
             return KState()
-        case StMerge(l, r):
-            _expect(g, l, KState(), "K-StMerge")
-            _expect(g, r, KState(), "K-StMerge")
-            la, ra = _state_doms(l), _state_doms(r)
-            if la is None or ra is None:
-                if (la is None and ra != []) or (ra is None and la != []):
-                    raise _fail(
-                        "K-StMerge",
-                        "cannot establish disjointness of an opaque state",
-                        t,
-                    )
-            else:
-                for d1 in la:
-                    for d2 in ra:
-                        _require_disjoint(g, d1, d2, "K-StMerge", t)
+        case StMerge():
+            _merge_atoms(g, t)
             return KState()
     raise _fail("K-Var", f"not a type: {t!r}", t)
 
@@ -348,19 +335,60 @@ def _require_disjoint(g: Ctx, d1: Type, d2: Type, rule: str, at: Type) -> None:
         )
 
 
-def _state_doms(st: Type) -> list[Type] | None:
-    """Domains governed by a state; None when they cannot be determined
+# -- K-StMerge over a whole merge tree -------------------------------------------
+
+_Atoms = tuple[list[Type], list | None]  # normalized atoms, and their sort keys once known
+
+
+def _merge_atoms(g: Context, t: StMerge) -> _Atoms:
+    """K-StMerge at t and every merge below it, in one pass: each side is
+    kinded, then every domain of one side's atoms must be disjoint from
+    every domain of the other's. Returns t's normalized atoms as normalize
+    orders them, so that the merge above reads them instead of normalizing
+    t again. A merge of two single atoms asks one question, so it leaves
+    its atoms unordered and unkeyed."""
+    la, lk = _side_atoms(g, t.left)
+    ra, rk = _side_atoms(g, t.right)
+    single = len(la) == 1 and len(ra) == 1
+    if not single:
+        (la, lk), (ra, rk) = _ordered(la, lk), _ordered(ra, rk)
+    ld, rd = _doms(la), _doms(ra)
+    if ld is None or rd is None:
+        if (ld is None and ra) or (rd is None and la):
+            raise _fail("K-StMerge", "cannot establish disjointness of an opaque state", t)
+    else:
+        for d1 in ld:
+            for d2 in rd:
+                _require_disjoint(g, d1, d2, "K-StMerge", t)
+    return (la + ra, None) if single else _ordered(la + ra, lk + rk)
+
+
+def _side_atoms(g: Context, t: Type) -> _Atoms:
+    if isinstance(t, StMerge):
+        return _merge_atoms(g, t)
+    _expect(g, t, KState(), "K-StMerge")
+    return state_atoms(normalize(t)), None
+
+
+def _ordered(atoms: list[Type], keys: list | None) -> tuple[list[Type], list]:
+    """atoms sorted stably by normalize's key, each key computed once."""
+    if keys is None:
+        keys = [_key(a, _TOP) for a in atoms]
+    order = sorted(range(len(atoms)), key=keys.__getitem__)
+    return [atoms[i] for i in order], [keys[i] for i in order]
+
+
+def _doms(atoms: list[Type]) -> list[Type] | None:
+    """Domains governed by state atoms; None when they cannot be determined
     (opaque state variable). A stuck application f d covers at most d."""
-    atoms = state_atoms(normalize(st))
     out: list[Type] = []
     for a in atoms:
-        match a:
-            case StBind(dom, _):
-                out.append(dom)
-            case TApp(_, arg):
-                out.append(arg)
-            case _:
-                return None
+        if isinstance(a, StBind):
+            out.append(a.dom)
+        elif isinstance(a, TApp):
+            out.append(a.arg)
+        else:
+            return None
     return out
 
 
@@ -383,4 +411,5 @@ def check_ctx_suffix(g_ok: Ctx, g: Ctx) -> None:
                 for side in (l, r):
                     if not isinstance(infer_kind(prefix, side), KDom):
                         raise KindError("CF-ConsCstr", "constraint over a non-domain")
+            # a disjoint extension's marker names domains bound before it
         prefix = prefix + (b,)

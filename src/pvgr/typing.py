@@ -88,7 +88,7 @@ from .ast import (
     state_of_atoms,
     subst,
 )
-from .constraints import context, entails
+from .constraints import context, entails, expand
 from .diagnostic import Diagnostic
 from .kinding import (
     check_arrow_package, check_ctx_suffix, disjoint_append, infer_kind, kind_equiv, located, lookup_val,
@@ -307,7 +307,7 @@ def _type_expr(g: Ctx, atoms: list[Type], e: Expr) -> ExprTyping:
                     "instantiated constraints are not entailed",
                     e.span,
                     expected=", ".join(pretty(c) for c in cs) or "(empty)",
-                    state=pretty_ctx(tuple(b for b in g if isinstance(b, BDisjoint))),
+                    state=pretty_ctx(tuple(b for b in expand(g) if isinstance(b, BDisjoint))),
                 )
             return ExprTyping((), list(atoms), normalize(subst(inst, tv.body)))
 

@@ -177,6 +177,55 @@ def test_state_is_the_last_line_and_key(tmp_path, capsys):
     )
 
 
+# Whole diagnostics of failures that read disjointness. The T-TApp state
+# lists the context's constraints: a let's head package's own (n # m), then
+# those of its disjoint extension, its domains pairwise (m # n) and each
+# earlier domain with each of them. The merge has two unprovable pairs, and
+# its atoms are ordered as normalize orders them: a # c is met before b # c.
+# A package's own constraint is formed before its domains are disjoint.
+DISJOINTNESS_FAILURES = {
+    "T-TApp": (
+        "\\[.](mk: [.; Unit -> ex p:Dom(1), q:Dom(1), q # p. .; Unit]).\n"
+        "let ap = new End in\n"
+        "let [c] u = request ap in\n"
+        "let [d] v = request ap in\n"
+        "let [m, n] z = mk () in\n"
+        "let f = /\\a:Dom(1)[]. /\\b:Dom(1)[a # b]. () in\n"
+        "let g = f [m] in\n"
+        "g [m]\n",
+        8, 1, "instantiated constraints are not entailed",
+        {"expected": "m # m", "state": "c # d, n # m, m # n, c # m, c # n, d # m, d # n"},
+    ),
+    "K-StMerge": (
+        "/\\a:Dom(1)[]. /\\b:Dom(1)[a # b]. /\\c:Dom(1)[]. /\\d:Dom(1)[a # d, b # d, c # d].\n"
+        "\\[{b: End, a: End, c: End, d: End}](x: Unit). ()\n",
+        2, 1, "cannot prove disjointness a # c", {},
+    ),
+    "K-DomMerge": (
+        "\\[.](mk: [.; Unit -> ex p:Dom(1), q:Dom(1), (p, q) # 0. .; Unit]). ()\n",
+        1, 45, "cannot prove disjointness p # q", {},
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+@pytest.mark.parametrize("code", list(DISJOINTNESS_FAILURES))
+def test_disjointness_failure_diagnostic(tmp_path, capsys, code, fmt):
+    src, line, col, message, details = DISJOINTNESS_FAILURES[code]
+    f = write(tmp_path, "cstr.pvgr", src)
+    assert main(["check", f, "--format", fmt]) == 1
+    err = capsys.readouterr().err
+    if fmt == "json":
+        assert json.loads(err) == {
+            "severity": "error", "code": code, "message": message,
+            "file": f, "line": line, "col": col, **details,
+        }
+    else:
+        first = f"{f}:{line}:{col}: error[{code}]: {message}\n"
+        rest = "".join(f"  {key}:{' ' * (9 - len(key))}{text}\n" for key, text in details.items())
+        assert err == first + rest
+
+
 def test_run_deadlock_exit_3_names_blocked_site(tmp_path, capsys):
     f = write(tmp_path, "dl.pvgr", DEADLOCK)
     assert main(["run", f]) == 3

@@ -8,6 +8,7 @@ from pvgr.ast import (
     BDisjoint,
     BTVar,
     BVal,
+    DomMerge,
     KArrow,
     KDom,
     KSession,
@@ -20,6 +21,7 @@ from pvgr.ast import (
     TVar,
     fresh_name,
 )
+from pvgr.constraints import BFresh, expand
 from pvgr.kinding import (
     KindError,
     check_ctx,
@@ -181,10 +183,14 @@ def test_restrict_keeps_state_and_type_functions():
 
 
 def test_disjoint_append_examples():
+    # the extension ends in a marker over its domains, which expands to the
+    # constraints C2 (its domains pairwise) and C12 (each earlier domain
+    # with each of them)
     assert disjoint_append((), ()) == ()
     a, b = fresh_name("a"), fresh_name("b")
     g = disjoint_append((BTVar(a, dom1()),), (BTVar(b, dom1()),))
-    assert g == (BTVar(a, dom1()), BTVar(b, dom1()), BDisjoint(TVar(a), TVar(b)))
+    assert g == (BTVar(a, dom1()), BTVar(b, dom1()), BFresh(TVar(b)))
+    assert expand(g) == (BTVar(a, dom1()), BTVar(b, dom1()), BDisjoint(TVar(a), TVar(b)))
     # value bindings on the left contribute nothing; C2 pairs arise within g2
     x, c, d = fresh_name("x"), fresh_name("c"), fresh_name("d")
     g2 = disjoint_append((BVal(x, TUnit()),), (BTVar(c, dom1()), BTVar(d, dom1())))
@@ -192,8 +198,44 @@ def test_disjoint_append_examples():
         BVal(x, TUnit()),
         BTVar(c, dom1()),
         BTVar(d, dom1()),
+        BFresh(DomMerge(TVar(c), TVar(d))),
+    )
+    assert expand(g2) == (
+        BVal(x, TUnit()),
+        BTVar(c, dom1()),
+        BTVar(d, dom1()),
         BDisjoint(TVar(c), TVar(d)),
     )
+    # g2's own constraints come first, then C2, then C12
+    e = fresh_name("e")
+    g3 = disjoint_append(g, (BTVar(c, dom1()), BTVar(e, dom1()), BDisjoint(TVar(e), TVar(c))))
+    assert g3 == g + (
+        BTVar(c, dom1()),
+        BTVar(e, dom1()),
+        BDisjoint(TVar(e), TVar(c)),
+        BFresh(DomMerge(TVar(c), TVar(e))),
+    )
+    assert expand(g3) == expand(g) + (
+        BTVar(c, dom1()),
+        BTVar(e, dom1()),
+        BDisjoint(TVar(e), TVar(c)),
+        BDisjoint(TVar(c), TVar(e)),
+        BDisjoint(TVar(a), TVar(c)),
+        BDisjoint(TVar(a), TVar(e)),
+        BDisjoint(TVar(b), TVar(c)),
+        BDisjoint(TVar(b), TVar(e)),
+    )
+    # no domains, no marker
+    assert disjoint_append(g, (BVal(x, TUnit()),)) == g + (BVal(x, TUnit()),)
+
+
+def test_disjoint_append_requires_fresh_distinct_names():
+    a, b = fresh_name("a"), fresh_name("b")
+    g = (BTVar(a, dom1()),)
+    for g2 in ((BTVar(a, dom1()),), (BVal(a, TUnit()),), (BTVar(b, dom1()), BTVar(b, dom1()))):
+        with pytest.raises(KindError) as exc:
+            disjoint_append(g, g2)
+        assert exc.value.code == "CF-ConsKind"
 
 
 def test_ctx_formation_concatenation_lemma():
