@@ -17,7 +17,7 @@ from .kinding import (
 from .normalize import conv, dual, normalize
 from .parser import ParseError, parse_expr, parse_program, parse_type
 from .pretty import pretty
-from .runtime import Machine, classify_config, classify_expr, step_expr
+from .runtime import Machine, Soup, classify_config, step_expr
 from .typing import (
     ExprTyping,
     TypecheckError,
@@ -33,7 +33,7 @@ __all__ = [
     "check_kind", "disjoint_append", "infer_kind", "restrict_non_dom",
     "restrict_only_dom", "alpha_equiv", "conv", "dual", "normalize",
     "ParseError", "parse_expr", "parse_program", "parse_type", "pretty",
-    "Machine", "classify_config", "classify_expr", "step_expr",
+    "Machine", "Soup", "classify_config", "step_expr",
     "ExprTyping", "TypecheckError", "match_existential", "type_config",
     "type_expr", "type_value",
 ]

@@ -188,28 +188,37 @@ class Program(NamedTuple):
 
 
 class _Scope:
-    """Lexical scope mapping surface names to hygienic Names."""
+    """Lexical scope mapping surface names to hygienic Names: one dict from
+    each name's text to its innermost binding, and for each open scope the
+    bindings its binds shadowed, put back when it closes."""
 
     def __init__(self, open_world: bool):
-        self.stack: list[dict[str, Name]] = [{}]
+        self.names: dict[str, Name] = {}
+        self.shadowed: list[list[tuple[str, Name | None]]] = [[]]
         self.free: dict[str, Name] = {}
         self.open_world = open_world
 
     def push(self) -> None:
-        self.stack.append({})
+        self.shadowed.append([])
 
     def pop(self) -> None:
-        self.stack.pop()
+        names = self.names
+        for text, old in reversed(self.shadowed.pop()):
+            if old is None:
+                del names[text]
+            else:
+                names[text] = old
 
     def bind(self, text: str) -> Name:
         nm = fresh_name(text)
-        self.stack[-1][text] = nm
+        self.shadowed[-1].append((text, self.names.get(text)))
+        self.names[text] = nm
         return nm
 
     def lookup(self, text: str) -> Name | None:
-        for frame in reversed(self.stack):
-            if text in frame:
-                return frame[text]
+        nm = self.names.get(text)
+        if nm is not None:
+            return nm
         if self.open_world:
             if text not in self.free:
                 self.free[text] = fresh_name(text)

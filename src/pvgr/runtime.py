@@ -37,17 +37,20 @@ a step costs what it touches (Accattoli & Barras, PPDP 2017):
   meet are kept in walk order too, so the candidates come out in the
   order of a walk over the whole configuration, and the seeded scheduler
   picks the same redex as one would.
+  Keying a hole also marks a process blocked when it waits on a
+  communication, which is all the deadlock predicate asks of a process.
 - A candidate is data: its rule, its binder cell (None for CR-Expr,
   CR-Fork and CR-New) and its process cells, in trace order.
-- `Machine.config`, the configuration of a terminal `StepOutcome`, and
-  the report of `classify_config` are read back from the cells on demand,
-  by substituting each frame's environment into its spine (binders
-  freshened) and lifting each frame's spine in front of the let below it:
-  the flat processes, and the `CPar`/binder shape, of a machine that
-  substitutes. `find_candidates`, `classify_config`, `is_final`,
-  `classify_expr`, `step_expr`, `split_eval` and `Candidate.apply` on
-  plain configurations and expressions build cells, run the same code and
-  read back.
+- The `Soup` is the one form of a configuration that the machine, the
+  search and the classifier work on; `Soup(cfg)` builds it and
+  `Machine.config` reads it back, by substituting each frame's environment
+  into its spine (binders freshened) and lifting each frame's spine in
+  front of the let below it: the flat processes, and the `CPar`/binder
+  shape, of a machine that substitutes. The read-back runs only when it is
+  asked for: `run --check` before each step, and the final values.
+  `step_expr` is the one entry point on a plain expression, kept as a
+  named layer for the benchmark's trace: it steps a process cell and reads
+  it back.
 - `Machine.step` searches once per step. A configuration with a candidate
   is reducible, so `classify_config` runs only when the search is empty.
 """
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .anf import let_in
 from .ast import (
@@ -206,14 +209,16 @@ class _Mark:
 
 class _Proc(_Mark):
     """A process cell: its frames (the top last), its parent cell, its span
-    (None once it has stepped), and the hole index lists it is filed in. It
-    starts as expr under env, by default an empty scope of its own."""
+    (None once it has stepped), and what keying its hole found: the hole
+    index lists it is filed in, and whether it is blocked on a
+    communication. It starts as expr under env, by default an empty scope
+    of its own."""
 
-    __slots__ = ("frames", "parent", "span", "key", "lists")
+    __slots__ = ("frames", "parent", "span", "key", "lists", "blocked")
 
     def __init__(self, expr: Expr, env: _Env | None = None, parent=None, span: Span | None = None) -> None:
         self.frames = [_Frame(expr, env or _Env({}, None))]
-        self.parent, self.span, self.key, self.lists = parent, span, None, []
+        self.parent, self.span, self.key, self.lists, self.blocked = parent, span, None, [], False
         _settle(self)
 
 
@@ -306,6 +311,16 @@ def _reduces(p: _Proc) -> bool:
     return op.__class__ in _BETA and _operand(op, env) is not None
 
 
+def _resolve(f: _Frame, v: Value, env: _Env | None) -> None:
+    """A `let [c]` frame whose head is the value v under env binds c to the
+    value's domain, when it has one."""
+    if len(f.exnames) == 1:
+        d = _value_domains(v, env)
+        if d is not None:
+            f.env.vars[f.exnames[0].uid] = d
+            f.exnames = ()
+
+
 def _step(p: _Proc) -> None:
     """p after its CR-Expr step: bind the value at a let head, or reduce the
     application, projection or type application at its hole."""
@@ -314,12 +329,8 @@ def _step(p: _Proc) -> None:
     e = f.expr
     if e.__class__ is ELet and (f.head is not None or e.head.__class__ is EVal):
         head, henv = (f.head, f.henv) if f.head is not None else (e.head, f.env)
-        val = _whnf(head.value, henv)
-        if len(f.exnames) == 1:
-            d = _value_domains(*val)
-            if d is not None:
-                f.env.vars[f.exnames[0].uid] = d
-        f.env.vars[e.binder.uid] = val
+        _resolve(f, head.value, henv)
+        f.env.vars[e.binder.uid] = _whnf(head.value, henv)
         frames[-1] = _Frame(e.body, f.env)
     else:
         op, env = _hole(p)
@@ -348,11 +359,7 @@ def _plug(p: _Proc, h: Expr, env: _Env | None) -> None:
         frames[-1] = _Frame(h, env)
     elif h.__class__ is EVal:
         f.head, f.henv = h, env
-        if len(f.exnames) == 1:
-            d = _value_domains(h.value, env)
-            if d is not None:
-                f.env.vars[f.exnames[0].uid] = d
-                f.exnames = ()
+        _resolve(f, h.value, env)
     else:
         frames.append(_Frame(h, env))
     _settle(p)
@@ -373,23 +380,6 @@ def _read_proc(p: _Proc) -> Expr:
     return e
 
 
-def _status(p: _Proc) -> str:
-    """'value' | 'comm' | 'reducible' (total; unspecified on ill-typed input)."""
-    if p.frames[-1].expr.__class__ is EVal:
-        return "value"
-    if _reduces(p):
-        return "reducible"
-    op, env = _hole(p)
-    if op.__class__ in (ENew, EAccept, ERequest) or (op.__class__ not in _BETA and _operand(op, env)):
-        return "comm"
-    return "reducible"
-
-
-# ---------------------------------------------------------------------------
-# expressions, through a process cell
-# ---------------------------------------------------------------------------
-
-
 def step_expr(e: Expr) -> Expr | None:
     """One expression-level step, or None when no redex exists. The result
     of a flat expression is flat (see pvgr.anf)."""
@@ -398,26 +388,6 @@ def step_expr(e: Expr) -> Expr | None:
         return None
     _step(p)
     return _read_proc(p)
-
-
-def classify_expr(e: Expr) -> str:
-    """'value' | 'comm' | 'reducible' (total; unspecified on ill-typed input)."""
-    return _status(_Proc(e))
-
-
-def split_eval(e: Expr) -> tuple[Expr, Callable[[Expr], Expr]] | None:
-    """The header redex position of a flat e and its plug function, which
-    keeps e flat; None for values."""
-    p = _Proc(e)
-    if _status(p) == "value":
-        return None
-
-    def plug(h: Expr) -> Expr:
-        q = _Proc(e)
-        _plug(q, h, None)
-        return _read_proc(q)
-
-    return _read(*_hole(p)), plug
 
 
 # ---------------------------------------------------------------------------
@@ -470,26 +440,6 @@ class Candidate(NamedTuple):
         """The trace text: the operation at each site's hole (read before
         the candidate is applied)."""
         return " | ".join(pretty(_read(*_hole(p))) for p in self.sites)
-
-    def apply(self, cfg: Config) -> Config:
-        """cfg after this candidate, found on cfg itself, has stepped."""
-        soup = Soup(cfg)
-        cells = soup.cells()
-        at = {id(c): k for k, c in enumerate(_order(self.sites[0]))}
-        move = lambda c: None if c is None else cells[at[id(c)]]  # noqa: E731
-        soup.apply(Candidate(self.rule, move(self.binder), tuple(move(p) for p in self.sites)))
-        return soup.config()
-
-
-def _order(cell: _Mark) -> list[_Mark]:
-    """The walk order of the soup cell belongs to, from its first mark."""
-    while cell.prev is not None:
-        cell = cell.prev
-    out = []
-    while cell is not None:
-        out.append(cell)
-        cell = cell.next
-    return out
 
 
 def _label(m: _Mark) -> int:
@@ -580,9 +530,6 @@ class Soup:
             parent.body = new
         cell.parent = new
 
-    def cells(self) -> list[_Mark]:
-        return _order(self.first)
-
     def procs(self) -> Iterator[_Proc]:
         m = self.first.next
         while m is not self.last:
@@ -594,7 +541,8 @@ class Soup:
 
     def _key(self, p: _Proc) -> None:
         """File p's hole: under its rule, or under each binder of its name
-        whose scope holds p."""
+        whose scope holds p. A hole at a request or accept, or at a channel
+        operation on a channel, marks p blocked."""
         if p.frames[-1].expr.__class__ is EVal:
             return
         if _reduces(p):
@@ -606,6 +554,7 @@ class Soup:
             self._file(p, None, self.singles["CR-Fork" if cls is EFork else "CR-New"])
             return
         if cls is ERequest or cls is EAccept:
+            p.blocked = True
             x = _whnf(op.value, env)[0]
             if x.__class__ is not VVar:
                 return
@@ -614,6 +563,7 @@ class Soup:
             ch = _operand(op, env)
             if ch is None:
                 return
+            p.blocked = True
             # conv(dom, TVar(end)) holds exactly when dom normalizes to TVar(end)
             end = normalize(_type(ch[0].dom, ch[1]))
             if end.__class__ is not TVar:
@@ -633,7 +583,7 @@ class Soup:
         p.lists.append((nu, holes))
 
     def _rekey(self, p: _Proc) -> None:
-        lists, p.lists, p.key = p.lists, [], None
+        lists, p.lists, p.key, p.blocked = p.lists, [], None, False
         for nu, holes in lists:
             holes.remove(p)
             if nu is not None:
@@ -770,16 +720,6 @@ class Soup:
                 done.append(CNuAccess(*c.names, c.ses, done.pop(), span=c.span))
         return done.pop()
 
-    def is_final(self) -> bool:
-        """Every process a value and every channel closed or at End."""
-        if any(p.frames[-1].expr.__class__ is not EVal for p in self.procs()):
-            return False
-        return all(
-            m.closed or isinstance(normalize(m.ses), TEnd)
-            for m in self.cells()
-            if m.__class__ is _Nu and m.kind is CNuChan
-        )
-
 
 _UNIT = EVal(VUnit())
 
@@ -794,12 +734,8 @@ def _session_after(h: Type, op: Expr) -> Type | None:
     return None
 
 
-def _soup(cfg: Config | Soup) -> Soup:
-    return cfg if isinstance(cfg, Soup) else Soup(cfg)
-
-
-def find_candidates(cfg: Config | Soup) -> list[Candidate]:
-    return _soup(cfg).candidates()
+def find_candidates(soup: Soup) -> list[Candidate]:
+    return soup.candidates()
 
 
 # ---------------------------------------------------------------------------
@@ -823,10 +759,6 @@ class DeadlockReport(NamedTuple):
         return "; ".join(str(b) for b in self.blocked)
 
 
-def is_final(cfg: Config | Soup) -> bool:
-    return _soup(cfg).is_final()
-
-
 def _path(cell) -> Path:
     steps = []
     while cell.parent is not None:
@@ -843,22 +775,27 @@ def _blocked_site(p: _Proc) -> BlockedSite:
     return BlockedSite(_path(p), OPERATIONS[op.__class__], pretty(subject))
 
 
-def classify_config(cfg: Config | Soup):
+def classify_config(soup: Soup):
     """'final' | ('deadlock', DeadlockReport) | 'reducible', per the paper's
-    predicates: deadlocked iff every process is a value or blocked on a
-    communication (not fork/new) and no matchable pair exists."""
-    soup = _soup(cfg)
-    if soup.is_final():
-        return "final"
+    predicates: final iff every process is a value and every channel closed
+    or at End; deadlocked iff every process is a value or blocked on a
+    communication and no matchable pair exists. A process that is neither
+    is reducible, or stuck off the well-typed fragment."""
     blocked: list[_Proc] = []
-    for p in soup.procs():
-        cls = _status(p)
-        if cls == "value":
-            continue
-        if cls != "comm" or isinstance(_hole(p)[0], (EFork, ENew)):
-            return "reducible"
-        blocked.append(p)
-    if any(c.rule != "CR-Expr" for c in find_candidates(soup)):
+    chans: list[_Nu] = []
+    m = soup.first.next
+    while m is not soup.last:
+        if m.__class__ is _Proc:
+            if m.blocked:
+                blocked.append(m)
+            elif m.frames[-1].expr.__class__ is not EVal:
+                return "reducible"
+        elif m.__class__ is _Nu and m.kind is CNuChan:
+            chans.append(m)
+        m = m.next
+    if not blocked and all(nu.closed or isinstance(normalize(nu.ses), TEnd) for nu in chans):
+        return "final"
+    if soup.candidates():  # every process is a value or blocked: any candidate is a rendezvous
         return "reducible"
     return ("deadlock", DeadlockReport(tuple(_blocked_site(p) for p in blocked)))
 
@@ -870,7 +807,6 @@ def classify_config(cfg: Config | Soup):
 
 class StepOutcome(NamedTuple):
     kind: str  # 'stepped' | 'final' | 'deadlock' | 'out-of-fuel'
-    config: Config | None  # read back for a terminal outcome; None after a step
     rule: str | None = None
     report: DeadlockReport | None = None
 
@@ -902,22 +838,22 @@ class Machine:
             # without any needs classifying
             cls = classify_config(self.soup)
             if cls == "final":
-                return StepOutcome("final", self.config)
+                return StepOutcome("final")
             if isinstance(cls, tuple):
-                return StepOutcome("deadlock", self.config, report=cls[1])
+                return StepOutcome("deadlock", report=cls[1])
         if self.steps >= self.max_steps:
-            return StepOutcome("out-of-fuel", self.config)
+            return StepOutcome("out-of-fuel")
         if not cands:
             # stuck without being a paper deadlock: only reachable off the
             # well-typed fragment; report as deadlock with no sites
-            return StepOutcome("deadlock", self.config, report=DeadlockReport(()))
+            return StepOutcome("deadlock", report=DeadlockReport(()))
         idx = 0 if self.seed == 0 else self._rng.randrange(len(cands))
         chosen = cands[idx]
         if self.trace is not None:
             self.trace.append(f"{self.steps}\t{chosen.rule}\t{chosen.describe()}")
         self.soup.apply(chosen)
         self.steps += 1
-        return StepOutcome("stepped", None, rule=chosen.rule)
+        return StepOutcome("stepped", rule=chosen.rule)
 
     def run(self) -> StepOutcome:
         while True:

@@ -38,7 +38,7 @@ from pvgr.constraints import entails
 from pvgr.normalize import conv
 from pvgr.parser import parse_expr, parse_program, parse_type
 from pvgr.pretty import pretty
-from pvgr.runtime import Machine, classify_config, iter_procs
+from pvgr.runtime import Machine, Soup, classify_config, iter_procs
 from pvgr.typing import TypecheckError, type_config, type_expr, type_value
 
 EMPTY = parse_type(".")
@@ -244,7 +244,7 @@ def test_criterion_4_progress_trichotomy():
         for name, cfg in _corpus_configs():
             m = Machine(cfg, seed=seed, max_steps=10_000)
             while True:
-                cls = classify_config(m.config)
+                cls = classify_config(Soup(m.config))
                 kinds = [
                     cls == "final",
                     isinstance(cls, tuple) and cls[0] == "deadlock",
@@ -399,10 +399,11 @@ def test_criterion_8_round_trip_and_anf():
         once = anf_transform(prog.expr)
         assert is_strict_anf(once)
         assert alpha_equiv(anf_transform(once), once)
-        base = Machine(CProc(flatten_lets(prog.expr)), max_steps=20_000).run()
-        trans = Machine(CProc(once), max_steps=20_000).run()
-        assert base.kind == trans.kind
-        if base.kind == "final":
+        base = Machine(CProc(flatten_lets(prog.expr)), max_steps=20_000)
+        trans = Machine(CProc(once), max_steps=20_000)
+        kind = base.run().kind
+        assert kind == trans.run().kind
+        if kind == "final":
             c1 = sorted(repr(canonicalize(anf_transform(e))) for _, e in iter_procs(base.config))
             c2 = sorted(repr(canonicalize(anf_transform(e))) for _, e in iter_procs(trans.config))
             assert c1 == c2

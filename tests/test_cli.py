@@ -208,11 +208,9 @@ DISJOINTNESS_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["pretty", "json"])
-@pytest.mark.parametrize("code", list(DISJOINTNESS_FAILURES))
-def test_disjointness_failure_diagnostic(tmp_path, capsys, code, fmt):
-    src, line, col, message, details = DISJOINTNESS_FAILURES[code]
-    f = write(tmp_path, "cstr.pvgr", src)
+def _check_fails_with(tmp_path, capsys, fmt, src, code, line, col, message, details):
+    """`check` of src fails with exactly this one diagnostic, in fmt."""
+    f = write(tmp_path, "fail.pvgr", src)
     assert main(["check", f, "--format", fmt]) == 1
     err = capsys.readouterr().err
     if fmt == "json":
@@ -224,6 +222,84 @@ def test_disjointness_failure_diagnostic(tmp_path, capsys, code, fmt):
         first = f"{f}:{line}:{col}: error[{code}]: {message}\n"
         rest = "".join(f"  {key}:{' ' * (9 - len(key))}{text}\n" for key, text in details.items())
         assert err == first + rest
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+@pytest.mark.parametrize("code", list(DISJOINTNESS_FAILURES))
+def test_disjointness_failure_diagnostic(tmp_path, capsys, code, fmt):
+    src, *where = DISJOINTNESS_FAILURES[code]
+    _check_fails_with(tmp_path, capsys, fmt, src, code, *where)
+
+
+# Typing and kinding failures that no other test meets, each on line 1: the
+# program, its code, column, message and details. T-Send's transferred
+# domain of the wrong shape, which no surface program reaches, is tested at
+# the API in test_typing.py.
+RULE_FAILURES = {
+    "T-Chan": ("let x = chan {} in x", "T-Chan", 9, "channel value over a non single-channel domain",
+               {"expected": "Dom(1)", "found": "Dom(0)"}),
+    "T-App-non-function": ("let x = () () in x", "T-App", 9, "application of a non-function", {"found": "Unit"}),
+    "T-App-argument": (r"(\[.](x: Unit). x) ((), ())", "T-App", 1, "argument type mismatch",
+                       {"expected": "Unit", "found": "(Unit * Unit)"}),
+    "T-Proj": ("proj1 ()", "T-Proj", 1, "projection of a non-pair", {"found": "Unit"}),
+    "T-TApp-non-polymorphic": ("let x = () in x [End]", "T-TApp", 15,
+                               "type application of a non-polymorphic value", {"found": "Unit"}),
+    "T-TApp-kind": (r"let f = /\a:Session[]. () in f [Unit]", "T-TApp", 30, "type argument kind mismatch",
+                    {"expected": "Session", "found": "Type"}),
+    "T-Fork": (r"fork (\[.](x: Unit). (x, x))", "T-Fork", 1, "fork needs a [S;Unit -> ex . .;Unit] function",
+               {"found": "[.; Unit -> ex . .; (Unit * Unit)]"}),
+    "T-Request": ("let v = request () in v", "T-Request", 9, "accept/request on a non access point",
+                  {"found": "Unit"}),
+    "T-Case-states": ("let ap = new (End +c End) in let v = request ap in let r = case v { close v ; () } in r",
+                      "T-Case", 60, "branches end in different states", {"expected": ".", "found": "{c: End}"}),
+    "T-Case-typings": ("let ap = new (End +c End) in let v = request ap in"
+                       " let r = case v { let u = close v in () ; let u = close v in ((), ()) } in r",
+                       "T-Case", 60, "branch typings differ",
+                       {"expected": "ex . .; Unit", "found": "ex . .; (Unit * Unit)"}),
+    # the branches' packages bind domains of different shapes
+    "T-Case-packages": (r"\[.](mk: [.; Unit -> ex p:Dom(1). {p: End}; Chan p])."
+                        r" \[.](mk2: [.; Unit -> ex p:Dom((1 * 1)). {pi1 p: End}; Chan pi1 p])."
+                        " let ap = new (End +c End) in let v = request ap in"
+                        " let r = case v { let u = close v in mk () ; let u = close v in mk2 () } in r",
+                        "T-Case", 183, "branch packages differ beyond renaming",
+                        {"expected": "ex p:Dom(1). {p: End}; Chan p",
+                         "found": "ex p:Dom((1 * 1)). {pi1 p: End}; Chan pi1 p"}),
+    # the payload's type matches the pattern, and its state does not
+    "existential-match": ("let ap = new ?{e:Dom(1)}({e: End}; Chan e).End in let v = request ap in"
+                          " let bp = new !Int.End in let w = request bp in let a = send w v in close v",
+                          "existential-match", 128, "no instantiation of the existential package matches",
+                          {"expected": "{e: End}; Chan e", "found": "{c: ?{_z:Dom(0)}(.; Unit).End}; Chan c"}),
+    "K-App": (r"/\h:Shape[]. /\g:(Dom(h) -> Type)[]. /\d:Dom(1)[]. \[.](x: g d). ()", "K-App", 52,
+              "argument kind mismatch", {"expected": "Dom(h)", "found": "Dom(1)"}),
+    "K-Chan": (r"/\h:Shape[]. /\d:Dom(h)[]. \[.](x: Chan d). ()", "K-Chan", 36,
+               "channel type needs a single-channel domain", {"expected": "Dom(1)", "found": "Dom(h)"}),
+    "K-StChan": (r"/\h:Shape[]. /\d:Dom(h)[]. \[{d: End}](x: Unit). ()", "K-StChan", 28,
+                 "state binding needs a single-channel domain", {"expected": "Dom(1)", "found": "Dom(h)"}),
+    "K-DomProj-non-domain": (r"\[.](x: Chan pi1 Unit). ()", "K-DomProj", 14, "projection of a non-domain",
+                             {"found": "Type"}),
+    "K-DomProj-shape": (r"/\d:Dom(1)[]. \[.](x: Chan pi1 d). ()", "K-DomProj", 28,
+                        "projection needs a pair-shaped domain", {"found": "1"}),
+    "K-Pair": (r"\[.](x: (End * End)). ()", "K-Pair", 9, "pair component must be a type or a shape",
+               {"found": "Session"}),
+    "K-All": (r"\[.](x: forall s:Session[]. End). ()", "K-All", 9, "quantified body must have kind Type",
+              {"found": "Session"}),
+    "K-DomMerge": (r"/\d:Dom(1)[]. \[.](x: Chan (d, Unit)). ()", "K-DomMerge", 28, "merge of non-domains", {}),
+    "K-Arr": (r"\[.](f: [.; Unit -> ex s: Session. .; Unit]). ()", "K-Arr", 9,
+              "existential context may only bind domains", {"found": "Session"}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+@pytest.mark.parametrize("site", list(RULE_FAILURES))
+def test_rule_failure_diagnostic(tmp_path, capsys, site, fmt):
+    src, code, col, message, details = RULE_FAILURES[site]
+    _check_fails_with(tmp_path, capsys, fmt, src, code, 1, col, message, details)
+
+
+def test_check_json_of_a_configuration(tmp_path, capsys):
+    f = write(tmp_path, "cfg.pvgr", "nuap ap : End . (<let v = request ap in close v> | <let u = accept ap in close u>)")
+    assert main(["check", f, "--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"ok": true, "kind": "config"}\n'
 
 
 def test_run_deadlock_exit_3_names_blocked_site(tmp_path, capsys):
@@ -272,6 +348,35 @@ def test_corpus_perturbed_golden_fails(tmp_path, capsys):
     assert main(["corpus", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "server.pvgr" in out and "FAIL" in out
+
+
+def test_corpus_rows_skip_and_fail(tmp_path, capsys):
+    # one row per file, in name order: a file without a sidecar is skipped,
+    # and each way a file can disagree with its sidecar is a FAIL row
+    files = {
+        "a.pvgr": ("()", None),
+        "b.pvgr": ("proj1 ()", "type: Unit"),
+        "c.pvgr": ("<()>", "type: Unit"),
+        "d.pvgr": ("()", "type: (Unit * Unit)"),
+        "e.pvgr": ("<()>", "outcome: deadlock"),
+        "f.pvgr": ("()", "value: ()"),
+        "g.pvgr": ("()", "type: Unit"),
+    }
+    for name, (src, want) in files.items():
+        write(tmp_path, name, src + "\n")
+        if want is not None:
+            write(tmp_path, name + ".expected", want + "\n")
+    assert main(["corpus", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == (
+        "a.pvgr  skip  no .expected sidecar\n"
+        f"b.pvgr  FAIL  {tmp_path / 'b.pvgr'}:1:1: error[T-Proj]: projection of a non-pair\n"
+        "  found:    Unit\n"
+        "c.pvgr  FAIL  expected a type but file is a configuration\n"
+        "d.pvgr  FAIL  type mismatch: got Unit\n"
+        "e.pvgr  FAIL  outcome mismatch: got final\n"
+        "f.pvgr  FAIL  bad sidecar: 'value: ()'\n"
+        "g.pvgr  ok    Unit\n"
+    )
 
 
 def test_corpus_empty_dir_warns(tmp_path, capsys):

@@ -44,6 +44,7 @@ from pvgr.parser import (
     TYPE_WORDS,
     ParseError,
     Parser,
+    _Scope,
     parse_expr,
     parse_program,
     parse_type,
@@ -53,7 +54,9 @@ from pvgr.runtime import Machine
 
 
 def run_expr(e, max_steps):
-    return Machine(CProc(e), max_steps=max_steps).run()
+    """The machine that ran e, and how its run ended."""
+    m = Machine(CProc(e), max_steps=max_steps)
+    return m, m.run()
 
 
 def test_parse_unit_value():
@@ -172,6 +175,57 @@ def test_round_trip_corpus(path):
     assert pretty(tree2) == printed
 
 
+class _FrameScope(_Scope):
+    """The scope as a stack of frames searched from the innermost, as the
+    parser kept it before its one map: the reference for name resolution."""
+
+    def __init__(self, open_world: bool):
+        super().__init__(open_world)
+        self.stack = [{}]
+
+    def push(self) -> None:
+        self.stack.append({})
+
+    def pop(self) -> None:
+        self.stack.pop()
+
+    def bind(self, text: str):
+        nm = fresh_name(text)
+        self.stack[-1][text] = nm
+        return nm
+
+    def lookup(self, text: str):
+        for frame in reversed(self.stack):
+            if text in frame:
+                return frame[text]
+        return super().lookup(text)
+
+
+SHADOWING = (
+    "let x = () in let f = \\[.](x: Unit). x in let x = f x in let y = (x, x) in y",
+    "let x = () in let x = (let x = (x, x) in x) in let [x] y = x in (x, y)",
+    "nu a a : End . (<close (chan a)> | <let a = () in a>)",
+    "nuap p : End . <let f = \\[.](p: Unit). p in let q = request p in f q>",
+    "/\\s:Session[]. /\\s:Session[]. \\[.](x: AP(s)). let s = request x in s",
+)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [p.read_text() for p in corpus_files()] + list(SHADOWING),
+    ids=[p.name for p in corpus_files()] + [f"shadowing{k}" for k in range(len(SHADOWING))],
+)
+def test_scope_map_resolves_names_as_a_frame_stack(src, monkeypatch):
+    # each name resolves to the same binder with one map from text to its
+    # innermost binding as with a stack of frames searched one by one
+    def tree(prog):
+        return prog.expr if prog.expr is not None else prog.config
+
+    ours = tree(parse_program(src))
+    monkeypatch.setattr("pvgr.parser._Scope", _FrameScope)
+    assert alpha_equiv(ours, tree(parse_program(src)))
+
+
 def test_round_trip_random_types(rng):
     free = [fresh_name(f"fv{i}") for i in range(3)]
     for _ in range(1000):
@@ -225,10 +279,10 @@ def test_anf_run_equivalence_on_deterministic_corpus():
         prog = parse_program(path.read_text(), filename=path.name)
         if prog.expr is None:
             continue
-        base = run_expr(flatten_lets(prog.expr), max_steps=20000)
-        transformed = run_expr(anf_transform(prog.expr), max_steps=20000)
-        assert base.kind == transformed.kind
-        if base.kind == "final":
+        base, base_out = run_expr(flatten_lets(prog.expr), max_steps=20000)
+        transformed, transformed_out = run_expr(anf_transform(prog.expr), max_steps=20000)
+        assert base_out.kind == transformed_out.kind
+        if base_out.kind == "final":
             from pvgr.ast import canonicalize
 
             def canon(e):

@@ -14,6 +14,7 @@ from pvgr.ast import (
     CPar,
     CProc,
     Config,
+    ELet,
     EVal,
     VUnit,
     canonicalize,
@@ -24,8 +25,8 @@ from pvgr.parser import parse_expr, parse_program, parse_type
 from pvgr.pretty import pretty
 from pvgr.runtime import (
     Machine,
+    Soup,
     classify_config,
-    classify_expr,
     find_candidates,
     iter_procs,
     step_expr,
@@ -41,6 +42,10 @@ def expr(src: str):
 
 def config(src: str) -> Config:
     return parse_program(src).config
+
+
+def soup(src: str) -> Soup:
+    return Soup(config(src))
 
 
 # -- expression reduction ---------------------------------------------------
@@ -70,27 +75,29 @@ def test_no_step_on_value():
 
 
 def test_classify_value():
-    assert classify_expr(parse_expr("()", open_world=False)) == "value"
+    assert classify_config(Soup(CProc(parse_expr("()", open_world=False)))) == "final"
 
 
 def test_classify_recv_chan_is_comm():
-    e = parse_expr("recv (chan a)")
-    assert classify_expr(e) == "comm"
+    # a receive on an end no binder holds is blocked, and nothing meets it
+    out = classify_config(Soup(CProc(parse_expr("recv (chan a)"))))
+    assert out[0] == "deadlock" and str(out[1]) == "recv on a"
 
 
 def test_classify_let_propagates_comm():
-    e = parse_expr("let x = fork (\\[.](y:Unit).y) in x", open_world=False)
-    assert classify_expr(e) == "comm"
+    s = Soup(CProc(parse_expr("let x = fork (\\[.](y:Unit).y) in x", open_world=False)))
+    assert [c.rule for c in find_candidates(s)] == ["CR-Fork"]
+    assert classify_config(s) == "reducible"
 
 
 def test_classify_config_final_examples():
-    assert classify_config(config("<()>")) == "final"
-    assert classify_config(config("nu a b : End . (<()> | <()>)")) == "final"
-    assert classify_config(config("nuap x : End . <()>")) == "final"
+    assert classify_config(soup("<()>")) == "final"
+    assert classify_config(soup("nu a b : End . (<()> | <()>)")) == "final"
+    assert classify_config(soup("nuap x : End . <()>")) == "final"
 
 
 def test_classify_config_deadlock_two_blocked_receivers():
-    c = config("nu a b : ?Int.End . (<recv (chan a)> | <recv (chan b)>)")
+    c = soup("nu a b : ?Int.End . (<recv (chan a)> | <recv (chan b)>)")
     out = classify_config(c)
     assert isinstance(out, tuple) and out[0] == "deadlock"
     sites = {b.operation for b in out[1].blocked}
@@ -111,7 +118,7 @@ def test_classify_config_deadlock_two_blocked_receivers():
     ],
 )
 def test_deadlock_report_names_each_blocking_operation(src, operation, subject):
-    out = classify_config(config(src))
+    out = classify_config(soup(src))
     assert isinstance(out, tuple) and out[0] == "deadlock"
     (site,) = out[1].blocked
     assert (site.operation, site.subject) == (operation, subject)
@@ -119,7 +126,7 @@ def test_deadlock_report_names_each_blocking_operation(src, operation, subject):
 
 
 def test_classify_config_reducible():
-    assert classify_config(CProc(expr("let x = () in x"))) == "reducible"
+    assert classify_config(Soup(CProc(expr("let x = () in x")))) == "reducible"
 
 
 # -- configuration steps --------------------------------------------------------
@@ -254,7 +261,7 @@ def test_trichotomy_over_corpus(seed):
     for name, cfg in _corpus_configs():
         m = Machine(cfg, seed=seed, max_steps=10_000)
         while True:
-            cls = classify_config(m.config)
+            cls = classify_config(Soup(m.config))
             kinds = [
                 cls == "final",
                 isinstance(cls, tuple) and cls[0] == "deadlock",
@@ -378,10 +385,8 @@ def _literal_redex(c: Config) -> bool:
 
 
 def _head(e):
-    from pvgr.runtime import split_eval
-
-    h = split_eval(e)
-    return h[0] if h else None
+    """The operation at the evaluation hole of a flat e."""
+    return e.head if isinstance(e, ELet) else e
 
 
 @pytest.mark.parametrize(
@@ -397,7 +402,7 @@ def test_flattened_search_justified_by_congruence(src):
     # every communication redex the flattened search finds corresponds to a
     # configuration, congruent within 6 rewrites, in literal rule shape
     c = config(src)
-    cands = [x for x in find_candidates(c) if x.rule not in ("CR-Expr",)]
+    cands = [x for x in find_candidates(Soup(c)) if x.rule not in ("CR-Expr",)]
     assert cands
     reach = _cc_reachable(c)
     assert any(_literal_redex(v) for v in reach.values()), src
@@ -449,28 +454,25 @@ def _soup(last: str, n: int = 5000) -> Config:
 @pytest.mark.parametrize("last", ["()", "let x = () in x", "recv (chan c)"])
 def test_walks_of_a_5000_process_soup_need_no_deep_stack(last):
     """A soup of 5000 processes whose last is a value, a CR-Expr redex or
-    blocked. At the default recursion limit `iter_procs`, `is_final`,
+    blocked. At the default recursion limit `iter_procs`, `Soup`,
     `find_candidates` and `classify_config` walk it to the end; the next
     test steps it."""
     import sys
-
-    from pvgr.runtime import is_final
 
     n = 5000
     soup = _soup(last, n)
     assert sys.getrecursionlimit() <= 1000
 
     assert sum(1 for _ in iter_procs(soup)) == n
-    final = is_final(soup)
-    cands = find_candidates(soup)
-    cls = classify_config(soup)
+    cells = Soup(soup)
+    cands = find_candidates(cells)
+    cls = classify_config(cells)
 
-    assert final == (last == "()")
     assert [c.rule for c in cands] == (["CR-Expr"] if last.startswith("let") else [])
     if last.startswith("recv"):
         assert cls[0] == "deadlock" and [b.operation for b in cls[1].blocked] == ["recv"]
     else:
-        assert cls == ("final" if final else "reducible")
+        assert cls == ("final" if last == "()" else "reducible")
 
     ours = iter_procs(soup)
     limit = sys.getrecursionlimit()
@@ -521,7 +523,7 @@ def _scope_walks_per_step(monkeypatch, cfg) -> float:
         monkeypatch.setattr(module, "scope_walk", counted)
     m = Machine(cfg, seed=1)
     out = m.run()
-    assert out.kind == "final" and isinstance(out.config, Config)
+    assert out.kind == "final" and isinstance(m.config, Config)
     return calls[0] / m.steps
 
 
@@ -555,4 +557,4 @@ def test_a_5000_let_spine_runs_at_the_default_recursion_limit():
     m = Machine(CProc(e))
     out = m.run()
     assert (out.kind, m.steps) == ("final", n)
-    assert [pretty(v) for _, v in iter_procs(out.config)] == ["()"]
+    assert [pretty(v) for _, v in iter_procs(m.config)] == ["()"]

@@ -10,8 +10,11 @@ from pvgr.anf import anf_transform
 from pvgr.ast import (
     BTVar,
     BVal,
+    KArrow,
     KDom,
     KSession,
+    KShape,
+    KType,
     ShOne,
     StBind,
     StEmpty,
@@ -166,6 +169,31 @@ def test_type_expr_session_mismatch():
     with pytest.raises(TypecheckError) as exc:
         type_expr(g, sigma, e)
     assert exc.value.code == "T-Close"
+
+
+def test_type_expr_send_of_a_domain_of_the_wrong_shape():
+    # the session sends a domain of shape h, and the payload's type matches
+    # its pattern only with a domain of shape 1. No surface program reaches
+    # this: kinding `g d` in a lambda's annotation fails K-App first, so the
+    # context here is built without being formed.
+    free = {t: fresh_name(t) for t in "hgdcx"}
+    h, g, d, c, x = free.values()
+    ctx = (
+        BTVar(h, KShape()),
+        BTVar(g, KArrow(KDom(TVar(h)), KType())),
+        BTVar(d, KDom(ShOne())),
+        BTVar(c, KDom(ShOne())),
+        BVal(x, parse_with("type", "g d", free)),
+    )
+    sigma = parse_with("type", "{c: !{e:Dom(h)}(.; g e).End}", free)
+    e = parse_with("expr", "send x (chan c)", free)
+    with pytest.raises(TypecheckError) as exc:
+        type_expr(ctx, sigma, e)
+    err = exc.value
+    assert (err.code, err.message, err.expected, err.found) == (
+        "T-Send", "transferred domain has the wrong shape", "Dom(h)", "Dom(1)"
+    )
+    assert str(err).startswith("<input>:1:1: error[T-Send]")
 
 
 def test_frame_unused_binding_passes_through():
