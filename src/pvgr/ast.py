@@ -127,9 +127,10 @@ class Node(Record):
     """A syntax tree node: its fields, and a keyword-only source `span`."""
 
     _spanned = True
-    # pvgr.normalize sets these on a normal form it returns, in the
-    # instance's __dict__: the mark of a top-level normal form, and its
-    # canonical form once `conv` has needed it
+    # pvgr.normalize sets these in the instance's __dict__: the mark of a
+    # top-level normal form it returns, and, once conversion has needed
+    # it, the alpha-invariant key of the node's normal form taken at the
+    # top (`normalize.conv_key`). A key taken under a binder is never kept.
     _normal = False
     _canon = None
 
@@ -721,7 +722,11 @@ def state_atoms(st: Type) -> list[Type]:
 
 
 def state_of_atoms(atoms: list[Type]) -> Type:
-    out: Type = StEmpty()
-    for a in atoms:
-        out = a if isinstance(out, StEmpty) else StMerge(out, a)
+    """The atoms merged, nested to the right as normalize nests them; `.`
+    when there are none."""
+    if not atoms:
+        return StEmpty()
+    out = atoms[-1]
+    for a in reversed(atoms[:-1]):
+        out = StMerge(a, out)
     return out

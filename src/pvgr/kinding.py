@@ -46,7 +46,7 @@ from .ast import (
 )
 from .constraints import Context, context, entails, fresh_marker
 from .diagnostic import Diagnostic
-from .normalize import _TOP, _key, conv, normalize
+from .normalize import conv, conv_key, normalize
 from .pretty import pretty
 
 
@@ -337,21 +337,18 @@ def _require_disjoint(g: Ctx, d1: Type, d2: Type, rule: str, at: Type) -> None:
 
 # -- K-StMerge over a whole merge tree -------------------------------------------
 
-_Atoms = tuple[list[Type], list | None]  # normalized atoms, and their sort keys once known
-
-
-def _merge_atoms(g: Context, t: StMerge) -> _Atoms:
+def _merge_atoms(g: Context, t: StMerge) -> list[Type]:
     """K-StMerge at t and every merge below it, in one pass: each side is
     kinded, then every domain of one side's atoms must be disjoint from
     every domain of the other's. Returns t's normalized atoms as normalize
     orders them, so that the merge above reads them instead of normalizing
     t again. A merge of two single atoms asks one question, so it leaves
-    its atoms unordered and unkeyed."""
-    la, lk = _side_atoms(g, t.left)
-    ra, rk = _side_atoms(g, t.right)
+    its atoms unordered."""
+    la, ra = _side_atoms(g, t.left), _side_atoms(g, t.right)
     single = len(la) == 1 and len(ra) == 1
     if not single:
-        (la, lk), (ra, rk) = _ordered(la, lk), _ordered(ra, rk)
+        la.sort(key=conv_key)
+        ra.sort(key=conv_key)
     ld, rd = _doms(la), _doms(ra)
     if ld is None or rd is None:
         if (ld is None and ra) or (rd is None and la):
@@ -360,22 +357,14 @@ def _merge_atoms(g: Context, t: StMerge) -> _Atoms:
         for d1 in ld:
             for d2 in rd:
                 _require_disjoint(g, d1, d2, "K-StMerge", t)
-    return (la + ra, None) if single else _ordered(la + ra, lk + rk)
+    return la + ra if single else sorted(la + ra, key=conv_key)
 
 
-def _side_atoms(g: Context, t: Type) -> _Atoms:
+def _side_atoms(g: Context, t: Type) -> list[Type]:
     if isinstance(t, StMerge):
         return _merge_atoms(g, t)
     _expect(g, t, KState(), "K-StMerge")
-    return state_atoms(normalize(t)), None
-
-
-def _ordered(atoms: list[Type], keys: list | None) -> tuple[list[Type], list]:
-    """atoms sorted stably by normalize's key, each key computed once."""
-    if keys is None:
-        keys = [_key(a, _TOP) for a in atoms]
-    order = sorted(range(len(atoms)), key=keys.__getitem__)
-    return [atoms[i] for i in order], [keys[i] for i in order]
+    return state_atoms(normalize(t))
 
 
 def _doms(atoms: list[Type]) -> list[Type] | None:

@@ -3,16 +3,21 @@
 normalize exhaustively applies type-level beta reduction, projection of
 domain merges, and dual-pushing; it also flattens states, drops empty
 units, and sorts state bindings by an alpha-invariant key so conversion
-treats states as multisets. Conversion is alpha-equivalence of normal
-forms. The rewrite system terminates: each rule is size-reducing (see
-docs/normalization.md).
+treats states as multisets. The rewrite system terminates: each rule is
+size-reducing (see docs/normalization.md).
 
 A normal form is known by identity: every tree that `_norm` returns at the
 top (scope depth 0) is marked, and normalizing a marked tree returns it as
 it is. Only top-level results are marked, as a tree normalized under a
 binder orders its states by the binder's level (docs/normalization.md).
-`conv` compares canonical forms, each computed once and kept on its normal
-form.
+
+The sort key is the one alpha-invariant form: bound variables key as their
+de Bruijn levels and free ones as their names, so on types two trees have
+equal keys exactly when they are alpha-equivalent. Conversion is
+alpha-equivalence of normal forms, so `conv` compares `conv_key`s: the key
+of a type's normal form, taken at the top, computed once and kept on the
+type and on its normal form. A key taken under a binder depends on the
+binder and is never kept.
 """
 
 from __future__ import annotations
@@ -43,9 +48,9 @@ from .ast import (
     Tree,
     Type,
     alpha_equiv,  # re-exported: conversion is alpha-equivalence of normal forms
-    canonicalize,
     scope_walk,
     state_atoms,
+    state_of_atoms,
     subst1,
 )
 
@@ -63,20 +68,21 @@ def normalize(t: Type) -> NormalType:
 
 def conv(t1: Type, t2: Type) -> bool:
     """Decides the conversion relation: alpha-equivalence of normal forms."""
-    n1, n2 = normalize(t1), normalize(t2)
-    return n1 is n2 or _canonical(n1) == _canonical(n2)
+    return conv_key(t1) == conv_key(t2)
 
 
-def _canonical(nf: NormalType) -> Tree:
-    """canonicalize(nf), computed once per normal form and kept on it. A tree
-    without binders is its own canonical form; that is kept as False, so
-    that no node refers to itself."""
-    c = nf._canon
-    if c is None:
-        c = canonicalize(nf)
-        nf.__dict__["_canon"] = False if c is nf else c
-        return c
-    return c or nf
+def conv_key(t: Type):
+    """The key of t's normal form, taken at the top: two types are
+    convertible exactly when their keys are equal. Computed once and kept
+    on t and on its normal form."""
+    k = t._canon
+    if k is None:
+        nf = normalize(t)
+        k = nf._canon
+        if k is None:
+            k = _key(nf, _TOP)
+        t.__dict__["_canon"] = nf.__dict__["_canon"] = k
+    return k
 
 
 def dual(s: Type) -> NormalType:
@@ -113,8 +119,9 @@ def _norm(t: Type, scope: _Scope) -> Type:
             for a in state_atoms(t):
                 atoms.extend(state_atoms(_norm(a, scope)))  # normalization may expose merges
             atoms = [a for a in atoms if not isinstance(a, StEmpty)]
-            atoms.sort(key=lambda a: _key(a, scope))
-            out = _state_rebuild(atoms)
+            # each atom is normal under this scope; only a top key is kept
+            atoms.sort(key=conv_key if top else lambda a: _key(a, scope))
+            out = state_of_atoms(atoms)
         case _:
             # every other node: congruence, scoped by the table
             out = scope_walk(t, scope, _norm, _bind_level, _bare)[0]
@@ -131,15 +138,6 @@ def _bind_level(name: Name, role: str, scope: _Scope) -> tuple[Name, _Scope]:
 def _bare(t: Tree, vals: list) -> Tree:
     """t rebuilt from new field values; normal forms carry no spans."""
     return t.__class__(*vals)
-
-
-def _state_rebuild(atoms: list[Type]) -> Type:
-    if not atoms:
-        return StEmpty()
-    out = atoms[-1]
-    for a in reversed(atoms[:-1]):
-        out = StMerge(a, out)
-    return out
 
 
 def _dual_push(s: Type) -> Type:

@@ -93,7 +93,7 @@ from .diagnostic import Diagnostic
 from .kinding import (
     check_arrow_package, check_ctx_suffix, disjoint_append, infer_kind, kind_equiv, located, lookup_val,
 )
-from .normalize import conv, dual, normalize
+from .normalize import conv, conv_key, dual, normalize
 from .pretty import pretty, pretty_ctx
 
 
@@ -135,16 +135,17 @@ def _atoms_of(state: Type) -> list[Type]:
 
 
 def _remove(atoms: list[Type], wanted: list[Type]) -> tuple[list[Type], Type | None]:
-    """atoms less one atom equal up to conv to each wanted atom, in turn, and
-    the first wanted atom that none equals (None when all are found)."""
+    """atoms less the first atom convertible to each wanted atom, in turn,
+    and the first wanted atom that none is convertible to (None when all
+    are found)."""
     rest = list(atoms)
+    keys = [conv_key(a) for a in rest]
     for w in wanted:
-        for i, a in enumerate(rest):
-            if conv(a, w):
-                del rest[i]
-                break
-        else:
+        try:
+            i = keys.index(conv_key(w))
+        except ValueError:
             return rest, w
+        del rest[i], keys[i]
     return rest, None
 
 
@@ -397,8 +398,9 @@ def _channel_op(g: Ctx, atoms: list[Type], e: Expr, v: Value) -> tuple[Type, Typ
     tv = normalize(type_value(g, v))
     if not isinstance(tv, TChan):
         raise TypecheckError(rule, "operation needs a channel", e.span, found=pretty(tv))
+    k = conv_key(tv.dom)
     for i, a in enumerate(atoms):
-        if isinstance(a, StBind) and conv(a.dom, tv.dom):
+        if isinstance(a, StBind) and conv_key(a.dom) == k:
             break
     else:
         raise TypecheckError(
@@ -492,10 +494,7 @@ def _type_send(g: Ctx, atoms: list[Type], e: Expr, payload: Value, chanv: Value)
         tpay,
         span=e.span,
     )
-    guessed = rho.get(ses.binder.uid)
-    if guessed is None:
-        raise TypecheckError("T-Send", "could not determine the transferred domain", e.span)
-    kd = located(e.span, infer_kind, g, guessed)
+    kd = located(e.span, infer_kind, g, rho[ses.binder.uid])
     if not kind_equiv(kd, KDom(normalize(ses.shape))):
         raise TypecheckError(
             "T-Send",
@@ -806,8 +805,9 @@ def _type_config(
             leftover = _type_config(g2, atoms + extra, body, collect)
             untouched = []
             kept: list[Type] = []
+            extra_keys = [conv_key(x) for x in extra]
             for a in leftover:
-                if any(conv(a, x) for x in extra):
+                if conv_key(a) in extra_keys:
                     untouched.append(a)
                 else:
                     kept.append(a)

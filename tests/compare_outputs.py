@@ -16,6 +16,9 @@ two files. The calls are:
 - the untyped, rare-branch and stuck configurations of
   `tests/test_redex_index.py`, each under `run --no-check --trace --max-steps 50` with seeds
   0-3;
+- the ill-typed programs of the `KIND_FAILURES`, `DISJOINTNESS_FAILURES`
+  and `RULE_FAILURES` tables of `tests/test_cli.py`, each under `check`
+  and `check --format json`;
 - `corpus corpus`.
 
 Pytest does not collect this file. The whole set takes about a minute.
@@ -39,18 +42,28 @@ SIZES = (3, 8, 16)
 GEN_SEEDS = (1, 2)
 
 
-def _untyped() -> dict[str, str]:
-    """The UNTYPED, BRANCHES and STUCK tables of tests/test_redex_index.py,
-    read without importing it."""
-    tree = ast.parse((ROOT / "tests" / "test_redex_index.py").read_text())
-    tables = {
+def _tables(module: str, names: tuple[str, ...]) -> dict[str, dict]:
+    """The named top-level tables of tests/<module>.py, read without
+    importing it."""
+    tree = ast.parse((ROOT / "tests" / f"{module}.py").read_text())
+    return {
         node.targets[0].id: ast.literal_eval(node.value)
         for node in tree.body
-        if isinstance(node, ast.Assign)
-        and isinstance(node.targets[0], ast.Name)
-        and node.targets[0].id in ("UNTYPED", "BRANCHES", "STUCK")
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name) and node.targets[0].id in names
     }
+
+
+def _untyped() -> dict[str, str]:
+    """The UNTYPED, BRANCHES and STUCK configurations of tests/test_redex_index.py."""
+    tables = _tables("test_redex_index", ("UNTYPED", "BRANCHES", "STUCK"))
     return {**tables["UNTYPED"], **tables["BRANCHES"], **tables["STUCK"]}
+
+
+def _ill_typed() -> dict[str, str]:
+    """The program of each entry of the failure tables of tests/test_cli.py,
+    named by its table and its key."""
+    tables = _tables("test_cli", ("KIND_FAILURES", "DISJOINTNESS_FAILURES", "RULE_FAILURES"))
+    return {f"{table}_{site}": row[0] for table, rows in tables.items() for site, row in rows.items()}
 
 
 def _generators():
@@ -76,6 +89,11 @@ def _calls(work: Path) -> list[list[str]]:
         rel = f"gen/{name}.pvgr"
         (work / rel).write_text(src + "\n")
         untyped.append(rel)
+    ill_typed = []
+    for name, src in _ill_typed().items():
+        rel = f"gen/{name}.pvgr"
+        (work / rel).write_text(src)
+        ill_typed.append(rel)
 
     calls = []
     for f in typed:
@@ -84,6 +102,8 @@ def _calls(work: Path) -> list[list[str]]:
         calls += [["run", f, "--seed", str(k), "--check"] for k in range(2)]
     for f in untyped:
         calls += [["run", f, "--no-check", "--trace", "--max-steps", "50", "--seed", str(k)] for k in range(4)]
+    for f in ill_typed:
+        calls += [["check", f], ["check", f, "--format", "json"]]
     calls.append(["corpus", "corpus"])
     return calls
 

@@ -18,6 +18,26 @@ def corpus_files() -> list[Path]:
     return sorted(CORPUS.glob("*.pvgr"))
 
 
+def cli_programs() -> list[tuple[str, str]]:
+    """Every string in tests/test_cli.py that parses as a program, named by
+    its line."""
+    import ast
+
+    from pvgr.diagnostic import Diagnostic
+    from pvgr.parser import parse_program
+
+    text = (Path(__file__).parent / "test_cli.py").read_text()
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                parse_program(node.value, filename="cli.pvgr")
+            except Diagnostic:
+                continue
+            out.append((f"test_cli.py:{node.lineno}", node.value))
+    return out
+
+
 def perfbench_gen():
     """perfbench's generators of the chain, fan and hold programs."""
     import importlib.util

@@ -7,13 +7,11 @@ each atom of a lambda's pre-state is normalized once by the rule."""
 
 from __future__ import annotations
 
-import ast
 import random
 import sys
-from pathlib import Path
 
 import pytest
-from conftest import corpus_files, perfbench_gen
+from conftest import cli_programs, corpus_files, perfbench_gen
 from kinding_ref import infer_kind_ref
 
 import pvgr.kinding as kinding
@@ -59,20 +57,6 @@ def _check(src: str, filename: str) -> None:
         type_config((), EMPTY, prog.config)
 
 
-def _cli_programs() -> list[tuple[str, str]]:
-    """Every string in tests/test_cli.py that parses as a program."""
-    text = (Path(__file__).parent / "test_cli.py").read_text()
-    out = []
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                parse_program(node.value, filename="cli.pvgr")
-            except Diagnostic:
-                continue
-            out.append((f"test_cli.py:{node.lineno}", node.value))
-    return out
-
-
 def _programs() -> list[tuple[str, str]]:
     gen = perfbench_gen()
     families = [
@@ -80,7 +64,7 @@ def _programs() -> list[tuple[str, str]]:
         for fam in ("chain", "fan", "hold")
         for n in (3, 8, 12)
     ]
-    return [(f.name, f.read_text()) for f in corpus_files()] + families + _cli_programs()
+    return [(f.name, f.read_text()) for f in corpus_files()] + families + cli_programs()
 
 
 @pytest.fixture(scope="module")

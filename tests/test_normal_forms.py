@@ -4,9 +4,10 @@
 marked tree as it is, so normalizing twice gives the same object. These
 tests check that each marked tree is what the reference normalizer gives,
 that normalizing an unmarked copy of it changes nothing (no beta step, no
-fresh name), and that `conv`, which compares canonical forms kept on the
-normal forms, agrees with the declarative rewrite search. The types are
-those the checker normalizes on the corpus, and random ones.
+fresh name), and that `conv`, which compares the sort keys of normal forms
+kept on them, agrees with the declarative rewrite search and with
+comparing canonical forms (`tests/conv_ref.py`). The types are those the
+checker normalizes on the corpus, and random ones.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import random
 
 import pytest
 from conftest import corpus_files
+from conv_ref import conv as conv_ref
 from oracles import alpha_oracle, conv_search, mutate_type, normalize_ref, random_session, random_type
 
 import pvgr.constraints
@@ -23,6 +25,8 @@ import pvgr.kinding
 import pvgr.typing
 from pvgr.anf import anf_transform
 from pvgr.ast import (
+    DomProj,
+    Label,
     Node,
     ShOne,
     StBind,
@@ -32,10 +36,13 @@ from pvgr.ast import (
     TUnit,
     TVar,
     Type,
+    canonicalize,
     fresh_name,
     size,
+    state_atoms,
+    subst,
 )
-from pvgr.normalize import conv, normalize
+from pvgr.normalize import conv, conv_key, normalize
 from pvgr.parser import parse_program, parse_type
 from pvgr.typing import type_config, type_expr
 
@@ -131,6 +138,35 @@ def test_conv_agrees_with_declarative_search(types):
     for t, u in zip(small, small[1:]):
         nt, nu, want = normalize(t), normalize(u), conv_search(t, u)
         assert conv(nt, nu) == conv(nu, nt) == want
+
+
+def test_conv_agrees_with_canonical_forms(types):
+    # the types; the session !{d:Dom(1)}({a: End, d: End}; Unit).End with `a`
+    # free, its state and atoms as normalized under the binder, the same
+    # atoms built at the top, and two atoms that differ only in a label; and
+    # the normal form, an alpha-variant (every binder renamed) and a mutant
+    # of each
+    rng = random.Random(1717)
+    a, d = fresh_name("a"), fresh_name("d")
+    example = TSend(d, ShOne(), StMerge(StBind(TVar(a), TEnd()), StBind(TVar(d), TEnd())), TUnit(), TEnd())
+    under = normalize(example).state
+    base = [*types, example, under, *state_atoms(under), StBind(TVar(d), TEnd()), StBind(TVar(a), TEnd())]
+    base += [StBind(DomProj(lab, TVar(a)), TEnd()) for lab in Label]
+    nfs = [normalize(t) for t in base]
+    variants = [subst({}, t) for t in base]
+    mutants = [mutate_type(rng, t) for t in base]
+    pairs = [*zip(base, variants), *zip(nfs, mutants), *zip(base, nfs[1:]), *zip(variants, mutants[1:])]
+    outcomes = [conv(t, u) for t, u in pairs]
+    assert outcomes == [conv_ref(t, u) for t, u in pairs]
+    assert 0 < outcomes.count(False) < outcomes.count(True)
+    # every pair of the pool: the keys part it into the classes that the
+    # canonical forms of the normal forms part it into
+    pool = base + nfs + variants + mutants
+    classes: dict = {}
+    for t in pool:
+        classes.setdefault(conv_key(t), set()).add(canonicalize(normalize(t)))
+    assert all(len(forms) == 1 for forms in classes.values())
+    assert len(classes) == len({canonicalize(normalize(t)) for t in pool})
 
 
 def test_a_state_normalized_under_its_binder_is_not_marked():
