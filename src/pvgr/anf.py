@@ -19,21 +19,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .ast import (
-    ECase,
-    ELet,
-    EVal,
-    Expr,
-    Name,
-    Span,
-    VAbs,
-    VPair,
-    VTAbs,
-    Value,
-    fresh_name,
-    replace,
-    VVar,
-)
+from .ast import ELet, EVal, Expr, Name, Span, Value, VVar, fresh_name, replace
 
 # binder, head, exnames and span of one let of a spine
 LetBinding = tuple[Name, Expr, tuple[Name, ...], Span | None]
@@ -98,28 +84,26 @@ def anf_transform(e: Expr) -> Expr:
     return _build(*_unroll(e, _anf_node, name_tail=True))
 
 
-def _value_fields(e: Expr) -> dict[str, Value]:
-    return {f: v for f in e._fields if isinstance(v := getattr(e, f), Value)}
+class _OperandCache(dict):
+    """The Expr and Value fields of each node class, each with whether it
+    holds an Expr, read once per class from its annotations."""
+
+    def __missing__(self, cls: type) -> tuple[tuple[str, bool], ...]:
+        operands = tuple((f, ann == "Expr") for f, ann in cls._fields.items() if ann in ("Expr", "Value"))
+        self[cls] = operands
+        return operands
 
 
-def _anf_node(e: Expr) -> Expr:
-    """A non-let with its case branches and lambda bodies in strict ANF."""
-    if isinstance(e, ECase):
-        return ECase(_anf_value(e.value), anf_transform(e.left), anf_transform(e.right), span=e.span)
-    values = {k: _anf_value(v) for k, v in _value_fields(e).items()}
-    return replace(e, **values) if values else e
+_OPERANDS = _OperandCache()
 
 
-def _anf_value(v: Value) -> Value:
-    match v:
-        case VAbs(pre, binder, argty, body):
-            return VAbs(pre, binder, argty, anf_transform(body), span=v.span)
-        case VTAbs(binder, kind, cstr, body):
-            return VTAbs(binder, kind, cstr, _anf_value(body), span=v.span)
-        case VPair(l, r):
-            return VPair(_anf_value(l), _anf_value(r), span=v.span)
-        case _:
-            return v
+def _anf_node(t: Expr | Value) -> Expr | Value:
+    """A non-let or a value, with its case branches and lambda bodies in
+    strict ANF."""
+    fields = _OPERANDS[t.__class__]
+    if not fields:
+        return t
+    return replace(t, **{f: (anf_transform if expr else _anf_node)(getattr(t, f)) for f, expr in fields})
 
 
 def is_strict_anf(e: Expr) -> bool:
@@ -133,21 +117,11 @@ def is_strict_anf(e: Expr) -> bool:
     return _strict_head(e)
 
 
-def _strict_head(e: Expr) -> bool:
-    if isinstance(e, ELet):
+def _strict_head(t: Expr | Value) -> bool:
+    """t is not a let, and its case branches and lambda bodies are strict."""
+    if t.__class__ is ELet:
         return False
-    if isinstance(e, ECase) and not (is_strict_anf(e.left) and is_strict_anf(e.right)):
-        return False
-    return all(_strict_value(v) for v in _value_fields(e).values())
-
-
-def _strict_value(v: Value) -> bool:
-    match v:
-        case VAbs(_, _, _, body):
-            return is_strict_anf(body)
-        case VTAbs(_, _, _, body):
-            return _strict_value(body)
-        case VPair(l, r):
-            return _strict_value(l) and _strict_value(r)
-        case _:
-            return True
+    for f, expr in _OPERANDS[t.__class__]:
+        if not (is_strict_anf if expr else _strict_head)(getattr(t, f)):
+            return False
+    return True

@@ -22,12 +22,15 @@ a step costs what it touches (Accattoli & Barras, PPDP 2017):
   looks when read as a stack. Each environment belongs to one run of a
   spine or of one application, and binders are unique, so no binding is
   ever overwritten and a closure can share its environment.
-- The configuration is a `Soup`: binder, parallel and process cells, linked
-  to their parents and kept in walk order (depth-first, left-first, a
-  binder before its body) by an order-maintenance list. A step rewrites
-  the cells it touches: a fork puts a parallel cell where its process was,
-  `new` a binder cell, and a request/accept rendezvous a channel cell
-  directly under the access point.
+- The configuration is a `Soup`: one order-maintenance list of binder,
+  parallel and process cells in walk order (depth-first, left-first, a
+  binder before its body). Each binder and parallel cell opens a bracket
+  that its close mark ends: a binder's body lies between the two, and a
+  parallel cell's left side comes before its right. The list is the whole
+  configuration. A step inserts the cells it makes: a fork brackets its
+  process and the child with a parallel cell, `new` brackets its process
+  with a binder cell, and a request/accept rendezvous brackets the access
+  point's body with a channel cell.
 - The hole index is kept across steps. The evaluation hole of each process
   is keyed once: a `request` or `accept` by the uid of its access point,
   and a `send`, `recv`, `select`, `case` or `close` by the channel end
@@ -109,7 +112,7 @@ from .normalize import normalize
 from .parser import OPERATIONS
 from .pretty import pretty
 
-Path = tuple[str, ...]  # 'left' | 'right' | 'body' steps from the root
+Path = tuple[str, ...]  # 'left' | 'right' | 'body' steps into a Config
 
 
 # ---------------------------------------------------------------------------
@@ -208,42 +211,42 @@ class _Mark:
 
 
 class _Proc(_Mark):
-    """A process cell: its frames (the top last), its parent cell, its span
-    (None once it has stepped), and what keying its hole found: the hole
-    index lists it is filed in, and whether it is blocked on a
-    communication. It starts as expr under env, by default an empty scope
-    of its own."""
+    """A process cell: its frames (the top last), its span (None once it
+    has stepped), and what keying its hole found: the hole index lists it
+    is filed in, and whether it is blocked on a communication. It starts as
+    expr under env, by default an empty scope of its own."""
 
-    __slots__ = ("frames", "parent", "span", "key", "lists", "blocked")
+    __slots__ = ("frames", "span", "key", "lists", "blocked")
 
-    def __init__(self, expr: Expr, env: _Env | None = None, parent=None, span: Span | None = None) -> None:
+    def __init__(self, expr: Expr, env: _Env | None = None, span: Span | None = None) -> None:
         self.frames = [_Frame(expr, env or _Env({}, None))]
-        self.parent, self.span, self.key, self.lists, self.blocked = parent, span, None, [], False
+        self.span, self.key, self.lists, self.blocked = span, None, [], False
         _settle(self)
 
 
-class _Par:
-    __slots__ = ("parent", "left", "right", "span")
+class _Par(_Mark):
+    """A parallel cell: its left side, then its right, lie between it and
+    its `close` mark in the walk order."""
 
-    def __init__(self, parent, left, right, span: Span | None = None) -> None:
-        self.parent, self.left, self.right, self.span = parent, left, right, span
+    __slots__ = ("span", "close")
 
-
-# the hole lists of each binder kind, by the operation at the hole
-_OPS = {CNuAccess: (ERequest, EAccept), CNuChan: (ESend, ERecv, ESelect, ECase, EClose)}
+    def __init__(self, span: Span | None = None) -> None:
+        self.span, self.close = span, _Mark()
 
 
 class _Nu(_Mark):
-    """A binder cell: `names` is (access point,) or (end1, end2), `close`
-    marks the end of its scope in the walk order, and `holes` files the
-    holes keyed by its names that lie in that scope, in walk order."""
+    """A binder cell: `names` is (access point,) or (end1, end2), its scope
+    lies between it and its `close` mark in the walk order, and `holes`
+    files the holes keyed by its names that lie in that scope, in walk
+    order, one list per operation that meets another at this kind of
+    binder."""
 
-    __slots__ = ("kind", "names", "ses", "body", "closed", "parent", "span", "close", "holes", "active")
+    __slots__ = ("kind", "names", "ses", "closed", "span", "close", "holes", "active")
 
-    def __init__(self, kind: type, names, ses: Type, body, parent, closed=False, span=None) -> None:
-        self.kind, self.names, self.ses, self.body, self.closed = kind, names, ses, body, closed
-        self.parent, self.span, self.close, self.active = parent, span, _Mark(), False
-        self.holes = {op: [] for op in _OPS[kind]}
+    def __init__(self, kind: type, names, ses: Type, closed=False, span=None) -> None:
+        self.kind, self.names, self.ses, self.closed = kind, names, ses, closed
+        self.span, self.close, self.active = span, _Mark(), False
+        self.holes = {op: [] for _, k, first, second in _PAIRS if k is kind for op in (first, second)}
 
 
 def _settle(p: _Proc) -> None:
@@ -450,7 +453,8 @@ _GAP = 1 << 32  # the label distance between neighbours after a relabelling
 
 
 class Soup:
-    """A configuration as live cells, with its hole index kept across steps."""
+    """A configuration as one list of cells in walk order, with its hole
+    index kept across steps."""
 
     def __init__(self, cfg: Config) -> None:
         self.first, self.last = _Mark(), _Mark()
@@ -467,31 +471,27 @@ class Soup:
     # -- cells and order -------------------------------------------------------
 
     def _build(self, cfg: Config) -> None:
-        """Make the cells of cfg in walk order, from an explicit stack."""
-        stack: list = [(cfg, None, None)]  # node, parent cell, its field
+        """Link the cells of cfg in walk order, from an explicit stack."""
+        stack: list = [cfg]
         while stack:
-            c, parent, field = stack.pop()
-            if c.__class__ is _Mark:  # the end of a binder's scope
+            c = stack.pop()
+            if c.__class__ is _Mark:  # the end of a bracket
                 self._link(c, self.last)
                 continue
             if isinstance(c, CProc):
-                cell = _Proc(c.expr, parent=parent, span=c.span)
-                self._link(cell, self.last)
-            elif isinstance(c, CPar):
-                cell = _Par(parent, None, None, c.span)
-                stack += ((c.right, cell, "right"), (c.left, cell, "left"))
+                self._link(_Proc(c.expr, span=c.span), self.last)
+                continue
+            if isinstance(c, CPar):
+                cell = _Par(c.span)
+                stack += (cell.close, c.right, c.left)
             else:
                 if isinstance(c, CNuChan):
-                    cell = _Nu(CNuChan, (c.end1, c.end2), c.ses, None, parent, c.closed, c.span)
+                    cell = _Nu(CNuChan, (c.end1, c.end2), c.ses, c.closed, c.span)
                 else:
-                    cell = _Nu(CNuAccess, (c.binder,), c.ses, None, parent, span=c.span)
-                self._link(cell, self.last)
+                    cell = _Nu(CNuAccess, (c.binder,), c.ses, span=c.span)
                 self._bind(cell)
-                stack += ((cell.close, None, None), (c.body, cell, "body"))
-            if parent is None:
-                self.root = cell
-            else:
-                setattr(parent, field, cell)
+                stack += (cell.close, c.body)
+            self._link(cell, self.last)
 
     def _link(self, m: _Mark, before: _Mark) -> None:
         m.prev, m.next = before.prev, before
@@ -515,20 +515,6 @@ class Soup:
     def _bind(self, nu: _Nu) -> None:
         for name in nu.names:
             self.binders.setdefault(name.uid, []).append(nu)
-
-    def _put(self, cell, new) -> None:
-        """new in cell's place under cell's parent."""
-        parent = new.parent = cell.parent
-        if parent is None:
-            self.root = new
-        elif parent.__class__ is _Par:
-            if parent.left is cell:
-                parent.left = new
-            else:
-                parent.right = new
-        else:
-            parent.body = new
-        cell.parent = new
 
     def procs(self) -> Iterator[_Proc]:
         m = self.first.next
@@ -592,13 +578,14 @@ class Soup:
 
     def _touch(self, nu: _Nu) -> None:
         """Keep nu in the active list exactly while two of its holes may meet."""
-        h = nu.holes
-        if nu.closed:
-            live = False
-        elif nu.kind is CNuAccess:
-            live = bool(h[ERequest] and h[EAccept])
-        else:
-            live = bool((h[ESend] and h[ERecv]) or (h[ESelect] and h[ECase]) or len(h[EClose]) > 1)
+        live = False
+        if not nu.closed:
+            h = nu.holes
+            for _, kind, first, second in _PAIRS:
+                # when both sites come from one list, it needs two entries
+                if kind is nu.kind and h[first] and len(h[second]) > (first is second):
+                    live = True
+                    break
         if live != nu.active:
             nu.active = live
             if live:
@@ -645,18 +632,17 @@ class Soup:
         op, env = _hole(p)
         child = _Proc(EApp(op.value, VUnit()), _Env({}, env))
         _plug(p, _UNIT, None)
-        par = _Par(None, p, child)
-        self._put(p, par)
-        child.parent = par
+        par = _Par()
+        self._insert(par, p)
         self._insert(child, p.next)
+        self._insert(par.close, child.next)
         return child
 
     def _new(self, p: _Proc) -> None:
         op, env = _hole(p)
         ap = fresh_name("p")
-        nu = _Nu(CNuAccess, (ap,), _type(op.ses, env), p, None)
+        nu = _Nu(CNuAccess, (ap,), _type(op.ses, env))
         _plug(p, EVal(VVar(ap)), None)
-        self._put(p, nu)
         self._insert(nu, p)
         self._insert(nu.close, p.next)
         self._bind(nu)
@@ -670,9 +656,7 @@ class Soup:
         op, env = _hole(first)
         if op.__class__ is ERequest:
             c1, c2 = fresh_name("c"), fresh_name("c")
-            chan = _Nu(CNuChan, (c1, c2), nu.ses, nu.body, nu)
-            nu.body.parent = chan
-            nu.body = chan
+            chan = _Nu(CNuChan, (c1, c2), nu.ses)
             self._insert(chan, nu.next)
             self._insert(chan.close, nu.close)
             self._bind(chan)
@@ -697,27 +681,28 @@ class Soup:
     # -- reading back --------------------------------------------------------------
 
     def config(self) -> Config:
-        """The configuration the cells stand for, rebuilt bottom-up from an
-        explicit stack."""
-        stack: list = [(self.root, False)]
-        done: list[Config] = []  # rebuilt subtrees, the rightmost last
-        while stack:
-            c, children_done = stack.pop()
-            if c.__class__ is _Proc:
-                done.append(CProc(_read_proc(c), span=c.span))
-            elif not children_done:
-                stack.append((c, True))
-                if c.__class__ is _Par:
-                    stack += ((c.right, False), (c.left, False))
-                else:
-                    stack.append((c.body, False))
-            elif c.__class__ is _Par:
-                right = done.pop()
-                done.append(CPar(done.pop(), right, span=c.span))
-            elif c.kind is CNuChan:
-                done.append(CNuChan(*c.names, c.ses, done.pop(), c.closed, span=c.span))
+        """The configuration the walk order stands for, read back in one
+        pass: a close mark ends the cell opened last, whose parts are the
+        configurations read back since it opened, the rightmost last."""
+        opened: list = []
+        done: list[Config] = []
+        m = self.first.next
+        while m is not self.last:
+            cls = m.__class__
+            if cls is _Proc:
+                done.append(CProc(_read_proc(m), span=m.span))
+            elif cls is not _Mark:
+                opened.append(m)
             else:
-                done.append(CNuAccess(*c.names, c.ses, done.pop(), span=c.span))
+                c = opened.pop()
+                if c.__class__ is _Par:
+                    right = done.pop()
+                    done.append(CPar(done.pop(), right, span=c.span))
+                elif c.kind is CNuChan:
+                    done.append(CNuChan(*c.names, c.ses, done.pop(), c.closed, span=c.span))
+                else:
+                    done.append(CNuAccess(*c.names, c.ses, done.pop(), span=c.span))
+            m = m.next
         return done.pop()
 
 
@@ -744,7 +729,6 @@ def find_candidates(soup: Soup) -> list[Candidate]:
 
 
 class BlockedSite(NamedTuple):
-    path: Path
     operation: str
     subject: str  # pretty channel end or access point
 
@@ -759,20 +743,11 @@ class DeadlockReport(NamedTuple):
         return "; ".join(str(b) for b in self.blocked)
 
 
-def _path(cell) -> Path:
-    steps = []
-    while cell.parent is not None:
-        parent = cell.parent
-        steps.append(("left" if parent.left is cell else "right") if parent.__class__ is _Par else "body")
-        cell = parent
-    return tuple(reversed(steps))
-
-
 def _blocked_site(p: _Proc) -> BlockedSite:
     """The operation p is blocked on, and its channel end or access point."""
     op = _read(*_hole(p))
     subject = op.value if op.__class__ in (EAccept, ERequest) else _operand(op, None)[0].dom
-    return BlockedSite(_path(p), OPERATIONS[op.__class__], pretty(subject))
+    return BlockedSite(OPERATIONS[op.__class__], pretty(subject))
 
 
 def classify_config(soup: Soup):

@@ -15,10 +15,10 @@ two files. The calls are:
   --check` for K = 0 and 1;
 - the untyped, rare-branch and stuck configurations of
   `tests/test_redex_index.py`, each under `run --no-check --trace --max-steps 50` with seeds
-  0-3;
+  0-3, and under `run --no-check --check --max-steps 50` with seeds 0 and 1;
 - the ill-typed programs of the `KIND_FAILURES`, `DISJOINTNESS_FAILURES`
-  and `RULE_FAILURES` tables of `tests/test_cli.py`, each under `check`
-  and `check --format json`;
+  and `RULE_FAILURES` tables of `tests/test_cli.py`, each under `check`,
+  `check --format json` and `run --no-check --check --max-steps 50`;
 - `corpus corpus`.
 
 Pytest does not collect this file. The whole set takes about a minute.
@@ -102,8 +102,10 @@ def _calls(work: Path) -> list[list[str]]:
         calls += [["run", f, "--seed", str(k), "--check"] for k in range(2)]
     for f in untyped:
         calls += [["run", f, "--no-check", "--trace", "--max-steps", "50", "--seed", str(k)] for k in range(4)]
+        calls += [["run", f, "--no-check", "--check", "--max-steps", "50", "--seed", str(k)] for k in range(2)]
     for f in ill_typed:
         calls += [["check", f], ["check", f, "--format", "json"]]
+        calls.append(["run", f, "--no-check", "--check", "--max-steps", "50"])
     calls.append(["corpus", "corpus"])
     return calls
 
