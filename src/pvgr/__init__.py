@@ -12,10 +12,9 @@ from .kinding import (
     disjoint_append,
     infer_kind,
     restrict_non_dom,
-    restrict_only_dom,
 )
 from .normalize import conv, dual, normalize
-from .parser import ParseError, parse_expr, parse_program, parse_type
+from .parser import ParseError, parse_program, parse_type
 from .pretty import pretty
 from .runtime import Machine, Soup, classify_config, step_expr
 from .typing import (
@@ -31,9 +30,8 @@ __all__ = [
     "anf_transform", "is_strict_anf", "canonicalize", "free_vars", "subst",
     "atomize", "close", "entails", "Diagnostic", "KindError", "check_ctx",
     "check_kind", "disjoint_append", "infer_kind", "restrict_non_dom",
-    "restrict_only_dom", "alpha_equiv", "conv", "dual", "normalize",
-    "ParseError", "parse_expr", "parse_program", "parse_type", "pretty",
-    "Machine", "Soup", "classify_config", "step_expr",
+    "alpha_equiv", "conv", "dual", "normalize", "ParseError", "parse_program",
+    "parse_type", "pretty", "Machine", "Soup", "classify_config", "step_expr",
     "ExprTyping", "TypecheckError", "match_existential", "type_config",
     "type_expr", "type_value",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .ast import ELet, EVal, Expr, Name, Span, Value, VVar, fresh_name, replace
+from .ast import ELet, EVal, Expr, LAYOUT, Name, Span, Value, VVar, fresh_name, replace
 
 # binder, head, exnames and span of one let of a spine
 LetBinding = tuple[Name, Expr, tuple[Name, ...], Span | None]
@@ -61,20 +61,11 @@ def _build(bindings: list[LetBinding], tail: Expr) -> Expr:
     return tail
 
 
-def flatten_lets(e: Expr) -> Expr:
-    """Reassociate let x = (let y = h in b) in e2 into let y = h in let x = b in e2.
-
-    Pure reassociation: preserves evaluation order and each let's span, and
-    introduces no names.
-    """
-    return _build(*_unroll(e))
-
-
 def let_in(
     binder: Name, head: Expr, body: Expr, exnames: tuple[Name, ...], span: Span | None
 ) -> Expr:
-    """`let binder = head in body` with head's own spine lifted in front:
-    `flatten_lets` of that let when `body` is flat, at the cost of `head`."""
+    """`let binder = head in body` with head's own spine lifted in front,
+    at the cost of `head`: a flat spine when `body` is flat."""
     bindings, head = _unroll(head)
     return _build(bindings, ELet(binder, head, body, exnames=exnames, span=span))
 
@@ -84,23 +75,10 @@ def anf_transform(e: Expr) -> Expr:
     return _build(*_unroll(e, _anf_node, name_tail=True))
 
 
-class _OperandCache(dict):
-    """The Expr and Value fields of each node class, each with whether it
-    holds an Expr, read once per class from its annotations."""
-
-    def __missing__(self, cls: type) -> tuple[tuple[str, bool], ...]:
-        operands = tuple((f, ann == "Expr") for f, ann in cls._fields.items() if ann in ("Expr", "Value"))
-        self[cls] = operands
-        return operands
-
-
-_OPERANDS = _OperandCache()
-
-
 def _anf_node(t: Expr | Value) -> Expr | Value:
     """A non-let or a value, with its case branches and lambda bodies in
     strict ANF."""
-    fields = _OPERANDS[t.__class__]
+    fields = LAYOUT[t.__class__].operands
     if not fields:
         return t
     return replace(t, **{f: (anf_transform if expr else _anf_node)(getattr(t, f)) for f, expr in fields})
@@ -121,7 +99,7 @@ def _strict_head(t: Expr | Value) -> bool:
     """t is not a let, and its case branches and lambda bodies are strict."""
     if t.__class__ is ELet:
         return False
-    for f, expr in _OPERANDS[t.__class__]:
+    for f, expr in LAYOUT[t.__class__].operands:
         if not (is_strict_anf if expr else _strict_head)(getattr(t, f)):
             return False
     return True

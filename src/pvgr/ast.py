@@ -12,8 +12,9 @@ field whose annotation assigns a value takes it as its default.
 `Record.__init_subclass__` reads the annotations into `_fields` and gives
 the class its constructor, equality, hash, repr and positional `match`
 patterns. `SCOPES` names fields of the binder forms, and `LAYOUT` reads
-`_fields` for every field's declaration position and for the role of each
-field that `SCOPES` does not list.
+`_fields` for every field's declaration position, for the role of each
+field that `SCOPES` does not list, and for the fields that hold an
+expression or a value (the operands `pvgr.anf` walks).
 
 The scope table `SCOPES` is the one statement of binder scoping: free
 variables, substitution, canonical renaming and normalization all walk
@@ -545,6 +546,7 @@ class Layout(NamedTuple):
     fields: tuple[tuple[str, str, int], ...]  # (name, role, declaration position)
     children: tuple[str, ...]  # fields holding a child or a tuple of them
     binds: bool
+    operands: tuple[tuple[str, bool], ...]  # Expr and Value fields, each with whether it holds an Expr
 
 
 class _LayoutCache(dict):
@@ -556,6 +558,7 @@ class _LayoutCache(dict):
             fields,
             tuple(name for name, role, _ in fields if role in (OUT, IN, TELE)),
             any(role in (TBIND, VBIND, TBINDS, TELE) for _, role, _ in fields),
+            tuple((f, ann == "Expr") for f, ann in cls._fields.items() if ann in ("Expr", "Value")),
         )
         return layout
 

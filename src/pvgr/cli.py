@@ -140,7 +140,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 type_config((), StEmpty(), machine.config)
             except Diagnostic as e:
                 _emit(e, "pretty")
-                print("subject reduction violated", file=sys.stderr)
+                if machine.steps:
+                    print("subject reduction violated", file=sys.stderr)
+                else:
+                    print("the configuration is ill-typed before the first step", file=sys.stderr)
                 return e.status
         out = machine.step()  # one that does not step leaves the configuration as checked
         if out.kind != "stepped":

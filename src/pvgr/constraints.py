@@ -63,13 +63,16 @@ _Shapes = dict[int, Type]  # domain variable uid -> normalized shape
 _Key = tuple[int, tuple[Label, ...]]  # a chain as (base uid, path)
 
 
-def _chain_of(d: Type) -> Chain:
-    match d:
-        case TVar(nm):
-            return Chain(nm, ())
-        case DomProj(lab, inner):
-            return _chain_of(inner).extend(lab)
-    raise AtomizeError(f"not a projection chain: {d!r}")
+def chain_of(d: Type) -> Chain | None:
+    """d as a projection chain, or None when it is not one."""
+    path: list[Label] = []
+    while d.__class__ is DomProj:
+        path.append(d.label)
+        d = d.dom
+    if d.__class__ is not TVar:
+        return None
+    path.reverse()
+    return Chain(d.name, tuple(path))
 
 
 def _sides(d: Type) -> list[Chain]:
@@ -80,8 +83,13 @@ def _sides(d: Type) -> list[Chain]:
             return []
         case DomMerge(l, r):
             return _sides(l) + _sides(r)
-        case TVar() | DomProj():
-            return [_chain_of(d)]
+    chain = chain_of(d)
+    if chain is not None:
+        return [chain]
+    if d.__class__ is DomProj:
+        while d.__class__ is DomProj:
+            d = d.dom
+        raise AtomizeError(f"not a projection chain: {d!r}")
     raise AtomizeError(f"domain does not decompose: {d!r}")
 
 

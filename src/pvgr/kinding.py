@@ -108,10 +108,6 @@ def restrict_non_dom(g: Ctx) -> Ctx:
     return Context(b for b in g if isinstance(b, BTVar) and _keeps_non_dom(b.kind))
 
 
-def restrict_only_dom(g: Ctx) -> Ctx:
-    return Context(b for b in g if isinstance(b, BTVar) and isinstance(b.kind, KDom))
-
-
 # -- disjoint context extension ----------------------------------------------
 
 
@@ -208,9 +204,8 @@ def infer_kind(g: Ctx, t: Type) -> Kind:
                 )
             return KArrow(KDom(shape), kb)
         case TAll(binder, kind, cstr, body):
-            check_kind(g, kind)
             g2 = g + ((BTVar(binder, kind),) + cstr)
-            check_ctx_suffix(g, g2)
+            check_ctx_suffix(g, g2)  # forms the kind and each constraint
             kb = infer_kind(g2, body)
             if not isinstance(kb, KType):
                 raise _fail("K-All", "quantified body must have kind Type", t, found=pretty(kb))

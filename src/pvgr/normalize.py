@@ -47,7 +47,6 @@ from .ast import (
     TVar,
     Tree,
     Type,
-    alpha_equiv,  # re-exported: conversion is alpha-equivalence of normal forms
     scope_walk,
     state_atoms,
     state_of_atoms,

@@ -716,10 +716,6 @@ def parse_program(src: str, filename: str = "<input>") -> Program:
     return Program(config=None, expr=p.whole(Parser.expr), filename=filename)
 
 
-def parse_expr(src: str, filename: str = "<input>", open_world: bool = True) -> Expr:
-    return Parser(src, filename, open_world=open_world).whole(Parser.expr)
-
-
 def parse_type(src: str, filename: str = "<input>", open_world: bool = True) -> Type:
     return Parser(src, filename, open_world=open_world).whole(Parser.type_)
 

@@ -22,7 +22,6 @@ from .ast import (
     BVal,
     Ctx,
     DomMerge,
-    DomProj,
     DomZero,
     CNuAccess,
     CNuChan,
@@ -88,7 +87,7 @@ from .ast import (
     state_of_atoms,
     subst,
 )
-from .constraints import context, entails, expand
+from .constraints import chain_of, context, entails, expand
 from .diagnostic import Diagnostic
 from .kinding import (
     check_arrow_package, check_ctx_suffix, disjoint_append, infer_kind, kind_equiv, located, lookup_val,
@@ -299,9 +298,7 @@ def _type_expr(g: Ctx, atoms: list[Type], e: Expr) -> ExprTyping:
                     found=pretty(ka),
                 )
             inst = {tv.binder.uid: normalize(targ)}
-            cs = tuple(
-                BDisjoint(subst(inst, c.left), subst(inst, c.right)) for c in tv.cstr
-            )
+            cs = tuple(subst(inst, c) for c in tv.cstr)
             if not entails(g, cs):
                 raise TypecheckError(
                     "T-TApp",
@@ -416,22 +413,13 @@ def _channel_op(g: Ctx, atoms: list[Type], e: Expr, v: Value) -> tuple[Type, Typ
 
 
 def _instantiate_arr(tf: TArr) -> tuple[Ctx, list[Type], Type]:
-    """Freshen the existential package of an arrow type."""
-    ren: dict[int, Type] = {}
-    exctx: list[Binding] = []
-    for b in tf.exctx:
-        match b:
-            case BTVar(nm, kind):
-                nb = fresh_name(nm.text)
-                ren[nm.uid] = TVar(nb)
-                exctx.append(BTVar(nb, kind))
-            case BDisjoint(l, r):
-                exctx.append(BDisjoint(subst(ren, l), subst(ren, r)))
-            case BVal(nm, ty):
-                raise TypecheckError("T-App", "existential context binds a value", tf.span)
-    post = _atoms_of(subst(ren, tf.post))
-    ty = normalize(subst(ren, tf.res))
-    return tuple(exctx), post, ty
+    """The existential package, post-state atoms and result of an arrow
+    type, its package's binders made fresh: `subst` freshens every binder
+    it passes, and the package is a telescope over the post and result."""
+    if any(isinstance(b, BVal) for b in tf.exctx):
+        raise TypecheckError("T-App", "existential context binds a value", tf.span)
+    tf = subst({}, tf)
+    return tf.exctx, _atoms_of(tf.post), normalize(tf.res)
 
 
 def _rename_exctx(r: ExprTyping, names: tuple[Name, ...], span: Span | None) -> ExprTyping:
@@ -527,7 +515,7 @@ def match_existential(
     pvars = {b.name.uid: b for b in bound if isinstance(b, BTVar)}
     act_atoms = act_state if isinstance(act_state, list) else _atoms_of(act_state)
 
-    parts: dict[tuple[int, tuple[int, ...]], Type] = {}
+    parts: dict[tuple[int, tuple[Label, ...]], Type] = {}
     if not _match(normalize(pat_ty), normalize(act_ty), set(pvars), {}, parts):
         raise TypecheckError(
             "existential-match",
@@ -581,13 +569,13 @@ _MATCHED = {TVar, TApp, TChan, TAccess, TPair, TDual, TUnit, TEnd, DomMerge, TCh
 def _match(pat: Type, act: Type, pvars: set[int], alpha: dict[int, int], parts) -> bool:
     """Structural first-order matching; pattern-variable projection chains
     are collected into `parts` keyed by (uid, path)."""
-    chain = _pattern_chain(pat, pvars)
-    if chain is not None:
-        uid, path = chain
-        prev = parts.get((uid, path))
+    chain = chain_of(pat)
+    if chain is not None and chain.base.uid in pvars:
+        key = (chain.base.uid, chain.path)
+        prev = parts.get(key)
         if prev is not None:
             return conv(prev, act)
-        parts[(uid, path)] = act
+        parts[key] = act
         return True
     cls = pat.__class__
     if cls is not act.__class__ or cls not in _MATCHED:
@@ -605,17 +593,6 @@ def _match(pat: Type, act: Type, pvars: set[int], alpha: dict[int, int], parts) 
         elif not _match(p, a, pvars, inner if role is IN else alpha, parts):
             return False
     return True
-
-
-def _pattern_chain(t: Type, pvars: set[int]) -> tuple[int, tuple[int, ...]] | None:
-    path: list[int] = []
-    cur = t
-    while isinstance(cur, DomProj):
-        path.insert(0, int(cur.label))
-        cur = cur.dom
-    if isinstance(cur, TVar) and cur.name.uid in pvars:
-        return (cur.name.uid, tuple(path))
-    return None
 
 
 def _resolve_state(
@@ -652,14 +629,14 @@ def _match_atom(pat: Type, act: Type, pvars: set[int], parts: dict) -> bool:
             return _match(pat, act, pvars, {}, parts)
 
 
-def _assemble(uid: int, path: tuple[int, ...], shape: Type | None, parts: dict) -> Type | None:
+def _assemble(uid: int, path: tuple[Label, ...], shape: Type | None, parts: dict) -> Type | None:
     whole = parts.get((uid, path))
     if whole is not None:
         return whole
     if shape is not None:
         if isinstance(shape, TPair):
-            l = _assemble(uid, path + (1,), shape.left, parts)
-            r = _assemble(uid, path + (2,), shape.right, parts)
+            l = _assemble(uid, path + (Label.L1,), shape.left, parts)
+            r = _assemble(uid, path + (Label.L2,), shape.right, parts)
             if l is not None and r is not None:
                 return DomMerge(l, r)
             return None

@@ -7,11 +7,32 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
-from pvgr.ast import Name, Tree, TVar, VVar, free_vars
+from pvgr.anf import let_in
+from pvgr.ast import ELet, Expr, Name, Tree, TVar, VVar, free_vars
 from pvgr.parser import Parser
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+
+
+def parse_expr(src: str, filename: str = "<input>", open_world: bool = True) -> Expr:
+    return Parser(src, filename, open_world=open_world).whole(Parser.expr)
+
+
+def flatten_lets(e: Expr) -> Expr:
+    """Reassociate let x = (let y = h in b) in e2 into let y = h in let x = b in e2.
+
+    Pure reassociation: preserves evaluation order and each let's span, and
+    introduces no names. The spine is rebuilt from its tail with `let_in`,
+    one let at a time.
+    """
+    spine = []
+    while isinstance(e, ELet):
+        spine.append(e)
+        e = e.body
+    for let in reversed(spine):
+        e = let_in(let.binder, let.head, e, let.exnames, let.span)
+    return e
 
 
 def corpus_files() -> list[Path]:

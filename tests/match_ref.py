@@ -3,7 +3,8 @@ reference that `test_scopes.py` holds `typing._match` to.
 
 `match_ref` is the earlier `typing._match`, copied without change but for
 its name: one `case` per constructor, with the alpha extension of `TSend`
-and `TRecv` written out. `_pattern_chain` did not change and is imported.
+and `TRecv` written out. `_pattern_chain`, the earlier reader of a
+pattern variable's projection chain, is copied without change too.
 This module is kept apart from `oracles.py`, which perfbench loads to
 verify outputs.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from pvgr.ast import (
     DomMerge,
+    DomProj,
     TAccess,
     TApp,
     TBranch,
@@ -28,7 +30,6 @@ from pvgr.ast import (
     free_vars,
 )
 from pvgr.normalize import conv
-from pvgr.typing import _pattern_chain
 
 
 def match_ref(pat: Type, act: Type, pvars: set[int], alpha: dict[int, int], parts) -> bool:
@@ -80,3 +81,14 @@ def match_ref(pat: Type, act: Type, pvars: set[int], alpha: dict[int, int], part
             if {n.uid for n in free_vars(pat)} & pvars:
                 return False
             return conv(pat, act)
+
+
+def _pattern_chain(t: Type, pvars: set[int]) -> tuple[int, tuple[int, ...]] | None:
+    path: list[int] = []
+    cur = t
+    while isinstance(cur, DomProj):
+        path.insert(0, int(cur.label))
+        cur = cur.dom
+    if isinstance(cur, TVar) and cur.name.uid in pvars:
+        return (cur.name.uid, tuple(path))
+    return None

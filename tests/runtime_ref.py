@@ -21,7 +21,9 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterator, NamedTuple
 
-from pvgr.anf import flatten_lets, let_in
+from conftest import flatten_lets
+
+from pvgr.anf import let_in
 from pvgr.ast import (
     CNuAccess,
     CNuChan,

@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from conftest import CORPUS, corpus_files, parse_with
+from conftest import CORPUS, corpus_files, flatten_lets, parse_expr, parse_with
 from oracles import (
     conv_search,
     entails_search,
@@ -19,7 +19,7 @@ from oracles import (
     replace_fields,
 )
 
-from pvgr.anf import anf_transform, flatten_lets, is_strict_anf
+from pvgr.anf import anf_transform, is_strict_anf
 from pvgr.ast import (
     BVal,
     BTVar,
@@ -36,7 +36,7 @@ from pvgr.ast import (
 )
 from pvgr.constraints import entails
 from pvgr.normalize import conv
-from pvgr.parser import parse_expr, parse_program, parse_type
+from pvgr.parser import parse_program, parse_type
 from pvgr.pretty import pretty
 from pvgr.runtime import Machine, Soup, classify_config, iter_procs
 from pvgr.typing import TypecheckError, type_config, type_expr, type_value

@@ -1,4 +1,5 @@
-"""Let-spines: flatten_lets, let_in, anf_transform and is_strict_anf.
+"""Let-spines: let_in, anf_transform and is_strict_anf, and flatten_lets,
+the tests' reassociation (conftest.py), which folds a spine with let_in.
 
 The one-loop spine walk of pvgr.anf is compared with the recursive
 reference transforms in oracles.py (`flatten_lets_ref`, `anf_transform_ref`)
@@ -13,10 +14,10 @@ import functools
 import importlib.util
 import random
 
-from conftest import ROOT, corpus_files
+from conftest import ROOT, corpus_files, flatten_lets
 from oracles import anf_transform_ref, flatten_lets_ref, random_binder_tree
 
-from pvgr.anf import anf_transform, flatten_lets, is_strict_anf, let_in
+from pvgr.anf import anf_transform, is_strict_anf, let_in
 from pvgr.ast import (
     ELet,
     EProj,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from conftest import parse_expr
 from oracles import alpha_oracle, node_fields, random_type, replace_fields
 
 from pvgr.ast import (
@@ -22,7 +23,7 @@ from pvgr.ast import (
     size,
     subst,
 )
-from pvgr.parser import parse_expr, parse_type
+from pvgr.parser import parse_type
 
 
 def test_subst_variable_hit():

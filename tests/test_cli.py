@@ -10,7 +10,7 @@ import sys
 import pytest
 from conftest import CORPUS, ROOT
 
-from pvgr import cli
+from pvgr import cli, runtime
 from pvgr.cli import main
 
 SERVER = (CORPUS / "server.pvgr").read_text()
@@ -269,6 +269,12 @@ RULE_FAILURES = {
                           " let bp = new !Int.End in let w = request bp in let a = send w v in close v",
                           "existential-match", 128, "no instantiation of the existential package matches",
                           {"expected": "{e: End}; Chan e", "found": "{c: ?{_z:Dom(0)}(.; Unit).End}; Chan c"}),
+    # two channels of session End are in the state, and the pattern {d: End}
+    # takes either
+    "existential-match-ambiguous": ("let ap = new ?{d:Dom(1)}({d: End}; Unit).End in let bp = new End in"
+                                    " let x = request bp in let y = request bp in let v = request ap in"
+                                    " let u = send () v in close v",
+                                    "existential-match", 143, "ambiguous existential match", {}),
     "K-App": (r"/\h:Shape[]. /\g:(Dom(h) -> Type)[]. /\d:Dom(1)[]. \[.](x: g d). ()", "K-App", 52,
               "argument kind mismatch", {"expected": "Dom(h)", "found": "Dom(1)"}),
     "K-Chan": (r"/\h:Shape[]. /\d:Dom(h)[]. \[.](x: Chan d). ()", "K-Chan", 36,
@@ -283,6 +289,11 @@ RULE_FAILURES = {
                {"found": "Session"}),
     "K-All": (r"\[.](x: forall s:Session[]. End). ()", "K-All", 9, "quantified body must have kind Type",
               {"found": "Session"}),
+    # K-All forms its binder's kind and its constraints as a context extension
+    "K-All-kind": (r"\[.](x: forall a:Dom(Unit)[]. Unit). ()", "KF-Dom", 22, "domain kind index must be a shape",
+                   {"expected": "Shape", "found": "Type"}),
+    "K-All-cstr": (r"\[.](x: forall a:Session[a # a]. Unit). ()", "CF-ConsCstr", 1,
+                   "constraint over a non-domain", {}),
     "K-DomMerge": (r"/\d:Dom(1)[]. \[.](x: Chan (d, Unit)). ()", "K-DomMerge", 28, "merge of non-domains", {}),
     "K-Arr": (r"\[.](f: [.; Unit -> ex s: Session. .; Unit]). ()", "K-Arr", 9,
               "existential context may only bind domains", {"found": "Session"}),
@@ -294,6 +305,20 @@ RULE_FAILURES = {
 def test_rule_failure_diagnostic(tmp_path, capsys, site, fmt):
     src, code, col, message, details = RULE_FAILURES[site]
     _check_fails_with(tmp_path, capsys, fmt, src, code, 1, col, message, details)
+
+
+def test_case_branches_with_equal_packages(tmp_path, capsys):
+    # each branch requests a channel of its own: the two packages are equal
+    # up to renaming, and the first branch's is the typing. The post-state
+    # prints both channels as c.
+    f = write(
+        tmp_path, "case.pvgr",
+        "let ap = new (End +c End) in let v = request ap in let r = case v {"
+        " let bp = new End in let w = request bp in w ;"
+        " let bp = new End in let w = request bp in w } in r",
+    )
+    assert main(["check", f]) == 0
+    assert capsys.readouterr().out == "ex: c:Dom(1), c':Dom(1)\npost: {c: End, c: End}\ntype: Chan c\n"
 
 
 def test_check_json_of_a_configuration(tmp_path, capsys):
@@ -320,11 +345,28 @@ def test_run_refuses_ill_typed_without_flag(tmp_path, capsys):
     assert main(["run", f]) == 1
     capsys.readouterr()
     assert main(["run", f, "--no-check"]) == 3  # the send/send deadlock
+    capsys.readouterr()
+    # ill-typed before any step: no step broke subject reduction
+    assert main(["run", f, "--no-check", "--check"]) == 1
+    err = capsys.readouterr().err
+    assert "error[T-Exp]: process ends with leftover state of its own" in err
+    assert err.endswith("\nthe configuration is ill-typed before the first step\n")
+    assert "subject reduction" not in err
 
 
 def test_run_check_harness(tmp_path, capsys):
     f = write(tmp_path, "cs.pvgr", CLIENT_SERVER)
     assert main(["run", f, "--check"]) == 0
+
+
+def test_run_check_reports_a_step_that_breaks_typing(tmp_path, capsys, monkeypatch):
+    # a machine whose sends and selects leave the channel's session as it was
+    monkeypatch.setattr(runtime, "_session_after", lambda h, op: None)
+    f = write(tmp_path, "cs.pvgr", CLIENT_SERVER)
+    assert main(["run", f, "--check"]) == 1
+    err = capsys.readouterr().err
+    assert "error[T-Recv]: channel is not ready to receive" in err
+    assert err.endswith("\nsubject reduction violated\n")
 
 
 def test_run_trace_format(tmp_path, capsys):

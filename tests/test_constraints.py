@@ -18,7 +18,7 @@ from pvgr.ast import (
     TVar,
     fresh_name,
 )
-from pvgr.constraints import AtomizeError, Chain, atomize, close, entails
+from pvgr.constraints import AtomizeError, Chain, atomize, chain_of, close, entails
 
 
 def dom1():
@@ -53,6 +53,23 @@ def test_atomize_error_on_non_domain():
 
     with pytest.raises(AtomizeError):
         atomize((BDisjoint(TUnit(), TUnit()),))
+
+
+def test_chain_of_reads_a_path_innermost_first():
+    from pvgr.ast import TUnit
+
+    a, b = fresh_name("a"), fresh_name("b")
+    nested = DomProj(Label.L2, DomProj(Label.L1, TVar(a)))
+    assert chain_of(nested) == Chain(a, (Label.L1, Label.L2))
+    assert chain_of(TVar(a)) == Chain(a, ())
+    assert chain_of(DomProj(Label.L1, TUnit())) is None
+    assert chain_of(DomMerge(TVar(a), TVar(b))) is None
+    assert atomize((BDisjoint(nested, TVar(b)),)) == {(Chain(a, (Label.L1, Label.L2)), Chain(b, ()))}
+    # a projection of a non-chain is reported at its innermost node
+    with pytest.raises(AtomizeError, match=r"^not a projection chain: TUnit\(\)$"):
+        atomize((BDisjoint(DomProj(Label.L1, TUnit()), TVar(a)),))
+    with pytest.raises(AtomizeError, match=r"^domain does not decompose: TUnit\(\)$"):
+        atomize((BDisjoint(TUnit(), TVar(a)),))
 
 
 def test_close_symmetry():

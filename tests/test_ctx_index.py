@@ -32,7 +32,7 @@ from pvgr.ast import (
     fresh_name,
 )
 from pvgr.constraints import AtomizeError, BFresh, Context, entails, expand
-from pvgr.kinding import disjoint_append, restrict_non_dom, restrict_only_dom
+from pvgr.kinding import disjoint_append, restrict_non_dom
 from pvgr.parser import parse_program, parse_type
 from pvgr.typing import type_config, type_expr
 
@@ -145,7 +145,7 @@ def test_entails_agrees_with_reference_on_seeded_chains():
             elif op < 0.85:
                 g = g + tuple(more)
             elif op < 0.93:
-                g = restrict_only_dom(g)
+                g = _only_dom(g)
             else:
                 g = restrict_non_dom(g)
             doms = [b.name for b in g if isinstance(b, BTVar) and isinstance(b.kind, KDom)]
@@ -168,8 +168,13 @@ def test_index_by_extension_equals_index_from_tuple(traced):
         assert list(g.disjointness.bound) == _bound_ref(g)
 
 
+def _only_dom(g) -> Context:
+    """g restricted to its domain variables."""
+    return Context(b for b in g if isinstance(b, BTVar) and isinstance(b.kind, KDom))
+
+
 def _domains_ref(g) -> tuple:
-    return tuple(b.name for b in restrict_only_dom(tuple(g)))
+    return tuple(b.name for b in _only_dom(tuple(g)))
 
 
 def _bound_ref(g) -> list[int]:

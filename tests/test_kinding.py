@@ -30,7 +30,6 @@ from pvgr.kinding import (
     infer_kind,
     kind_equiv,
     restrict_non_dom,
-    restrict_only_dom,
 )
 from pvgr.parser import parse_type
 from pvgr.pretty import pretty
@@ -163,9 +162,7 @@ def test_restrict_tables():
     x, a, s = fresh_name("x"), fresh_name("a"), fresh_name("s")
     g = (BVal(x, TUnit()), BTVar(a, dom1()), BTVar(s, KSession()))
     assert restrict_non_dom(g) == (BTVar(s, KSession()),)
-    assert restrict_only_dom(g) == (BTVar(a, dom1()),)
     assert restrict_non_dom(()) == ()
-    assert restrict_only_dom(()) == ()
 
 
 def test_restrict_keeps_state_and_type_functions():

@@ -7,7 +7,8 @@ from oracles import conv_search, mutate_type, random_session, random_type
 
 from pvgr.ast import TDual, TEnd, TRecv, TVar, fresh_name, size
 from pvgr.kinding import infer_kind
-from pvgr.normalize import alpha_equiv, conv, normalize
+from pvgr.ast import alpha_equiv
+from pvgr.normalize import conv, normalize
 from pvgr.parser import parse_type
 from pvgr.pretty import pretty
 

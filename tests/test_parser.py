@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from conftest import corpus_files
+from conftest import corpus_files, flatten_lets, parse_expr
 from oracles import random_session, random_type
 
-from pvgr.anf import anf_transform, flatten_lets, is_strict_anf
+from pvgr.anf import anf_transform, is_strict_anf
 from pvgr.ast import (
     CProc,
     EAccept,
@@ -45,7 +45,6 @@ from pvgr.parser import (
     ParseError,
     Parser,
     _Scope,
-    parse_expr,
     parse_program,
     parse_type,
 )

@@ -4,7 +4,7 @@ configuration typing."""
 from __future__ import annotations
 
 import pytest
-from conftest import parse_with
+from conftest import parse_expr, parse_with
 
 from pvgr.anf import anf_transform
 from pvgr.ast import (
@@ -28,7 +28,7 @@ from pvgr.ast import (
 )
 from pvgr.kinding import KindError, check_ctx
 from pvgr.normalize import conv
-from pvgr.parser import parse_expr, parse_program, parse_type
+from pvgr.parser import parse_program, parse_type
 from pvgr.pretty import pretty
 from pvgr.typing import (
     TypecheckError,
