@@ -16,6 +16,9 @@ patterns. `SCOPES` names fields of the binder forms, and `LAYOUT` reads
 field that `SCOPES` does not list, and for the fields that hold an
 expression or a value (the operands `pvgr.anf` walks).
 
+A node's `span` is a `Span`: the token it starts at, which is also that
+token's location, the one object the tokenizer builds per token.
+
 The scope table `SCOPES` is the one statement of binder scoping: free
 variables, substitution, canonical renaming and normalization all walk
 trees through it with `scope_walk`, and existential matching
@@ -113,12 +116,30 @@ def fresh_name(text: str) -> Name:
     return Name(text, next(_uid_counter))
 
 
-class Span(Record):
-    file: str
-    start: int
-    end: int
-    line: int
-    col: int
+class Span:
+    """A token, which is also its own source location: the tokenizer builds
+    one per token, and a node's `span` is the token it starts at. `kind` is
+    'ident', 'num', 'eof', or a keyword's or punctuation mark's text; a
+    span built elsewhere has kind and text ''. Equality, hash and repr are
+    those of the location."""
+
+    __slots__ = ("file", "start", "end", "line", "col", "kind", "text")
+
+    def __init__(self, file: str, start: int, end: int, line: int, col: int, kind: str = "", text: str = ""):
+        self.file, self.start, self.end, self.line, self.col = file, start, end, line, col
+        self.kind, self.text = kind, text
+
+    def _loc(self) -> tuple:
+        return (self.file, self.start, self.end, self.line, self.col)
+
+    def __eq__(self, other):
+        return self._loc() == other._loc() if other.__class__ is Span else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._loc())
+
+    def __repr__(self) -> str:
+        return "Span(file={!r}, start={!r}, end={!r}, line={!r}, col={!r})".format(*self._loc())
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"

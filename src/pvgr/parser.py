@@ -1,8 +1,11 @@
 """Concrete ASCII syntax for pvgr programs and types.
 
-The grammar is documented in docs/syntax.md. Binders receive globally
-unique names at parse time; the parser accepts non-strict let nesting
-(anf.anf_transform restores strict form before checking).
+The grammar is documented in docs/syntax.md. The tokenizer builds one
+object per token, an `ast.Span` that is also the token's location, and a
+node's span is the token it starts at. Binders receive globally unique
+names at parse time; a let-spine is read in a loop; the parser accepts
+non-strict let nesting (anf.anf_transform restores strict form before
+checking).
 """
 
 from __future__ import annotations
@@ -110,28 +113,24 @@ class ParseError(Diagnostic):
     status = 2
 
 
-class Token:
-    __slots__ = ("kind", "text", "span")
-
-    def __init__(self, kind: str, text: str, span: Span) -> None:
-        self.kind = kind  # 'ident' | 'num' | punct text | 'eof'
-        self.text = text
-        self.span = span
-
-
-# One match per token, with the whitespace and comments before it. The
-# group that matched gives the token's kind; none matches at the end of
-# input. Reverse order puts each punctuation mark before its prefixes, so
-# the longest is tried first. `\w` and `\d` are not exactly `str.isalpha`
-# and `str.isdigit`, so a word outside ASCII goes to `_word`.
+# One match per token, with the blanks and the comment before it (a
+# comment runs to the newline, so at most one precedes a token). The group
+# that matched gives the token's kind; none matches at the end of input.
+# Identifiers, the commonest tokens, are tried first; each two-mark
+# punctuation comes before the one-mark class, which holds none of its
+# prefixes. `\w` and `\d` are not exactly `str.isalpha` and
+# `str.isdigit`, so a word outside ASCII goes to `_word`.
 _TOKEN = re.compile(
-    r"""(?:[ \t\r]+|--[^\n]*)*
-    (?: (\n)                                # 1: a newline
-      | ({})                                # 2: punctuation
-      | ([A-Za-z_][\w']*)                   # 3: an identifier or keyword
+    r"""[ \t\r]*(?:--[^\n]*)?
+    (?: ([A-Za-z_][\w']*)                   # 1: an identifier or keyword
+      | ({}|[{}])                           # 2: punctuation
+      | (\n)                                # 3: a newline
       | ([0-9]+)(?![0-9]|[^\x00-\x7f])      # 4: a number
       | (\w[\w']*|.)                        # 5: any other word or character
-      | \Z )""".format("|".join(map(re.escape, sorted(PUNCT, reverse=True)))),
+      | \Z )""".format(
+        "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True) if len(p) > 1),
+        "".join(re.escape(p) for p in PUNCT if len(p) == 1),
+    ),
     re.VERBOSE,
 )
 
@@ -152,30 +151,31 @@ def _word(text: str) -> list[tuple[str, int, int]]:
     return out
 
 
-def tokenize(src: str, filename: str = "<input>") -> list[Token]:
-    toks: list[Token] = []
+def tokenize(src: str, filename: str = "<input>") -> list[Span]:
+    """The tokens of `src`, each one `Span` that is also its location,
+    ending with an 'eof' token."""
+    toks: list[Span] = []
     append = toks.append
     line, line_start = 1, 0  # line_start: the offset at which `line` starts
     for m in _TOKEN.finditer(src):
         g = m.lastindex
-        if g == 1:
+        if g == 3:
             line += 1
             line_start = m.end()
         elif g is not None:
             start, end = m.span(g)
             text = m[g]
             if g < 5:
-                sp = Span(filename, start, end, line, start - line_start + 1)
                 kind = "num" if g == 4 else text if g == 2 or text in KEYWORDS else "ident"
-                append(Token(kind, text, sp))
+                append(Span(filename, start, end, line, start - line_start + 1, kind, text))
                 continue
             for kind, i, j in _word(text):
-                sp = Span(filename, start + i, start + j, line, start + i - line_start + 1)
+                sp = Span(filename, start + i, start + j, line, start + i - line_start + 1, kind, text[i:j])
                 if not kind:
                     raise ParseError("parse", f"unexpected character {text[i]!r}", sp)
-                append(Token(kind, text[i:j], sp))
+                append(sp)
     n = len(src)
-    append(Token("eof", "", Span(filename, n, n, line, n - line_start + 1)))
+    append(Span(filename, n, n, line, n - line_start + 1, "eof", ""))
     return toks
 
 
@@ -237,29 +237,29 @@ class Parser:
     # looks one token ahead only past a token that is not eof, so no read
     # needs a bounds check
 
-    def peek(self, ahead: int = 0) -> Token:
+    def peek(self, ahead: int = 0) -> Span:
         return self.toks[self.pos + ahead]
 
-    def next(self) -> Token:
+    def next(self) -> Span:
         t = self.toks[self.pos]
         if t.kind != "eof":
             self.pos += 1
         return t
 
-    def at(self, *kinds: str) -> bool:
-        return self.toks[self.pos].kind in kinds
+    def at(self, kind: str) -> bool:
+        return self.toks[self.pos].kind == kind
 
-    def eat(self, kind: str) -> Token:
+    def eat(self, kind: str) -> Span:
         t = self.toks[self.pos]
         if t.kind != kind:
-            raise ParseError("parse", f"expected {kind!r}, found {t.text or 'end of input'!r}", t.span)
+            raise ParseError("parse", f"expected {kind!r}, found {t.text or 'end of input'!r}", t)
         if kind != "eof":
             self.pos += 1
         return t
 
     def fail(self, msg: str) -> ParseError:
         t = self.peek()
-        return ParseError("parse", f"{msg}, found {t.text or 'end of input'!r}", t.span)
+        return ParseError("parse", f"{msg}, found {t.text or 'end of input'!r}", t)
 
     def ident(self) -> str:
         return self.eat("ident").text
@@ -282,7 +282,7 @@ class Parser:
         t = self.eat("ident")
         nm = self.scope.lookup(t.text)
         if nm is None:
-            raise ParseError("parse", f"unbound identifier {t.text!r}", t.span)
+            raise ParseError("parse", f"unbound identifier {t.text!r}", t)
         return nm
 
     # -- kinds --------------------------------------------------------------
@@ -339,31 +339,30 @@ class Parser:
 
     def type_atom(self) -> Type:
         t = self.peek()
-        sp = t.span
         if t.kind in _TYPE_ATOM_WORDS:
             self.next()
-            return _TYPE_ATOM_WORDS[t.kind](span=sp)
+            return _TYPE_ATOM_WORDS[t.kind](span=t)
         if t.kind in TYPE_PREFIXES:
             self.next()
-            return TYPE_PREFIXES[t.kind](self.type_atom(), span=sp)
+            return TYPE_PREFIXES[t.kind](self.type_atom(), span=t)
         match t.kind:
             case "num":
                 self.next()
                 if t.text == "0":
-                    return ShZero(span=sp)
+                    return ShZero(span=t)
                 if t.text == "1":
-                    return ShOne(span=sp)
-                raise ParseError("parse", f"unexpected number {t.text!r} in type", sp)
+                    return ShOne(span=t)
+                raise ParseError("parse", f"unexpected number {t.text!r} in type", t)
             case "AP":
                 self.next()
                 self.eat("(")
                 s = self.type_()
                 self.eat(")")
-                return TAccess(s, span=sp)
+                return TAccess(s, span=t)
             case "pi1" | "pi2":
                 self.next()
                 lab = Label.L1 if t.kind == "pi1" else Label.L2
-                return DomProj(lab, self.type_atom(), span=sp)
+                return DomProj(lab, self.type_atom(), span=t)
             case "forall":
                 self.next()
                 txt = self.ident()
@@ -375,7 +374,7 @@ class Parser:
                 self.eat(".")
                 body = self.type_()
                 self.scope.pop()
-                return TAll(binder, k, cs, body, span=sp)
+                return TAll(binder, k, cs, body, span=t)
             case "\\":
                 self.next()
                 txt = self.ident()
@@ -386,12 +385,12 @@ class Parser:
                 self.eat(".")
                 body = self.type_()
                 self.scope.pop()
-                return TLam(binder, shape, body, span=sp)
+                return TLam(binder, shape, body, span=t)
             case "!" | "?":
                 return self.session_comm()
             case ".":
                 self.next()
-                return StEmpty(span=sp)
+                return StEmpty(span=t)
             case "{":
                 return self.braces_type()
             case "[":
@@ -403,23 +402,22 @@ class Parser:
                     self.next()
                     right = self.type_()
                     self.eat(")")
-                    return DomMerge(inner, right, span=sp)
+                    return DomMerge(inner, right, span=t)
                 if self.at("*"):
                     self.next()
                     right = self.type_()
                     self.eat(")")
                     # pair of types and pair of shapes share one surface form;
                     # kinding tells them apart
-                    return TPair(inner, right, span=sp)
+                    return TPair(inner, right, span=t)
                 self.eat(")")
                 return inner
             case "ident":
-                return TVar(self.name_use(), span=sp)
+                return TVar(self.name_use(), span=t)
         raise self.fail("expected a type")
 
     def session_comm(self) -> Type:
         t = self.next()  # '!' or '?'
-        sp = t.span
         cls = TSend if t.kind == "!" else TRecv
         if self.at("{"):
             self.next()
@@ -437,15 +435,15 @@ class Parser:
             self.scope.pop()
             self.eat(".")
             cont = self.type_atom()
-            return cls(binder, shape, st, payload, cont, span=sp)
+            return cls(binder, shape, st, payload, cont, span=t)
         # sugar: !T.S == !{_:Dom(0)}(.;T).S for channel-free payloads
         payload = self.type_atom()
         self.eat(".")
         cont = self.type_atom()
-        return cls(fresh_name("_z"), ShZero(), StEmpty(), payload, cont, span=sp)
+        return cls(fresh_name("_z"), ShZero(), StEmpty(), payload, cont, span=t)
 
     def braces_type(self) -> Type:
-        sp = self.eat("{").span
+        sp = self.eat("{")
         if self.at("}"):
             self.next()
             return DomZero(span=sp)
@@ -464,14 +462,13 @@ class Parser:
 
     def state_atom(self) -> Type:
         if self.at("."):
-            sp = self.next().span
-            return StEmpty(span=sp)
+            return StEmpty(span=self.next())
         if self.at("{"):
             return self.braces_type()
         return self.type_app()  # state variable or application
 
     def arr_type(self) -> Type:
-        sp = self.eat("[").span
+        sp = self.eat("[")
         pre = self.state()
         self.eat(";")
         arg = self.type_()
@@ -515,7 +512,6 @@ class Parser:
 
     def value(self) -> Value:
         t = self.peek()
-        sp = t.span
         match t.kind:
             case "\\":
                 self.next()
@@ -532,7 +528,7 @@ class Parser:
                 binder = self.scope.bind(txt)
                 body = self.expr()
                 self.scope.pop()
-                return VAbs(pre, binder, argty, body, span=sp)
+                return VAbs(pre, binder, argty, body, span=t)
             case "/\\":
                 self.next()
                 txt = self.ident()
@@ -544,25 +540,25 @@ class Parser:
                 self.eat(".")
                 body = self.value()
                 self.scope.pop()
-                return VTAbs(binder, k, cs, body, span=sp)
+                return VTAbs(binder, k, cs, body, span=t)
             case "chan":
                 self.next()
-                return VChan(self.type_atom(), span=sp)
+                return VChan(self.type_atom(), span=t)
             case "(":
                 self.next()
                 if self.at(")"):
                     self.next()
-                    return VUnit(span=sp)
+                    return VUnit(span=t)
                 v = self.value()
                 if self.at(","):
                     self.next()
                     w = self.value()
                     self.eat(")")
-                    return VPair(v, w, span=sp)
+                    return VPair(v, w, span=t)
                 self.eat(")")
                 return v
             case "ident":
-                return VVar(self.name_use(), span=sp)
+                return VVar(self.name_use(), span=t)
         raise self.fail("expected a value")
 
     def value_starts(self) -> bool:
@@ -572,7 +568,6 @@ class Parser:
 
     def expr(self) -> Expr:
         t = self.peek()
-        sp = t.span
         if t.kind == "(" and self.peek(1).kind in self._EXPR_KEYWORDS:
             self.next()
             e = self.expr()
@@ -581,31 +576,41 @@ class Parser:
         op = _OPERATION_OF.get(t.kind)
         if op is not None:
             self.next()
-            return self.operation(op, sp)
+            return self.operation(op, t)
         match t.kind:
             case "let":
-                self.next()
-                exnames_txt: list[str] = []
-                if self.at("["):
-                    self.next()
-                    exnames_txt = self.comma_list(self.ident)
-                    self.eat("]")
-                txt = self.ident()
-                self.eat("=")
-                head = self.expr()
-                self.eat("in")
-                self.scope.push()
-                exnames = tuple(self.scope.bind(t) for t in exnames_txt)
-                binder = self.scope.bind(txt)
-                body = self.expr()
-                self.scope.pop()
-                return ELet(binder, head, body, exnames=exnames, span=sp)
+                return self.let_spine()
             case "proj1" | "proj2":
                 self.next()
                 lab = Label.L1 if t.kind == "proj1" else Label.L2
-                return EProj(lab, self.value(), span=sp)
+                return EProj(lab, self.value(), span=t)
             case _:
                 return self.app_chain()
+
+    def let_spine(self) -> Expr:
+        """`let [..] x = head in` repeated, then the body, read in a loop:
+        each let binds its names after its head, and its scope closes,
+        innermost first, once the body is read."""
+        lets = []
+        while self.at("let"):
+            sp = self.next()
+            exnames_txt: list[str] = []
+            if self.at("["):
+                self.next()
+                exnames_txt = self.comma_list(self.ident)
+                self.eat("]")
+            txt = self.ident()
+            self.eat("=")
+            head = self.expr()
+            self.eat("in")
+            self.scope.push()
+            exnames = tuple(map(self.scope.bind, exnames_txt))
+            lets.append((self.scope.bind(txt), head, exnames, sp))
+        e = self.expr()
+        for binder, head, exnames, sp in reversed(lets):
+            self.scope.pop()
+            e = ELet(binder, head, e, exnames, span=sp)
+        return e
 
     def operation(self, op: type, sp: Span) -> Expr:
         """The operands of the operation whose keyword was just read."""
@@ -632,11 +637,11 @@ class Parser:
             return Label.L1
         if t.text == "2":
             return Label.L2
-        raise ParseError("parse", f"expected label 1 or 2, found {t.text!r}", t.span)
+        raise ParseError("parse", f"expected label 1 or 2, found {t.text!r}", t)
 
     def app_chain(self) -> Expr:
         """value (value | '[' type ']')*; chains of length > 1 desugar into lets."""
-        sp = self.peek().span
+        sp = self.peek()
         v = self.value()
         if not (self.value_starts() or self.at("[")):
             return EVal(v, span=sp)
@@ -665,13 +670,12 @@ class Parser:
 
     def config_atom(self) -> Config:
         t = self.peek()
-        sp = t.span
         match t.kind:
             case "<":
                 self.next()
                 e = self.expr()
                 self.eat(">")
-                return CProc(e, span=sp)
+                return CProc(e, span=t)
             case "nu":
                 self.next()
                 t1 = self.ident()
@@ -684,7 +688,7 @@ class Parser:
                 n2 = self.scope.bind(t2)
                 body = self.config()
                 self.scope.pop()
-                return CNuChan(n1, n2, ses, body, span=sp)
+                return CNuChan(n1, n2, ses, body, span=t)
             case "nuap":
                 self.next()
                 txt = self.ident()
@@ -695,7 +699,7 @@ class Parser:
                 binder = self.scope.bind(txt)
                 body = self.config()
                 self.scope.pop()
-                return CNuAccess(binder, ses, body, span=sp)
+                return CNuAccess(binder, ses, body, span=t)
             case "(":
                 self.next()
                 c = self.config()
@@ -710,7 +714,7 @@ class Parser:
 def parse_program(src: str, filename: str = "<input>") -> Program:
     p = Parser(src, filename, open_world=False)
     if p.at("eof"):
-        raise ParseError("parse", "empty program", p.peek().span)
+        raise ParseError("parse", "empty program", p.peek())
     if p.config_starts():
         return Program(config=p.whole(Parser.config), expr=None, filename=filename)
     return Program(config=None, expr=p.whole(Parser.expr), filename=filename)

@@ -543,17 +543,13 @@ def match_existential(
         if ok and _verify(rho, pat_state, pat_ty, act_atoms, act_ty):
             if not any(_same_renaming(rho, r) for r in assembled):
                 assembled.append(rho)
-    if not assembled:
+    if len(assembled) != 1:
         raise TypecheckError(
             "existential-match",
-            "no instantiation of the existential package matches",
+            "ambiguous existential match" if assembled else "no instantiation of the existential package matches",
             span,
             expected=pretty(normalize(pat_state)) + "; " + pretty(normalize(pat_ty)),
             found=pretty(normalize(state_of_atoms(act_atoms))) + "; " + pretty(normalize(act_ty)),
-        )
-    if len(assembled) > 1:
-        raise TypecheckError(
-            "existential-match", "ambiguous existential match", span
         )
     return assembled[0]
 

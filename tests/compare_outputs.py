@@ -19,6 +19,11 @@ two files. The calls are:
 - the ill-typed programs of the `KIND_FAILURES`, `DISJOINTNESS_FAILURES`
   and `RULE_FAILURES` tables of `tests/test_cli.py`, each under `check`,
   `check --format json` and `run --no-check --check --max-steps 50`;
+- the programs that fail to parse, of the `PARSE_ERRORS` table of
+  `tests/test_parser.py`, each under `check`, `check --format json` and
+  `run`;
+- the two 5000-`let` files of `tests/test_let_spine.py`, each under `check`
+  and `run`;
 - `corpus corpus`.
 
 Pytest does not collect this file. The whole set takes about a minute.
@@ -66,6 +71,13 @@ def _ill_typed() -> dict[str, str]:
     return {f"{table}_{site}": row[0] for table, rows in tables.items() for site, row in rows.items()}
 
 
+def _lets() -> dict[str, str]:
+    """The 5000-`let` files of tests/test_let_spine.py."""
+    lets = "".join(f"let x{i} = () in\n" for i in range(5000))
+    request = "let ap = new End in\nlet z = fork (\\[.](w: Unit). let u = accept ap in close u) in\nlet c = request ap in\n"
+    return {"lets5000": lets + "()\n", "lets5000_request": request + lets + "close c\n"}
+
+
 def _generators():
     spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
     mod = importlib.util.module_from_spec(spec)
@@ -95,6 +107,17 @@ def _calls(work: Path) -> list[list[str]]:
         (work / rel).write_text(src)
         ill_typed.append(rel)
 
+    unparsed = []
+    for name, (src, _) in _tables("test_parser", ("PARSE_ERRORS",))["PARSE_ERRORS"].items():
+        rel = f"gen/parse_{name}.pvgr"
+        (work / rel).write_text(src)
+        unparsed.append(rel)
+    lets = []
+    for name, src in _lets().items():
+        rel = f"gen/{name}.pvgr"
+        (work / rel).write_text(src)
+        lets.append(rel)
+
     calls = []
     for f in typed:
         calls += [["check", f], ["check", f, "--format", "json"]]
@@ -106,6 +129,10 @@ def _calls(work: Path) -> list[list[str]]:
     for f in ill_typed:
         calls += [["check", f], ["check", f, "--format", "json"]]
         calls.append(["run", f, "--no-check", "--check", "--max-steps", "50"])
+    for f in unparsed:
+        calls += [["check", f], ["check", f, "--format", "json"], ["run", f]]
+    for f in lets:
+        calls += [["check", f], ["run", f]]
     calls.append(["corpus", "corpus"])
     return calls
 

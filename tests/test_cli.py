@@ -270,11 +270,13 @@ RULE_FAILURES = {
                           "existential-match", 128, "no instantiation of the existential package matches",
                           {"expected": "{e: End}; Chan e", "found": "{c: ?{_z:Dom(0)}(.; Unit).End}; Chan c"}),
     # two channels of session End are in the state, and the pattern {d: End}
-    # takes either
+    # takes either; the two print under one name (`pretty` does not tell
+    # apart free names that share their text)
     "existential-match-ambiguous": ("let ap = new ?{d:Dom(1)}({d: End}; Unit).End in let bp = new End in"
                                     " let x = request bp in let y = request bp in let v = request ap in"
                                     " let u = send () v in close v",
-                                    "existential-match", 143, "ambiguous existential match", {}),
+                                    "existential-match", 143, "ambiguous existential match",
+                                    {"expected": "{d: End}; Unit", "found": "{c: End, c: End}; Unit"}),
     "K-App": (r"/\h:Shape[]. /\g:(Dom(h) -> Type)[]. /\d:Dom(1)[]. \[.](x: g d). ()", "K-App", 52,
               "argument kind mismatch", {"expected": "Dom(h)", "found": "Dom(1)"}),
     "K-Chan": (r"/\h:Shape[]. /\d:Dom(h)[]. \[.](x: Chan d). ()", "K-Chan", 36,

@@ -205,3 +205,29 @@ def test_a_spine_deeper_than_the_recursion_limit_types():
         sys.setrecursionlimit(limit)
     assert got == ExprTyping((), [], TUnit())
 
+
+LETS = "".join(f"let x{i} = () in\n" for i in range(5000))
+REQUEST = (
+    "let ap = new End in\n"
+    "let z = fork (\\[.](w: Unit). let u = accept ap in close u) in\n"
+    "let c = request ap in\n"
+)
+
+
+@pytest.mark.parametrize(
+    "src, final",
+    [(LETS + "()\n", "final after 5000 steps: ()"), (REQUEST + LETS + "close c\n", "final after 5011 steps: () | ()")],
+    ids=["unit", "between-request-and-close"],
+)
+def test_a_file_of_5000_lets_checks_and_runs(tmp_path, capsys, src, final):
+    f = tmp_path / "lets.pvgr"
+    f.write_text(src)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        assert main(["check", str(f)]) == 0
+        assert capsys.readouterr().out.endswith("type: Unit\n")
+        assert main(["run", str(f)]) == 0
+        assert capsys.readouterr().out == final + "\n"
+    finally:
+        sys.setrecursionlimit(limit)

@@ -96,6 +96,34 @@ def test_parse_type_end():
     assert isinstance(st.left, StBind) and isinstance(st.right, StBind)
 
 
+# Programs that fail to parse, with the diagnostic of each: those of the
+# tests below and of tests/test_cli.py, and errors on later lines, in a
+# let-spine and after a `\r\n`. tests/compare_outputs.py runs them too.
+PARSE_ERRORS = {
+    "empty": ("", "1:1: error[parse]: empty program"),
+    "let-without-head": ("let x = in x", "1:9: error[parse]: expected a value, found 'in'"),
+    "type-as-program": ("Chan (", "1:1: error[parse]: expected a value, found 'Chan'"),
+    "trailing-comment": ("let x = () in -- trailing comment",
+                         "1:34: error[parse]: expected a value, found 'end of input'"),
+    "only-a-comment": ("\t-- only a comment", "1:19: error[parse]: empty program"),
+    "unbound-in-a-spine": ("let x = () in\n  let y = x in\n  z", "3:3: error[parse]: unbound identifier 'z'"),
+    "character-in-a-spine": ("let a = () in\nlet b = () in\n\tlet c = ½ in c",
+                             "3:10: error[parse]: unexpected character '½'"),
+    "exnames-after-crlf": ("let a = () in\r\nlet [c d] b = () in b", "2:8: error[parse]: expected ']', found 'd'"),
+    "label": ("let s = select 3 x in s", "1:16: error[parse]: expected label 1 or 2, found '3'"),
+    "config-line-2": ("nuap ap : End . (<let v = request ap in close v> |\n  <let u = accept ap in close 2>)",
+                      "2:31: error[parse]: expected a value, found '2'"),
+}
+
+
+@pytest.mark.parametrize("name", list(PARSE_ERRORS))
+def test_parse_error_location(name):
+    src, want = PARSE_ERRORS[name]
+    with pytest.raises(ParseError) as exc:
+        parse_program(src, "F")
+    assert str(exc.value) == "F:" + want
+
+
 def test_parse_errors_have_spans():
     with pytest.raises(ParseError) as exc:
         parse_program("let x = in x")

@@ -1,9 +1,14 @@
 """The one-regex tokenizer against the character loop it replaced.
 
-`tokenize_ref.tokenize` is the earlier tokenizer, kept verbatim. On every
-input the two must give the same tokens (kind, text and span) or the same
-`error[parse]`, except for the end-of-input token after a trailing `--`
-comment: the reference leaves its column where the comment starts.
+`tokenize_ref.tokenize` is the earlier tokenizer, kept verbatim but for
+its container, a token holding a separate span. On every input the two must
+give the same tokens (kind, text, file, start, end, line and col) or the
+same `error[parse]`, except for the end-of-input token after a trailing
+`--` comment: the reference leaves its column where the comment starts.
+
+Every span that the parser gives a node of a corpus, family or mutant
+program holds the source text between its offsets, and a line and column
+that agree with the newlines before it.
 """
 
 from __future__ import annotations
@@ -14,14 +19,22 @@ import pytest
 from conftest import corpus_files, perfbench_gen
 from tokenize_ref import tokenize as tokenize_ref
 
-from pvgr.parser import ParseError, tokenize
+from pvgr.ast import Node
+from pvgr.diagnostic import Diagnostic
+from pvgr.parser import ParseError, parse_program, tokenize
+
+
+def loc(sp) -> tuple:
+    return (sp.file, sp.start, sp.end, sp.line, sp.col)
 
 
 def tokens_or_error(tokenizer, src: str):
+    """Each token's (kind, text, file, start, end, line, col), or the error:
+    a token of `tokenize` is its own span, one of the reference holds one."""
     try:
-        return [(t.kind, t.text, t.span) for t in tokenizer(src, "F")]
+        return [(t.kind, t.text, *loc(getattr(t, "span", t))) for t in tokenizer(src, "F")]
     except ParseError as e:
-        return ("error", e.message, e.span)
+        return ("error", e.message, loc(e.span))
 
 
 def assert_agrees(src: str) -> None:
@@ -32,11 +45,11 @@ def assert_agrees(src: str) -> None:
     # comment that runs to it, which the reference reports at the comment
     assert isinstance(got, list) and isinstance(want, list), (src, got, want)
     assert got[:-1] == want[:-1], src
-    (_, _, end), (_, _, ref_end) = got[-1], want[-1]
+    (*_, start, end, line, col), (*_, ref_start, ref_end, ref_line, ref_col) = got[-1], want[-1]
     line_start = src.rfind("\n") + 1
-    assert (end.start, end.end, end.line) == (ref_end.start, ref_end.end, ref_end.line), src
-    assert end.col == len(src) - line_start + 1, src
-    assert src.startswith("--", line_start + ref_end.col - 1), src
+    assert (start, end, line) == (ref_start, ref_end, ref_line), src
+    assert col == len(src) - line_start + 1, src
+    assert src.startswith("--", line_start + ref_col - 1), src
 
 
 def family_programs() -> list[str]:
@@ -123,3 +136,41 @@ def test_a_character_that_starts_no_token_is_a_parse_error(src, char, col):
     assert exc.value.message == f"unexpected character {char!r}"
     assert exc.value.span.col == col
     assert_agrees(src)
+
+
+def node_spans(tree: Node) -> list:
+    """The span of every node of `tree` that has one."""
+    out, todo = [], [tree]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Node):
+            out.append(x.span)
+            todo += [getattr(x, f) for f in x._fields]
+        elif isinstance(x, tuple):
+            todo += x
+    return [sp for sp in out if sp is not None]
+
+
+def assert_located(src: str, sp) -> None:
+    """`sp` is the stretch of `src` it names, at the line and column that
+    counting newlines gives."""
+    assert sp.file == "F" and src[sp.start : sp.end] == sp.text, (src, sp, sp.text)
+    assert sp.line == src.count("\n", 0, sp.start) + 1, (src, sp)
+    assert sp.col == sp.start - src.rfind("\n", 0, sp.start), (src, sp)
+
+
+def test_every_node_span_is_its_source_text_and_place():
+    srcs = [p.read_text() for p in corpus_files()] + family_programs() + mutants(600, seed=13)
+    parsed = 0
+    for src in srcs:
+        try:
+            prog = parse_program(src, "F")
+        except Diagnostic as e:
+            assert_located(src, e.span)
+            continue
+        parsed += 1
+        spans = node_spans(prog.config or prog.expr)
+        assert spans and all(sp.kind for sp in spans)
+        for sp in spans:
+            assert_located(src, sp)
+    assert parsed > len(corpus_files()) + len(family_programs())

@@ -5,12 +5,31 @@ kept verbatim as the reference that `tests/test_tokenize.py` compares
 It differs from `pvgr.parser.tokenize` in one place only: it does not
 advance the column through a `--` comment, so after a trailing comment the
 end-of-input token is reported where the comment starts.
+
+Its logic is unchanged; only the container it builds is its own: a `Token`
+that holds a separate `Span`, as pvgr's tokens did before each token
+became its own location.
 """
 
 from __future__ import annotations
 
-from pvgr.ast import Span
-from pvgr.parser import KEYWORDS, PUNCT, ParseError, Token
+from typing import NamedTuple
+
+from pvgr.parser import KEYWORDS, PUNCT, ParseError
+
+
+class Span(NamedTuple):
+    file: str
+    start: int
+    end: int
+    line: int
+    col: int
+
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    span: Span
 
 
 def tokenize(src: str, filename: str = "<input>") -> list[Token]:
