@@ -1,5 +1,6 @@
 """pvgr: a type checker and interpreter for a polymorphic-typestate
-session calculus with disjointness constraints."""
+session calculus with disjointness constraints. `Machine`, `Soup`,
+`classify_config` and `step_expr` import `pvgr.runtime` on first use."""
 
 from .anf import anf_transform, is_strict_anf
 from .ast import alpha_equiv, canonicalize, free_vars, subst
@@ -16,7 +17,6 @@ from .kinding import (
 from .normalize import conv, dual, normalize
 from .parser import ParseError, parse_program, parse_type
 from .pretty import pretty
-from .runtime import Machine, Soup, classify_config, step_expr
 from .typing import (
     ExprTyping,
     TypecheckError,
@@ -35,3 +35,10 @@ __all__ = [
     "ExprTyping", "TypecheckError", "match_existential", "type_config",
     "type_expr", "type_value",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("Machine", "Soup", "classify_config", "step_expr"):
+        from . import runtime
+        return getattr(runtime, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,10 @@ A node class declares its fields once, as annotations in its body; a
 field whose annotation assigns a value takes it as its default.
 `Record.__init_subclass__` reads the annotations into `_fields` and gives
 the class its constructor, equality, hash, repr and positional `match`
-patterns. `SCOPES` names fields of the binder forms, and `LAYOUT` reads
+patterns, compiling the first three once per shape (field names, and
+whether a span is taken); each class's functions over that code have the
+file name `<record ClassName>`, so a profiler counts them class by class.
+`SCOPES` names fields of the binder forms, and `LAYOUT` reads
 `_fields` for every field's declaration position, for the role of each
 field that `SCOPES` does not list, and for the fields that hold an
 expression or a value (the operands `pvgr.anf` walks).
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from enum import IntEnum
+from types import FunctionType
 from typing import Iterator, NamedTuple, Union
 
 
@@ -47,6 +51,7 @@ def __eq__(self, other):
 def __hash__(self):
     return hash(({mine}))
 """
+_COMPILED: dict = {}  # (field names, spanned) -> the namespace _METHODS ran in for that shape
 
 
 class Record:
@@ -55,8 +60,10 @@ class Record:
     Defining a subclass appends its annotations to its base's `_fields`
     (field name -> annotation text, in declaration order) and compiles an
     `__init__`, `__eq__` and `__hash__` for exactly those fields, as
-    `dataclasses` would. The constructor writes the fields straight into
-    the instance's `__dict__`, past the `__setattr__` that freezes them.
+    `dataclasses` would; classes of one shape share that code, each with
+    its own functions and defaults. The constructor writes the fields
+    straight into the instance's `__dict__`, past the `__setattr__` that
+    freezes them.
     A field's default is the value its annotation assigns; fields with a
     default come last. Equality and hash are those of the tuple of fields,
     between instances of one class. Node classes also take a keyword-only
@@ -69,19 +76,24 @@ class Record:
     def __init_subclass__(cls) -> None:
         cls._fields = {**cls._fields, **cls.__dict__.get("__annotations__", {})}
         names = cls.__match_args__ = tuple(cls._fields)
-        params, stored = (names + ("*", "span=None"), names + ("span",)) if cls._spanned else (names, names)
-        methods: dict = {}
-        exec(
-            _METHODS.format(
+        methods = _COMPILED.setdefault((names, cls._spanned), {})
+        if not methods:  # the first class of its shape
+            params, stored = (names + ("*", "span=None"), names + ("span",)) if cls._spanned else (names, names)
+            source = _METHODS.format(
                 params=", ".join(params),
                 stores="\n    ".join(f"d[{f!r}] = {f}" for f in stored),
                 mine="".join(f"self.{f}, " for f in names),
                 theirs="".join(f"other.{f}, " for f in names),
-            ),
-            methods,
+            )
+            exec(compile(source, "<record>", "exec"), methods)
+        filename = f"<record {cls.__qualname__}>"
+        init, eq, hash_ = (
+            FunctionType(methods[m].__code__.replace(co_filename=filename), methods)
+            for m in ("__init__", "__eq__", "__hash__")
         )
-        methods["__init__"].__defaults__ = tuple(getattr(cls, f) for f in names if hasattr(cls, f)) or None
-        cls.__init__, cls.__eq__, cls.__hash__ = methods["__init__"], methods["__eq__"], methods["__hash__"]
+        init.__defaults__ = tuple(getattr(cls, f) for f in names if hasattr(cls, f)) or None
+        init.__kwdefaults__ = {"span": None} if cls._spanned else None
+        cls.__init__, cls.__eq__, cls.__hash__ = init, eq, hash_
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

@@ -18,13 +18,13 @@ inside a typing rule keeps its own K-/KF-/CF- code and location, and a
 type the checker built, which has no location, is reported at the typing
 site. Output goes to stdout, diagnostics to stderr. A reader that closes
 stdout early (`pvgr run F --trace | head`) ends the command quietly, with
-exit code 0.
+exit code 0. `run` and `corpus` load the machine (`pvgr.runtime`) and
+`--format json` loads `json` when they run, so `check` loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -36,7 +36,6 @@ from .diagnostic import Diagnostic
 from .normalize import conv
 from .parser import Program, parse_program, parse_type
 from .pretty import pretty, pretty_ctx
-from .runtime import Machine, iter_procs
 from .typing import ExprTyping, type_config, type_expr
 
 DEFAULT_FUEL = 100_000
@@ -80,6 +79,8 @@ def _check_program(prog: Program) -> ExprTyping | None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     fmt = args.format
+    if fmt == "json":
+        import json
     typing = _check_program(_load(args.file))  # a diagnostic is main's to report
     if typing is None:
         if fmt == "json":
@@ -124,6 +125,7 @@ def _fuel(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .runtime import Machine, iter_procs
     prog = _load(args.file)
     if not args.no_check:
         try:
@@ -204,6 +206,7 @@ def _corpus_one(path: Path, want: str) -> tuple[str, str]:
             return "ok", pretty(typing.ty)
         return "FAIL", f"type mismatch: got {pretty(typing.ty)}"
     if want.startswith("outcome:"):
+        from .runtime import Machine
         expected_outcome = want[len("outcome:") :].strip()
         cfg = prog.config if prog.config is not None else CProc(prog.expr)
         out = Machine(cfg, max_steps=DEFAULT_FUEL).run()

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from .ast import Span
 
 
@@ -40,6 +38,7 @@ class Diagnostic(Exception):
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json  # only `--format json` needs it
         out: dict = {"severity": "error", "code": self.code, "message": self.message}
         if self.span is not None:
             out.update(file=self.span.file, line=self.span.line, col=self.span.col)

@@ -512,6 +512,59 @@ print(*counts)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 4 4\n", "")
 
 
+def _fresh_pvgr(*argv: str) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of `python -m pvgr.cli argv` in a new
+    interpreter, run from the checkout's root."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pvgr.cli", *argv], cwd=ROOT, capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_fresh_interpreter_loads_what_each_command_needs(tmp_path, capsys):
+    # `run` and `corpus` import the machine, and `--format json` imports
+    # json, only when they run
+    assert _fresh_pvgr("run", "corpus/client_server.pvgr") == (0, "final after 20 steps: () | ()\n", "")
+    assert _fresh_pvgr("check", "--format", "json", "corpus/server.pvgr") == (
+        0,
+        '{"ok": true, "kind": "expr", "type": "forall s:Session[]. forall a:Dom(1)[]. [{a: ?{_z:Dom(0)}(.; Unit)'
+        '.?{_z\':Dom(0)}(.; Unit).!{_z\'\':Dom(0)}(.; Unit).s}; Chan a -> ex . {a: s}; Unit]", "post": ".", "ex": ""}\n',
+        "",
+    )
+    bad = write(tmp_path, "bad.pvgr", "close ()")
+    assert _fresh_pvgr("check", "--format", "json", bad) == (
+        1, "", '{"severity": "error", "code": "T-Close", "message": "operation needs a channel",'
+        f' "file": {json.dumps(bad)}, "line": 1, "col": 1, "found": "Unit"}}\n',
+    )
+    assert main(["corpus", str(CORPUS)]) == 0
+    assert _fresh_pvgr("corpus", "corpus") == (0, capsys.readouterr().out, "")
+
+
+def test_the_packages_names_resolve_and_load_the_machine_on_first_use():
+    child = """
+import sys
+import pvgr
+before = "pvgr.runtime" in sys.modules
+from pvgr import Machine, Soup, classify_config, step_expr
+from pvgr import runtime
+assert (Machine, Soup, classify_config, step_expr) == (
+    runtime.Machine, runtime.Soup, runtime.classify_config, runtime.step_expr
+)
+missing = [name for name in pvgr.__all__ if not hasattr(pvgr, name)]
+try:
+    pvgr.Nonsense
+except AttributeError as e:
+    print(e)
+print(before, missing)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "module 'pvgr' has no attribute 'Nonsense'\nFalse []\n", "",
+    )
+
+
 def test_internal_failure_is_a_diagnostic_exit_5(tmp_path, capsys, monkeypatch):
     # the recursion limit hit in the parser or in the checker, injected, as
     # which programs overflow where changes while those become stack-safe

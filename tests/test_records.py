@@ -1,12 +1,16 @@
 """The record protocol of pvgr's node classes: fields declared once as
 annotations, keyword-only spans outside equality, hash and repr, frozen
-instances, defaults, positional `match` patterns, and a cold start that
-does not import `dataclasses`."""
+instances, defaults, positional `match` patterns, methods compiled once
+per field shape but counted per class by a profiler, and a cold start
+that imports neither `dataclasses` nor `json` nor the machine."""
 
 from __future__ import annotations
 
+import cProfile
+import itertools
 import json
 import os
+import pstats
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +22,7 @@ from pvgr.ast import (
     LAYOUT,
     BDisjoint,
     CNuChan,
+    CPar,
     CProc,
     DomProj,
     DomZero,
@@ -27,6 +32,7 @@ from pvgr.ast import (
     Label,
     Name,
     Node,
+    Record,
     ShOne,
     ShZero,
     Span,
@@ -34,6 +40,8 @@ from pvgr.ast import (
     TAll,
     TDual,
     TEnd,
+    TPair,
+    TRecv,
     TSend,
     TUnit,
     TVar,
@@ -221,16 +229,115 @@ def test_json_diagnostics_keep_their_key_order(tmp_path, capsys):
     )
 
 
-def test_cold_start_imports_neither_dataclasses_nor_inspect():
-    # -S: without site's own imports, everything in sys.modules is pvgr's doing
-    probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import pvgr.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
-    )
+def _fresh(probe: str) -> str:
+    """What probe prints in a new interpreter that imports pvgr from src/.
+    -S: without site's own imports, everything in sys.modules is pvgr's
+    doing."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     child = subprocess.run(
-        [sys.executable, "-S", "-c", probe, str(SRC)],
+        [sys.executable, "-S", "-c", "import sys; sys.path.insert(0, sys.argv[1])\n" + probe, str(SRC)],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "[]"
+    return child.stdout.strip()
+
+
+def test_cold_start_imports_neither_dataclasses_nor_inspect():
+    # nor the machine, which only `run` and `corpus` need, nor json, which
+    # only `--format json` needs
+    probe = (
+        "import pvgr.cli\n"
+        "print(sorted(m for m in ('pvgr.runtime', 'json', 'dataclasses', 'inspect') if m in sys.modules))"
+    )
+    assert _fresh(probe) == "[]"
+
+
+def _shape_groups() -> list[list[type]]:
+    """The node classes, grouped by shape, in groups of two or more: every
+    node class takes a span, so its shape is its field names."""
+    groups: dict[tuple, list[type]] = {}
+    for cls in NODE_CLASSES:
+        groups.setdefault(cls.__match_args__, []).append(cls)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+SHAPE_GROUPS = _shape_groups()
+
+
+def test_classes_of_one_shape_are_grouped():
+    pairs = {frozenset(p) for g in SHAPE_GROUPS for p in itertools.combinations(g, 2)}
+    assert {frozenset(p) for p in ((TVar, VVar), (TSend, TRecv), (TPair, CPar))} <= pairs
+    # with Name's, the 28 shapes a fresh import compiles
+    assert len({cls.__match_args__ for cls in NODE_CLASSES}) == 27
+
+
+@pytest.mark.parametrize("group", SHAPE_GROUPS, ids=lambda g: "-".join(c.__name__ for c in g))
+def test_classes_of_one_shape_share_code_but_not_methods_or_equality(group):
+    args = _args(group[0])
+    for a, b in itertools.combinations(group, 2):
+        x, y = a(*args), b(*args)
+        assert x != y and y != x and hash(x) == hash(y) == hash(args)
+        assert len({x, y}) == 2
+        for name in ("__init__", "__eq__", "__hash__"):
+            fa, fb = getattr(a, name), getattr(b, name)
+            assert fa is not fb and fa.__code__.co_code == fb.__code__.co_code
+            assert (fa.__code__.co_filename, fb.__code__.co_filename) == (
+                f"<record {a.__qualname__}>", f"<record {b.__qualname__}>",
+            )
+
+
+def test_each_class_keeps_its_own_defaults():
+    assert ELet.__init__.__defaults__ == ((),) and CNuChan.__init__.__defaults__ == (False,)
+    assert all(cls.__init__.__kwdefaults__ == {"span": None} for cls in NODE_CLASSES)
+    assert len({id(cls.__init__.__kwdefaults__) for cls in NODE_CLASSES}) == len(NODE_CLASSES)
+
+    class One(Record):
+        x: int
+        y: int = 1
+
+    class Two(Record):
+        x: int
+        y: int = 2
+
+    assert One.__init__ is not Two.__init__
+    assert (One(0).y, Two(0).y, One(0, 5).y) == (1, 2, 5)
+    assert One.__init__.__kwdefaults__ is None and One(0) != Two(0, 1)
+
+
+def test_cprofile_counts_constructors_class_by_class():
+    a = Name("a", 1)
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(3):
+        TVar(a)
+    for _ in range(5):
+        VVar(a)
+    profile.disable()
+    stats = pstats.Stats(profile).stats
+    calls = {
+        (file, fn): ncalls
+        for (file, _, fn), (_, ncalls, *_) in stats.items()
+        if file.startswith("<record")
+    }
+    assert calls == {("<record TVar>", "__init__"): 3, ("<record VVar>", "__init__"): 5}
+
+
+def test_a_fresh_import_compiles_once_per_shape():
+    probe = """
+compiled = []
+
+def count(event, args):
+    if event == "compile" and args[1] == "<record>":
+        compiled.append(args[0])
+
+sys.addaudithook(count)
+import pvgr.ast
+
+def classes(cls):
+    return [c for sub in cls.__subclasses__() for c in [sub, *classes(sub)]]
+
+records = classes(pvgr.ast.Record)
+print(len(compiled), len(set(compiled)), len(records), len({(c.__match_args__, c._spanned) for c in records}))
+"""
+    # 65 record classes, of 28 shapes: Name, Node and the 63 node classes
+    assert _fresh(probe) == "28 28 65 28"
