@@ -25,7 +25,13 @@ token's location, the one object the tokenizer builds per token.
 The scope table `SCOPES` is the one statement of binder scoping: free
 variables, substitution, canonical renaming and normalization all walk
 trees through it with `scope_walk`, and existential matching
-(`typing._match`) walks pairs of trees through its `LAYOUT`.
+(`typing._match`) walks pairs of trees through its `LAYOUT`. Each walk is
+a module-level function that carries its state (the names bound, the
+substitution, how to name a binder) in the scope it hands `scope_walk`.
+A nested function that calls itself refers to itself through its closure
+cell, so each call of such a walk would leave a reference cycle behind
+for the cyclic collector; these walks leave none, and what they build is
+freed by reference counting.
 """
 
 from __future__ import annotations
@@ -662,19 +668,23 @@ def _has_binders(t: Tree) -> bool:
 def free_vars(t: Tree) -> set[Name]:
     """Identifiers with no enclosing binder in t (type and value vars alike)."""
     out: set[Name] = set()
-
-    def go(t: Tree, bound: frozenset[int]) -> None:
-        if t.__class__ is TVar or t.__class__ is VVar:
-            if t.name.uid not in bound:
-                out.add(t.name)
-        else:
-            scope_walk(t, bound, go, bind, _discard)
-
-    def bind(name: Name, role: str, bound: frozenset[int]):
-        return name, bound | {name.uid}
-
-    go(t, frozenset())
+    _free(t, (frozenset(), out))
     return out
+
+
+def _free(t: Tree, scope: tuple[frozenset[int], set[Name]]) -> None:
+    """free_vars' walk: the scope is the uids bound around t, and the set
+    that collects the free names."""
+    if t.__class__ is TVar or t.__class__ is VVar:
+        if t.name.uid not in scope[0]:
+            scope[1].add(t.name)
+    else:
+        scope_walk(t, scope, _free, _bind_free, _discard)
+
+
+def _bind_free(name: Name, role: str, scope):
+    bound, out = scope
+    return name, (bound | {name.uid}, out)
 
 
 def _discard(t: Tree, vals: list) -> None:
@@ -688,24 +698,27 @@ def _rebuild(t: Tree, vals: list) -> Tree:
     return t
 
 
-def _renaming(new_name):
+def _rename(t: Tree, scope: tuple[Subst, object]) -> Tree:
     """The walk behind subst and canonicalize. Its scope maps a uid to the
-    tree that replaces the variable; new_name(binder) names each binder."""
+    tree that replaces the variable, and holds the function that names
+    each binder."""
+    if t.__class__ is TVar or t.__class__ is VVar:
+        r = scope[0].get(t.name.uid)
+        if r is None:
+            return t
+        # freshen the payload's own binders per insertion site
+        return subst({}, r) if _has_binders(r) else r
+    return scope_walk(t, scope, _rename, _bind_rename, _rebuild)[0]
 
-    def go(t: Tree, s: Subst) -> Tree:
-        if t.__class__ is TVar or t.__class__ is VVar:
-            r = s.get(t.name.uid)
-            if r is None:
-                return t
-            # freshen the payload's own binders per insertion site
-            return subst({}, r) if _has_binders(r) else r
-        return scope_walk(t, s, go, bind, _rebuild)[0]
 
-    def bind(name: Name, role: str, s: Subst):
-        new = new_name(name)
-        return new, {**s, name.uid: (TVar if role is TBIND else VVar)(new)}
+def _bind_rename(name: Name, role: str, scope):
+    s, new_name = scope
+    new = new_name(name)
+    return new, ({**s, name.uid: (TVar if role is TBIND else VVar)(new)}, new_name)
 
-    return go
+
+def _fresh_like(n: Name) -> Name:
+    return fresh_name(n.text)
 
 
 def subst(s: Subst, t: Tree) -> Tree:
@@ -715,7 +728,7 @@ def subst(s: Subst, t: Tree) -> Tree:
     substituted payloads, which re-establishes the hygiene invariant even
     when one payload is inserted at several sites.
     """
-    return _renaming(lambda n: fresh_name(n.text))(t, s)
+    return _rename(t, (s, _fresh_like))
 
 
 def subst1(name: Name, replacement: Union[Type, Value], t: Tree) -> Tree:
@@ -735,7 +748,7 @@ def canonicalize(t: Tree) -> Tree:
         i = next(counter)
         return Name(f"?{i}", -1 - i)
 
-    return _renaming(cname)(t, {})
+    return _rename(t, ({}, cname))
 
 
 def alpha_equiv(a: Tree, b: Tree) -> bool:

@@ -136,31 +136,34 @@ def cmd_run(args: argparse.Namespace) -> int:
             return e.status
     cfg = prog.config if prog.config is not None else CProc(prog.expr)
     machine = Machine(cfg, max_steps=_fuel(args), seed=args.seed, trace=[] if args.trace else None)
-    while True:
-        if args.check:
-            try:
-                type_config((), StEmpty(), machine.config)
-            except Diagnostic as e:
-                _emit(e, "pretty")
-                if machine.steps:
-                    print("subject reduction violated", file=sys.stderr)
-                else:
-                    print("the configuration is ill-typed before the first step", file=sys.stderr)
-                return e.status
-        out = machine.step()  # one that does not step leaves the configuration as checked
-        if out.kind != "stepped":
-            break
-        if args.trace:
-            print(machine.trace[-1])
-    if out.kind == "final":
-        values = [pretty(e) for _, e in iter_procs(machine.config)]
-        print(f"final after {machine.steps} steps: " + " | ".join(values))
-        return 0
-    if out.kind == "deadlock":
-        print(f"deadlock after {machine.steps} steps: {out.report}")
-        return 3
-    print(f"out of fuel after {machine.steps} steps")
-    return 4
+    try:
+        while True:
+            if args.check:
+                try:
+                    type_config((), StEmpty(), machine.config)
+                except Diagnostic as e:
+                    _emit(e, "pretty")
+                    if machine.steps:
+                        print("subject reduction violated", file=sys.stderr)
+                    else:
+                        print("the configuration is ill-typed before the first step", file=sys.stderr)
+                    return e.status
+            out = machine.step()  # one that does not step leaves the configuration as checked
+            if out.kind != "stepped":
+                break
+            if args.trace:
+                print(machine.trace[-1])
+        if out.kind == "final":
+            values = [pretty(e) for _, e in iter_procs(machine.config)]
+            print(f"final after {machine.steps} steps: " + " | ".join(values))
+            return 0
+        if out.kind == "deadlock":
+            print(f"deadlock after {machine.steps} steps: {out.report}")
+            return 3
+        print(f"out of fuel after {machine.steps} steps")
+        return 4
+    finally:
+        machine.soup.release()
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
@@ -209,7 +212,11 @@ def _corpus_one(path: Path, want: str) -> tuple[str, str]:
         from .runtime import Machine
         expected_outcome = want[len("outcome:") :].strip()
         cfg = prog.config if prog.config is not None else CProc(prog.expr)
-        out = Machine(cfg, max_steps=DEFAULT_FUEL).run()
+        machine = Machine(cfg, max_steps=DEFAULT_FUEL)
+        try:
+            out = machine.run()
+        finally:
+            machine.soup.release()
         if out.kind == expected_outcome:
             return "ok", out.kind
         return "FAIL", f"outcome mismatch: got {out.kind}"
@@ -260,9 +267,16 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 0
     except Exception as e:  # every failure the commands do not report themselves
-        diag = e if isinstance(e, Diagnostic) else Diagnostic("internal", f"{type(e).__name__}: {e}")
-        _emit(diag, fmt)
-        return diag.status
+        return _report(e, fmt)
+
+
+def _report(e: Exception, fmt: str) -> int:
+    """Print e as a diagnostic and return its exit code. A local of `main`
+    holding e would make a cycle through e's traceback, which holds
+    main's frame; `e` itself is unbound when the except clause ends."""
+    diag = e if isinstance(e, Diagnostic) else Diagnostic("internal", f"{type(e).__name__}: {e}")
+    _emit(diag, fmt)
+    return diag.status
 
 
 if __name__ == "__main__":

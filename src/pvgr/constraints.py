@@ -14,11 +14,15 @@ membership rules, without a fixed point (docs/constraints.md states the
 rules and proves them equal to membership in the closed set).
 
 A disjoint extension writes no constraints: it leaves a `BFresh` marker,
-which stands for the `#` bindings `expand` writes out.
+which stands for the `#` bindings `expand` writes out. `open_pairs` reads
+the markers for a whole list of domains at once: one sweep in binding
+order settles every pair of distinct variables that rule (iii) settles,
+for K-StMerge, which asks `entails` only about the rest.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from typing import NamedTuple
 
@@ -317,3 +321,39 @@ def entails(g: Ctx, c: ConstraintSet) -> bool:
     if index.error is not None:
         raise AtomizeError(index.error)
     return all(_holds(index, _key(l), _key(r)) for l, r in atomize(c))
+
+
+def open_pairs(g: Ctx, doms: list) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of the domains `doms` whose disjointness
+    under g rule (iii) leaves open: every pair but those of two distinct
+    plain variables that a marker makes disjoint. Those are found in one
+    sweep over the variables in the order they were bound, so a merge of n
+    domains costs O(n log n) plus the pairs returned, not n(n-1)/2 queries.
+    Each pair left out is entailed (docs/constraints.md, "K-StMerge in one
+    sweep"). An entry that is not a plain variable bound once in g and once
+    in doms, or a context whose index holds a constraint that does not
+    decompose, is paired with every other entry."""
+    index = context(g).disjointness
+    bound, fresh = index.bound, index.fresh
+    uids = [d.name.uid if d.__class__ is TVar and d.name.uid in bound else None for d in doms]
+    times = Counter(uids)
+    loose = [index.error is not None or u is None or times[u] > 1 for u in uids]
+    n = len(doms)
+    # a loose entry with every other, each pair once
+    out = [(min(i, j), max(i, j)) for i in range(n) if loose[i] for j in range(n) if j > i or not loose[j] and j != i]
+    # Visit the variables in binding order. `passed` holds, in the order of
+    # their markers, those whose marker (if any) came before the binding
+    # visited. A variable that a marker made fresh after its binding is
+    # disjoint from every one bound before it; any other from those bound
+    # before it that are not passed yet, and its pairs with the passed
+    # ones are open.
+    plain = [j for j in range(n) if not loose[j]]
+    by_fresh = sorted(plain, key=lambda j: fresh.get(uids[j], -1))
+    passed: list[int] = []
+    for j in sorted(plain, key=lambda j: bound[uids[j]]):
+        b = bound[uids[j]]
+        while len(passed) < len(by_fresh) and fresh.get(uids[by_fresh[len(passed)]], -1) <= b:
+            passed.append(by_fresh[len(passed)])
+        if fresh.get(uids[j], -1) <= b:
+            out += [(min(i, j), max(i, j)) for i in passed if bound[uids[i]] < b]
+    return out

@@ -3,6 +3,8 @@ disjoint context extension."""
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .ast import (
     BDisjoint,
     BTVar,
@@ -44,7 +46,7 @@ from .ast import (
     Type,
     state_atoms,
 )
-from .constraints import Context, context, entails, fresh_marker
+from .constraints import AtomizeError, Context, context, entails, fresh_marker, open_pairs
 from .diagnostic import Diagnostic
 from .normalize import conv, conv_key, normalize
 from .pretty import pretty
@@ -296,7 +298,7 @@ def infer_kind(g: Ctx, t: Type) -> Kind:
             _expect(g, ses, KSession(), "K-StChan")
             return KState()
         case StMerge():
-            _merge_atoms(g, t)
+            _kind_merge_tree(g, t)
             return KState()
     raise _fail("K-Var", f"not a type: {t!r}", t)
 
@@ -332,48 +334,102 @@ def _require_disjoint(g: Ctx, d1: Type, d2: Type, rule: str, at: Type) -> None:
 
 # -- K-StMerge over a whole merge tree -------------------------------------------
 
-def _merge_atoms(g: Context, t: StMerge) -> list[Type]:
-    """K-StMerge at t and every merge below it, in one pass: each side is
-    kinded, then every domain of one side's atoms must be disjoint from
-    every domain of the other's. Returns t's normalized atoms as normalize
-    orders them, so that the merge above reads them instead of normalizing
-    t again. A merge of two single atoms asks one question, so it leaves
-    its atoms unordered."""
-    la, ra = _side_atoms(g, t.left), _side_atoms(g, t.right)
-    single = len(la) == 1 and len(ra) == 1
-    if not single:
-        la.sort(key=conv_key)
-        ra.sort(key=conv_key)
-    ld, rd = _doms(la), _doms(ra)
-    if ld is None or rd is None:
-        if (ld is None and ra) or (rd is None and la):
-            raise _fail("K-StMerge", "cannot establish disjointness of an opaque state", t)
-    else:
-        for d1 in ld:
-            for d2 in rd:
-                _require_disjoint(g, d1, d2, "K-StMerge", t)
-    return la + ra if single else sorted(la + ra, key=conv_key)
+def _kind_merge_tree(g: Context, t: StMerge) -> None:
+    """K-StMerge at t and every merge below it, in one pass: the leaves of
+    the merge tree are kinded left to right, then the pairs of domains of
+    different leaves are decided at once. `open_pairs` settles in one
+    sweep those that a marker makes disjoint, and only the rest are asked
+    of `entails`. When anything fails, `_first_failure` raises what the
+    nested rule (each side kinded, then each domain of one side's atoms
+    against each of the other's) meets first."""
+    leaves, order = _merge_order(t)
+    atoms: list[list[Type]] = []  # the normalized atoms of each leaf kinded
+    failure = None
+    for leaf in leaves:
+        try:
+            _expect(g, leaf, KState(), "K-StMerge")
+        except KindError as e:
+            failure = e
+            break
+        atoms.append(state_atoms(normalize(leaf)))
+    owner = [k for k, la in enumerate(atoms) for _ in la]
+    doms = [_dom(a) for la in atoms for a in la]
+    pairs = open_pairs(g, doms)
+    if failure is None and (len(doms) < 2 or all(d is not None for d in doms)):
+        try:
+            if all(entails(g, (BDisjoint(doms[i], doms[j]),)) for i, j in pairs if owner[i] != owner[j]):
+                return
+        except AtomizeError:
+            pass  # raised again below, where the nested rule meets it
+    _first_failure(g, order, atoms, doms, set(pairs), failure)
 
 
-def _side_atoms(g: Context, t: Type) -> list[Type]:
-    if isinstance(t, StMerge):
-        return _merge_atoms(g, t)
-    _expect(g, t, KState(), "K-StMerge")
-    return state_atoms(normalize(t))
-
-
-def _doms(atoms: list[Type]) -> list[Type] | None:
-    """Domains governed by state atoms; None when they cannot be determined
-    (opaque state variable). A stuck application f d covers at most d."""
-    out: list[Type] = []
-    for a in atoms:
-        if isinstance(a, StBind):
-            out.append(a.dom)
-        elif isinstance(a, TApp):
-            out.append(a.arg)
+def _merge_order(t: StMerge) -> tuple[list[Type], list]:
+    """The leaves of t's merge tree, left to right, and the tree in
+    post-order: a leaf as its index, a merge as (merge, lo, mid, hi), where
+    its left side holds the leaves lo..mid-1 and its right side mid..hi-1."""
+    leaves: list[Type] = []
+    order: list = []
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is list:  # [merge, lo, mid]: a merge met again after a side
+            if x[2] is None:
+                x[2] = len(leaves)
+            else:
+                order.append((x[0], x[1], x[2], len(leaves)))
+        elif x.__class__ is StMerge:
+            m = [x, len(leaves), None]
+            stack += (m, x.right, m, x.left)
         else:
-            return None
-    return out
+            order.append(len(leaves))
+            leaves.append(x)
+    return leaves, order
+
+
+def _first_failure(g: Context, order: list, atoms: list[list[Type]], doms: list, open_: set, failure) -> None:
+    """Raise the failure the nested rule meets first. It walks the merge
+    tree in post-order: a leaf is kinded (`failure` is that of the first
+    leaf that was not), and at a merge an opaque state on either side stops
+    it when the other side has atoms; otherwise it asks for each pair of a
+    left and a right domain, each side in normalize's order (`conv_key`, the
+    leaves' order among equal keys; a merge of two single atoms takes them
+    as they come). A pair that `open_pairs` settled is not asked again."""
+    flat = [a for la in atoms for a in la]
+    start = [0, *accumulate(len(la) for la in atoms)]  # each leaf's first atom in flat
+
+    def key(k: int):
+        return conv_key(flat[k])
+
+    for step in order:
+        if step.__class__ is int:
+            if step == len(atoms):
+                raise failure
+            continue
+        merge, lo, mid, hi = step
+        left, right = range(start[lo], start[mid]), range(start[mid], start[hi])
+        if not (len(left) == 1 and len(right) == 1):
+            left, right = sorted(left, key=key), sorted(right, key=key)
+        opaque_l = any(doms[k] is None for k in left)
+        opaque_r = any(doms[k] is None for k in right)
+        if opaque_l or opaque_r:
+            if (opaque_l and right) or (opaque_r and left):
+                raise _fail("K-StMerge", "cannot establish disjointness of an opaque state", merge)
+            continue
+        for i in left:
+            for j in right:
+                if (i, j) in open_:
+                    _require_disjoint(g, doms[i], doms[j], "K-StMerge", merge)
+
+
+def _dom(atom: Type) -> Type | None:
+    """The domain a state atom governs; None when it cannot be determined
+    (opaque state variable). A stuck application f d covers at most d."""
+    if isinstance(atom, StBind):
+        return atom.dom
+    if isinstance(atom, TApp):
+        return atom.arg
+    return None
 
 
 def check_ctx_suffix(g_ok: Ctx, g: Ctx) -> None:

@@ -56,6 +56,13 @@ a step costs what it touches (Accattoli & Barras, PPDP 2017):
   it back.
 - `Machine.step` searches once per step. A configuration with a candidate
   is reducible, so `classify_config` runs only when the search is empty.
+- `Soup.release` unlinks every cell and empties every environment once a
+  run is over; `pvgr.cli` calls it when `run` or `corpus` is done with a
+  machine, on every exit. The walk order's back links, the hole lists
+  that file a cell which lists them in turn, and a closure bound in its
+  own environment are reference cycles. Released, the configuration is
+  freed by reference counting, and the cyclic collector, whose full
+  passes walk everything alive, is not set off by it.
 """
 
 from __future__ import annotations
@@ -677,6 +684,30 @@ class Soup:
         rest = _session_after(normalize(nu.ses), op)
         if rest is not None:  # a part of a normal form, itself normal
             nu.ses = rest
+
+    # -- releasing ---------------------------------------------------------------
+
+    def release(self) -> None:
+        """Unlink every cell and empty every environment the processes
+        reach, so that reference counting frees the configuration (the
+        module docstring says why). The soup is not used again."""
+        envs: list = []
+        m = self.first
+        while m is not None:
+            if m.__class__ is _Proc:
+                envs += [env for f in m.frames for env in (f.env, f.henv)]
+                m.lists = []
+            elif m.__class__ is _Nu:
+                m.holes = {}
+            m.prev, m.next, m = None, None, m.next
+        while envs:
+            env = envs.pop()
+            if env is not None:
+                envs.append(env.up)
+                envs += [hit[1] for hit in env.vars.values() if hit.__class__ is tuple]
+                env.vars.clear()
+                env.up = None
+        self.binders, self.singles, self.active = {}, {}, []
 
     # -- reading back --------------------------------------------------------------
 

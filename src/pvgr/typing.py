@@ -244,11 +244,24 @@ def _type_expr(g: Ctx, atoms: list[Type], e: Expr) -> ExprTyping:
             # let ends in the tail's post-state and type, so a collection at
             # each kept the same binders, and no head's constraint names a
             # later binder, fresh for the context (disjoint_append checks).
+            # A head leaves the atoms it does not consume in order, in front
+            # of the atoms it makes, which alone can mention its fresh
+            # binders: from the first let that names them, `met` holds every
+            # atom a head was given, by identity, so the atoms a head made
+            # are those after the last one in `met`.
             package: list[Binding] = []
+            met: dict[int, Type] | None = None
             while isinstance(e, ELet):
                 r1 = _type_expr(g, atoms, e.head)
-                if e.exnames:
-                    r1 = _rename_exctx(r1, e.exnames, e.span)
+                if e.exnames or met is not None:
+                    if met is None:
+                        met = {id(a): a for a in atoms}
+                    made = len(r1.post)
+                    while made and id(r1.post[made - 1]) not in met:
+                        made -= 1
+                    if e.exnames:
+                        r1 = _rename_exctx(r1, e.exnames, e.span, made)
+                    met.update((id(a), a) for a in r1.post[made:])
                 g = disjoint_append(g, r1.exctx) + (BVal(e.binder, normalize(r1.ty)),)
                 package += r1.exctx
                 atoms, e = r1.post, e.body
@@ -422,8 +435,10 @@ def _instantiate_arr(tf: TArr) -> tuple[Ctx, list[Type], Type]:
     return tf.exctx, _atoms_of(tf.post), normalize(tf.res)
 
 
-def _rename_exctx(r: ExprTyping, names: tuple[Name, ...], span: Span | None) -> ExprTyping:
-    """Rename the leading existential binders of a package to user names."""
+def _rename_exctx(r: ExprTyping, names: tuple[Name, ...], span: Span | None, made: int = 0) -> ExprTyping:
+    """Rename the leading existential binders of a package to user names.
+    The post-state atoms before index `made` were there before the package's
+    binders were made, so they cannot mention them and are kept as they are."""
     binders = [b for b in r.exctx if isinstance(b, BTVar)]
     if len(names) > len(binders):
         raise TypecheckError(
@@ -443,7 +458,7 @@ def _rename_exctx(r: ExprTyping, names: tuple[Name, ...], span: Span | None) -> 
                 exctx.append(BDisjoint(subst(ren, l), subst(ren, rr)))
             case _:
                 exctx.append(b)
-    post = [subst(ren, a) for a in r.post]
+    post = r.post[:made] + [subst(ren, a) for a in r.post[made:]]
     return ExprTyping(tuple(exctx), post, subst(ren, r.ty))
 
 
@@ -600,21 +615,24 @@ def _resolve_state(
     """All part-assignments that place every pattern state binding on some
     actual atom (each actual atom used at most once)."""
     out: list[dict] = []
-
-    def go(i: int, used: set[int], parts: dict) -> None:
-        if i == len(pat_atoms):
-            out.append(dict(parts))
-            return
-        pa = pat_atoms[i]
-        for j, aa in enumerate(act_atoms):
-            if j in used:
-                continue
-            trial = dict(parts)
-            if _match_atom(pa, aa, pvars, trial):
-                go(i + 1, used | {j}, trial)
-
-    go(0, set(), parts)
+    _place(pat_atoms, act_atoms, pvars, 0, set(), parts, out)
     return out
+
+
+def _place(pat_atoms, act_atoms, pvars, i: int, used: set[int], parts: dict, out: list[dict]) -> None:
+    """_resolve_state's search from pattern atom i on, the actual atoms in
+    `used` taken: a module-level function, as a closure that calls itself
+    leaves a reference cycle behind."""
+    if i == len(pat_atoms):
+        out.append(dict(parts))
+        return
+    pa = pat_atoms[i]
+    for j, aa in enumerate(act_atoms):
+        if j in used:
+            continue
+        trial = dict(parts)
+        if _match_atom(pa, aa, pvars, trial):
+            _place(pat_atoms, act_atoms, pvars, i + 1, used | {j}, trial, out)
 
 
 def _match_atom(pat: Type, act: Type, pvars: set[int], parts: dict) -> bool:

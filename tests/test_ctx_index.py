@@ -1,5 +1,6 @@
-"""The indexed context: entailment decided from the index agrees with the
-closed-set reference on the context's expansion, an index built by
+"""The indexed context: entailment decided from the index, and every pair
+K-StMerge's sweep settles without asking it, agree with the closed-set
+reference on the context's expansion, an index built by
 extension equals the index built from the context's plain tuple, and
 disjoint extension expands to what writing out its constraints gave."""
 
@@ -31,7 +32,7 @@ from pvgr.ast import (
     TVar,
     fresh_name,
 )
-from pvgr.constraints import AtomizeError, BFresh, Context, entails, expand
+from pvgr.constraints import AtomizeError, BFresh, Context, entails, expand, open_pairs
 from pvgr.kinding import disjoint_append, restrict_non_dom
 from pvgr.parser import parse_program, parse_type
 from pvgr.typing import type_config, type_expr
@@ -61,17 +62,36 @@ PROGRAMS = [(f.name, f.read_text()) for f in corpus_files()] + [
 ]
 
 
+def _settled(g, doms, open_) -> list:
+    """The goals `open_pairs` settled: each pair of doms it did not return."""
+    left_open = set(open_)
+    return [
+        (BDisjoint(doms[i], doms[j]),)
+        for i in range(len(doms))
+        for j in range(i + 1, len(doms))
+        if (i, j) not in left_open
+    ]
+
+
 @pytest.fixture(scope="module")
 def traced():
-    """Every entails query and every extended context met while checking
-    PROGRAMS, in the order they occurred."""
+    """Every disjointness decision and every extended context met while
+    checking PROGRAMS, in the order they occurred. A decision is an
+    entails query, or a pair of domains that K-StMerge's sweep
+    (`constraints.open_pairs`) settled from the index without one; the
+    latter are recorded as (context, goal, True, "sweep")."""
     queries: list = []
     extended: list[Context] = []
 
     def spy(g, c):
         got = entails(g, c)
-        queries.append((g, c, got))
+        queries.append((g, c, got, "entails"))
         return got
+
+    def spy_sweep(g, doms):
+        out = open_pairs(g, doms)
+        queries.extend((g, c, True, "sweep") for c in _settled(g, doms, out))
+        return out
 
     add = Context.__add__
 
@@ -83,6 +103,7 @@ def traced():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pvgr.kinding, "entails", spy)
         mp.setattr(pvgr.typing, "entails", spy)
+        mp.setattr(pvgr.kinding, "open_pairs", spy_sweep)
         mp.setattr(Context, "__add__", spy_add)
         for name, src in PROGRAMS:
             _check(src, name)
@@ -90,15 +111,35 @@ def traced():
 
 
 def test_hold_config_checks_and_queries_every_pair(traced):
+    # hold12's lambda pre-state holds 12 channels: each of its 66 pairs is
+    # decided from the index, by the sweep alone
     queries, _ = traced
-    assert len(queries) >= 12 * 11  # hold12 alone asks for every ordered pair
-    assert any(got for _, _, got in queries)
+    swept = [c for _, c, _, how in queries if how == "sweep"]
+    assert len(swept) >= 12 * 11 // 2
+    assert any(got for _, _, got, how in queries if how == "entails")
+
+
+def test_hold_check_asks_entails_linearly_often():
+    # the sweep settles every pair of hold's pre-state, so entails is asked
+    # O(n) times, not once per pair
+    n = 24
+    asked: list = []
+
+    def spy(g, c):
+        asked.append(c)
+        return entails(g, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pvgr.kinding, "entails", spy)
+        mp.setattr(pvgr.typing, "entails", spy)
+        _check(hold_config(n), "hold.pvgr")
+    assert len(asked) <= 2 * n
 
 
 def test_entails_agrees_with_reference_on_checker_queries(traced):
     queries, _ = traced
-    assert any(isinstance(b, BFresh) for g, _, _ in queries for b in g)
-    for g, c, got in queries:
+    assert any(isinstance(b, BFresh) for g, _, _, _ in queries for b in g)
+    for g, c, got, _ in queries:
         assert got == entails_ref(expand(g), list(c)), (g, c)
 
 

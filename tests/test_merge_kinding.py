@@ -1,9 +1,12 @@
 """K-StMerge kinded in one pass over a merge tree agrees with the nested
-rule of `tests/kinding_ref.py`: the same kind or the same diagnostic, after
-the same disjointness queries in the same order. Compared on every type
-the checker kinds over the corpus, the generated families and the
-ill-typed programs of tests/test_cli.py, and on seeded merge trees. Also:
-each atom of a lambda's pre-state is normalized once by the rule."""
+rule of `tests/kinding_ref.py`: the same kind or the same diagnostic, and
+the same first failing disjointness goal. Compared on every type the
+checker kinds over the corpus, the generated families and the ill-typed
+programs of tests/test_cli.py, and on seeded merge trees; every pair the
+one-pass rule's sweep settles without asking `entails` is checked against
+the closed-set reference, and a sweep that never falls back to `entails`
+is caught. Also: each atom of a lambda's pre-state is normalized once by
+the rule."""
 
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import sys
 import pytest
 from conftest import cli_programs, corpus_files, perfbench_gen
 from kinding_ref import infer_kind_ref
+from oracles import entails_ref
 
 import pvgr.kinding as kinding
 import pvgr.typing
@@ -39,7 +43,7 @@ from pvgr.ast import (
     fresh_name,
     state_atoms,
 )
-from pvgr.constraints import Context, entails
+from pvgr.constraints import AtomizeError, Context, entails, expand, open_pairs
 from pvgr.diagnostic import Diagnostic
 from pvgr.kinding import KindError, disjoint_append, infer_kind
 from pvgr.parser import parse_program, parse_type
@@ -87,31 +91,58 @@ def kinded():
     return list(calls.values())
 
 
-def _outcome(fn, g, t):
-    """fn(g, t)'s kind or diagnostic, and the disjointness goals it asked."""
-    goals: list = []
+def _outcome(fn, g, t, sweep=None):
+    """fn(g, t)'s kind or diagnostic, and the first disjointness goal that
+    fails: the last goal asked that did not hold, as both rules stop at
+    their first failure. With `sweep`, the one-pass rule decides its pairs
+    through it instead of `constraints.open_pairs`."""
+    failed: list = []
 
     def spy(g2, c):
-        goals.append(c)
-        return entails(g2, c)
+        got = entails(g2, c)
+        if not got:
+            failed.append(c)
+        return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kinding, "entails", spy)
+        if sweep is not None:
+            mp.setattr(kinding, "open_pairs", sweep)
         try:
             result = ("kind", fn(g, t))
         except KindError as e:
             result = ("error", e.code, e.message, e.span, e.expected, e.found, e.state)
-    return result, goals
+    return result, failed[-1] if failed else None
+
+
+def _checked_sweep(calls: list):
+    """open_pairs, with every pair it settles checked against the closed-set
+    reference on the expanded context; counts them in calls."""
+
+    def sweep(g, doms):
+        out = open_pairs(g, doms)
+        left_open = set(out)
+        for i in range(len(doms)):
+            for j in range(i + 1, len(doms)):
+                if (i, j) not in left_open:
+                    assert entails_ref(expand(g), [BDisjoint(doms[i], doms[j])]), (g, doms[i], doms[j])
+                    calls.append((i, j))
+        return out
+
+    return sweep
 
 
 def test_checker_kindings_agree_with_nested_rule(kinded):
-    merges = failures = 0
+    merges = failures = failing_pairs = 0
+    settled: list = []
     for g, t in kinded:
-        got = _outcome(infer_kind, g, t)
+        got = _outcome(infer_kind, g, t, _checked_sweep(settled))
         assert got == _outcome(infer_kind_ref, g, t), t
-        merges += isinstance(t, StMerge) and len(got[1]) > 1
+        merges += isinstance(t, StMerge) and isinstance(t.left, StMerge)
         failures += got[0][0] == "error"
-    assert len(kinded) > 1000 and merges >= 5 and failures >= 5
+        failing_pairs += got[1] is not None
+    assert len(kinded) > 1000 and merges >= 5 and failures >= 5 and failing_pairs >= 1
+    assert len(settled) >= 12 * 11 // 2
 
 
 def _seeded_case(rng: random.Random):
@@ -166,22 +197,49 @@ def _seeded_case(rng: random.Random):
 def test_seeded_merges_agree_with_nested_rule():
     rng = random.Random(1520)
     seen = {"kind": 0, "error": 0}
-    codes, ordered = set(), 0
+    codes, failing_pairs = set(), 0
+    settled: list = []
     for _ in range(600):
         g, t = _seeded_case(rng)
-        got = _outcome(infer_kind, g, t)
+        got = _outcome(infer_kind, g, t, _checked_sweep(settled))
         assert got == _outcome(infer_kind_ref, g, t), t
         seen[got[0][0]] += 1
         if got[0][0] == "error":
             codes.add((got[0][1], " ".join(got[0][2].split()[:2])))
-        ordered += len(got[1]) > 2
-    assert min(seen.values()) > 100 and ordered > 100
+        failing_pairs += got[1] is not None
+    assert min(seen.values()) > 100 and failing_pairs > 100 and len(settled) > 1000
     assert codes == {
         ("K-StMerge", "cannot prove"),
         ("K-StMerge", "cannot establish"),
         ("K-StMerge", "k has"),
         ("K-StChan", "Unit has"),
     }
+
+
+def test_a_sweep_without_the_pairwise_fallback_is_caught():
+    # a mutant sweep that settles every pair, so that no pair falls back to
+    # entails, must disagree with the nested rule on some seeded merge
+    rng = random.Random(1520)
+    disagree = 0
+    for _ in range(200):
+        g, t = _seeded_case(rng)
+        disagree += _outcome(infer_kind, g, t, lambda g, doms: []) != _outcome(infer_kind_ref, g, t)
+    assert disagree > 10
+
+
+def test_an_assumption_that_does_not_atomize_is_raised_as_by_the_nested_rule():
+    # with such an assumption every pair is left to entails, which raises
+    # it at the first pair the nested rule asks
+    a, b, c = fresh_name("a"), fresh_name("b"), fresh_name("c")
+    g = disjoint_append(Context((BTVar(a, KDom(ShOne())), BDisjoint(TUnit(), TVar(a)))), (BTVar(b, KDom(ShOne())),))
+    g = disjoint_append(g, (BTVar(c, KDom(ShOne())),))
+    t = StMerge(StMerge(StBind(TVar(a), TEnd()), StBind(TVar(b), TEnd())), StBind(TVar(c), TEnd()))
+    raised = []
+    for fn in (infer_kind, infer_kind_ref):
+        with pytest.raises(AtomizeError) as e:
+            fn(g, t)
+        raised.append(str(e.value))
+    assert raised[0] == raised[1]
 
 
 def _lambda_pre(t):
