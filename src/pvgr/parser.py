@@ -708,7 +708,12 @@ class Parser:
         raise self.fail("expected a configuration")
 
     def config_starts(self) -> bool:
-        return self.peek().kind in {"<", "nu", "nuap"}
+        """A configuration starts with `<`, `nu` or `nuap` after any `(`s,
+        and no expression does. The tokens end with eof, so the scan stops."""
+        i = self.pos
+        while self.toks[i].kind == "(":
+            i += 1
+        return self.toks[i].kind in {"<", "nu", "nuap"}
 
 
 def parse_program(src: str, filename: str = "<input>") -> Program:

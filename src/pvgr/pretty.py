@@ -7,11 +7,6 @@ from .ast import (
     Binding,
     BTVar,
     BVal,
-    Config,
-    CNuAccess,
-    CNuChan,
-    CPar,
-    CProc,
     DomMerge,
     DomProj,
     DomZero,
@@ -30,7 +25,6 @@ from .ast import (
     ETApp,
     EVal,
     Expr,
-    KArrow,
     KDom,
     KSession,
     KShape,
@@ -54,7 +48,6 @@ from .ast import (
     TEnd,
     TLam,
     TPair,
-    TRecv,
     TSend,
     TUnit,
     TVar,
@@ -63,7 +56,6 @@ from .ast import (
     VAbs,
     VChan,
     VPair,
-    VTAbs,
     VUnit,
     VVar,
     Value,
@@ -102,9 +94,7 @@ class _Printer:
                 return _KEYWORD[k.__class__]
             case KDom(shape):
                 return f"Dom({self.ty(shape)})"
-            case KArrow(src, dst):
-                return f"({self.kind(src)} -> {self.kind(dst)})"
-        raise AssertionError(f"unknown kind {k!r}")
+        return f"({self.kind(k.src)} -> {self.kind(k.dst)})"
 
     # -- types -----------------------------------------------------------------
 
@@ -174,16 +164,14 @@ class _Printer:
                     f"[{self.state(pre)}; {self.ty(arg)} -> ex {ex}. "
                     f"{self.state(post)}; {self.ty(res)}]"
                 )
-            case TSend() | TRecv():
-                mark = "!" if isinstance(t, TSend) else "?"
-                sh = self.ty(t.shape)
-                b = self.bind(t.binder)
-                st = self.state(t.state)
-                pay = self.ty(t.payload)
-                return f"{mark}{{{b}:Dom({sh})}}({st}; {pay}).{self.ty_atom(t.cont)}"
             case TApp() | TChoice() | TBranch():
                 return f"({self.ty(t)})"
-        raise AssertionError(f"unknown type {t!r}")
+        mark = "!" if isinstance(t, TSend) else "?"  # t is a TSend or a TRecv
+        sh = self.ty(t.shape)
+        b = self.bind(t.binder)
+        st = self.state(t.state)
+        pay = self.ty(t.payload)
+        return f"{mark}{{{b}:Dom({sh})}}({st}; {pay}).{self.ty_atom(t.cont)}"
 
     def state(self, st: Type) -> str:
         atoms = state_atoms(st)
@@ -241,12 +229,10 @@ class _Printer:
                 at = self.ty(argty)
                 b = self.bind(binder)
                 return f"(\\[{st}]({b}:{at}). {self.expr(body)})"
-            case VTAbs(binder, kind, cstr, body):
-                k = self.kind(kind)
-                b = self.bind(binder)
-                cs = ", ".join(self.cstr(c) for c in cstr)
-                return f"(/\\{b}:{k}[{cs}]. {self.value(body)})"
-        raise AssertionError(f"unknown value {v!r}")
+        k = self.kind(v.kind)  # v is a VTAbs
+        b = self.bind(v.binder)
+        cs = ", ".join(self.cstr(c) for c in v.cstr)
+        return f"(/\\{b}:{k}[{cs}]. {self.value(v.body)})"
 
     def expr(self, e: Expr) -> str:
         match e:
@@ -275,26 +261,8 @@ class _Printer:
                 return f"{_KEYWORD[ESend]} {self.value(p)} {self.value(c)}"
             case ESelect(lab, v):
                 return f"{_KEYWORD[ESelect]} {int(lab)} {self.value(v)}"
-            case ECase(v, l, r):
-                return f"{_KEYWORD[ECase]} {self.value(v)} {{{self.expr(l)}; {self.expr(r)}}}"
-        raise AssertionError(f"unknown expr {e!r}")
-
-    def config(self, c: Config) -> str:
-        match c:
-            case CProc(e):
-                return f"<{self.expr(e)}>"
-            case CPar(l, r):
-                return f"({self.config(l)} | {self.config(r)})"
-            case CNuChan(e1, e2, ses, body, closed):
-                s = self.ty(ses)
-                b1, b2 = self.bind(e1), self.bind(e2)
-                mark = " -- closed" if closed else ""
-                return f"nu {b1} {b2} : {s} . ({self.config(body)}){mark}"
-            case CNuAccess(binder, ses, body):
-                s = self.ty(ses)
-                b = self.bind(binder)
-                return f"nuap {b} : {s} . ({self.config(body)})"
-        raise AssertionError(f"unknown config {c!r}")
+        # e is an ECase
+        return f"{_KEYWORD[ECase]} {self.value(e.value)} {{{self.expr(e.left)}; {self.expr(e.right)}}}"
 
 
 def pretty(t: Tree) -> str:
@@ -307,13 +275,11 @@ def pretty(t: Tree) -> str:
         return p.value(t)
     if isinstance(t, Expr):
         return p.expr(t)
-    if isinstance(t, Config):
-        return p.config(t)
     if isinstance(t, BDisjoint):
         return p.cstr(t)
     if isinstance(t, (BTVar, BVal)):
         return p.bindings((t,))
-    raise AssertionError(f"cannot pretty-print {t!r}")
+    raise TypeError(f"cannot pretty-print {t!r}")  # a configuration, say: no caller prints one
 
 
 def pretty_ctx(bs: tuple[Binding, ...]) -> str:

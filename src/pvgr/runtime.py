@@ -552,7 +552,8 @@ class Soup:
             if x.__class__ is not VVar:
                 return
             key = x.name.uid
-        elif cls in _OPERAND:  # a channel operation, or an application that is stuck
+        else:  # a channel operation, or an application that is stuck
+            # (a value at the hole reduces, and `_settle` gives a let head a frame)
             ch = _operand(op, env)
             if ch is None:
                 return
@@ -562,8 +563,6 @@ class Soup:
             if end.__class__ is not TVar:
                 return
             key = end.name.uid
-        else:
-            return
         p.key = key
         for nu in self.binders.get(key, ()):
             holes = nu.holes.get(cls)

@@ -449,17 +449,11 @@ def _rename_exctx(r: ExprTyping, names: tuple[Name, ...], span: Span | None, mad
         )
     ren: dict[int, Type] = {b.name.uid: TVar(n) for b, n in zip(binders, names)}
     by_uid = {b.name.uid: n for b, n in zip(binders, names)}
-    exctx: list[Binding] = []
-    for b in r.exctx:
-        match b:
-            case BTVar(nm, kind):
-                exctx.append(BTVar(by_uid.get(nm.uid, nm), kind))
-            case BDisjoint(l, rr):
-                exctx.append(BDisjoint(subst(ren, l), subst(ren, rr)))
-            case _:
-                exctx.append(b)
+    exctx = tuple(
+        BTVar(by_uid.get(b.name.uid, b.name), b.kind) if isinstance(b, BTVar) else subst(ren, b) for b in r.exctx
+    )
     post = r.post[:made] + [subst(ren, a) for a in r.post[made:]]
-    return ExprTyping(tuple(exctx), post, subst(ren, r.ty))
+    return ExprTyping(exctx, post, subst(ren, r.ty))
 
 
 def _gc_package(r: ExprTyping) -> ExprTyping:
@@ -543,19 +537,11 @@ def match_existential(
     solutions = _resolve_state(
         _atoms_of(pat_state), act_atoms, set(pvars), dict(parts)
     )
+    shapes = {uid: normalize(b.kind.shape) if isinstance(b.kind, KDom) else None for uid, b in pvars.items()}
     assembled: list[Renaming] = []
     for sol in solutions:
-        rho: Renaming = {}
-        ok = True
-        for uid, b in pvars.items():
-            kind = b.kind
-            shape = normalize(kind.shape) if isinstance(kind, KDom) else None
-            d = _assemble(uid, (), shape, sol)
-            if d is None:
-                ok = False
-                break
-            rho[uid] = d
-        if ok and _verify(rho, pat_state, pat_ty, act_atoms, act_ty):
+        rho: Renaming = {uid: _assemble(uid, (), shape, sol) for uid, shape in shapes.items()}
+        if None not in rho.values() and _verify(rho, pat_state, pat_ty, act_atoms, act_ty):
             if not any(_same_renaming(rho, r) for r in assembled):
                 assembled.append(rho)
     if len(assembled) != 1:
@@ -794,14 +780,8 @@ def _type_config(
                 return _type_config(g2, atoms, body, collect)
             extra = [StBind(TVar(end1), nses), StBind(TVar(end2), dual(nses))]
             leftover = _type_config(g2, atoms + extra, body, collect)
-            untouched = []
-            kept: list[Type] = []
             extra_keys = [conv_key(x) for x in extra]
-            for a in leftover:
-                if conv_key(a) in extra_keys:
-                    untouched.append(a)
-                else:
-                    kept.append(a)
+            untouched = [a for a in leftover if conv_key(a) in extra_keys]
             # either both ends were consumed (channel exercised and closed),
             # or neither was (the closed reading: no state contribution)
             if untouched and not (len(untouched) == 2 and isinstance(nses, TEnd)):
@@ -811,16 +791,9 @@ def _type_config(
                     cfg.span,
                     state=pretty(normalize(state_of_atoms(untouched))),
                 )
-            ends = {end1.uid, end2.uid}
-            for a in kept:
-                if {n.uid for n in free_vars(a)} & ends:
-                    raise TypecheckError(
-                        "T-NuChan",
-                        "channel escapes its binder",
-                        cfg.span,
-                        state=pretty(normalize(a)),
-                    )
-            return kept
+            # the rest is the outer atoms, untouched (T-Exp): formed under g,
+            # where both ends are fresh, they cannot mention them
+            return [a for a in leftover if conv_key(a) not in extra_keys]
 
         case CNuAccess(binder, ses, body):
             _kind_check(g, ses, KSession(), "T-NuAccess", cfg.span)

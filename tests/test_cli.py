@@ -9,7 +9,9 @@ import sys
 
 import pytest
 from conftest import CORPUS, ROOT
+from test_parser import PARENTHESISED_CONFIGS
 
+import pvgr
 from pvgr import cli, runtime
 from pvgr.cli import main
 
@@ -232,10 +234,13 @@ def test_disjointness_failure_diagnostic(tmp_path, capsys, code, fmt):
 
 
 # Typing and kinding failures that no other test meets, each on line 1: the
-# program, its code, column, message and details. T-Send's transferred
-# domain of the wrong shape, which no surface program reaches, is tested at
-# the API in test_typing.py.
+# program, its code, column, message and details. The failures that no
+# surface program reaches are in API_FAILURES of test_typing.py.
 RULE_FAILURES = {
+    # a channel end names a type, not a value
+    "T-Var": ("nu a b : End . <close a>", "T-Var", 23, "unbound variable a", {}),
+    "T-Let-exnames": ("let ap = new End in let [c, d] u = request ap in close u", "T-Let", 21,
+                      "header creates 1 existential binder(s), but 2 name(s) given", {}),
     "T-Chan": ("let x = chan {} in x", "T-Chan", 9, "channel value over a non single-channel domain",
                {"expected": "Dom(1)", "found": "Dom(0)"}),
     "T-App-non-function": ("let x = () () in x", "T-App", 9, "application of a non-function", {"found": "Unit"}),
@@ -264,6 +269,33 @@ RULE_FAILURES = {
                         "T-Case", 183, "branch packages differ beyond renaming",
                         {"expected": "ex p:Dom(1). {p: End}; Chan p",
                          "found": "ex p:Dom((1 * 1)). {pi1 p: End}; Chan pi1 p"}),
+    # one branch's package binds a channel, the other's nothing
+    "T-Case-existential-packages": ("let ap = new (End +c End) in let v = request ap in let bp = new End in"
+                                    " let r = case v { let u = close v in let x = request bp in let y = close x in x ;"
+                                    " let u = close v in () } in r",
+                                    "T-Case", 80, "branches create different existential packages",
+                                    {"expected": "ex c:Dom(1). .; Chan c", "found": "ex . .; Unit"}),
+    # both of the first branch's binders match the second's first: its
+    # second binder is kept for a constraint that normalizes to a # {}
+    "T-Case-bound-variables": ("let ap = new (End +c End) in let v = request ap in let bp = new End in"
+                               " let r = case v { let u = close v in let x = request bp in let y = request bp in"
+                               " let s = close x in let t = close y in ((x, y), /\\a:Dom(1)[a # {}]. ()) ;"
+                               " let u = close v in let x = request bp in let [q] y = request bp in"
+                               " let s = close x in let t = close y in ((x, x), /\\a:Dom(1)[a # pi2 (q, {})]. ()) } in r",
+                               "T-Case", 80, "branch packages bind different variables",
+                               {"expected": "ex c:Dom(1), c':Dom(1). .; ((Chan c * Chan c) * forall a:Dom(1)[a # {}]. Unit)",
+                                "found": "ex c:Dom(1), q:Dom(1). .; ((Chan c * Chan c) * forall a:Dom(1)[a # pi2 (q, {})]."
+                                         " Unit)"}),
+    # the session's binder is not determined by the payload or the state:
+    # the whole domain, and then the second half of a pair
+    "existential-match-unmentioned": ("let ap = new ?{e:Dom(1)}(.; Unit).End in let v = request ap in"
+                                      " let s = send () v in close v",
+                                      "existential-match", 72, "no instantiation of the existential package matches",
+                                      {"expected": ".; Unit", "found": ".; Unit"}),
+    "existential-match-half": ("let ap = new ?{e:Dom((1 * 1))}({pi1 e: End}; Unit).End in let bp = new End in"
+                               " let x = request bp in let v = request ap in let s = send () v in close v",
+                               "existential-match", 131, "no instantiation of the existential package matches",
+                               {"expected": "{pi1 e: End}; Unit", "found": "{c: End}; Unit"}),
     # the payload's type matches the pattern, and its state does not
     "existential-match": ("let ap = new ?{e:Dom(1)}({e: End}; Chan e).End in let v = request ap in"
                           " let bp = new !Int.End in let w = request bp in let a = send w v in close v",
@@ -299,6 +331,38 @@ RULE_FAILURES = {
     "K-DomMerge": (r"/\d:Dom(1)[]. \[.](x: Chan (d, Unit)). ()", "K-DomMerge", 28, "merge of non-domains", {}),
     "K-Arr": (r"\[.](f: [.; Unit -> ex s: Session. .; Unit]). ()", "K-Arr", 9,
               "existential context may only bind domains", {"found": "Session"}),
+    "K-App-non-arrow": (r"/\d:Dom(1)[]. \[.](x: d d). ()", "K-App", 15, "application of a non-arrow type",
+                        {"found": "Dom(1)"}),
+    "K-Lam": (r"\[.](x: (\d:1. End) {}). ()", "K-Lam", 10, "type function body must have kind Type or State",
+              {"found": "Session"}),
+    "T-App-state": (r"let ap = new End in let [c] v = request ap in let u = close v in"
+                    r" let g = /\d:Dom(1)[]. \[{d: End}](x: Chan d). close x in let h = g [c] in h v",
+                    "T-App", 140, "state does not provide a required binding", {"expected": "{c: End}", "state": "."}),
+    "T-Close-non-channel": ("close ()", "T-Close", 1, "operation needs a channel", {"found": "Unit"}),
+    "T-Close-state": ("let ap = new End in let v = request ap in let u = close v in close v", "T-Close", 62,
+                      "channel c is not in the current state", {"state": "."}),
+    # each channel operation on a session of another form
+    "T-Send-not-ready": ("let ap = new !Int.End in let v = request ap in let s = send () v in close v", "T-Send", 56,
+                         "channel is not ready to send",
+                         {"expected": "!{..}(..).. session", "found": "?{_z:Dom(0)}(.; Unit).End"}),
+    "T-Recv-not-ready": ("let ap = new ?Int.End in let v = request ap in let x = recv v in close v", "T-Recv", 56,
+                         "channel is not ready to receive",
+                         {"expected": "?{..}(..).. session", "found": "!{_z:Dom(0)}(.; Unit).End"}),
+    "T-Select-not-a-choice": ("let ap = new End in let v = request ap in let s = select 1 v in close v", "T-Select", 51,
+                              "channel does not offer a choice", {"expected": "S +c S session", "found": "End"}),
+    "T-Case-not-a-branch": ("let ap = new End in let v = request ap in case v {(); ()}", "T-Case", 43,
+                            "channel does not offer a branch", {"expected": "S +b S session", "found": "End"}),
+    "T-Close-not-ended": ("let ap = new ?Int.End in let v = request ap in close v", "T-Close", 48,
+                          "channel session has not ended", {"expected": "End", "found": "!{_z:Dom(0)}(.; Unit).End"}),
+    "existential-match-payload": ("let ap = new ?{e:Dom(1)}({e: End}; Chan e).End in let v = request ap in"
+                                  " let s = send () v in close v", "existential-match", 81,
+                                  "payload type does not match the session's pattern",
+                                  {"expected": "Chan e", "found": "Unit"}),
+    # the sender's end is left at End, and the receiver's end untouched
+    "T-Exp": ("nu a b : !Int.End . (<send () (chan a)> | <recv (chan b)>)", "T-Exp", 22,
+              "process ends with leftover state of its own", {"state": "{a: End, b: ?{_z:Dom(0)}(.; Unit).End}"}),
+    "T-NuChan": ("nu a b : End . (<close (chan a)> | <()>)", "T-NuChan", 1,
+                 "channel binder requires both ends to be consumed", {"state": "{b: End}"}),
 }
 
 
@@ -444,6 +508,27 @@ def test_corpus_sidecar_not_utf8_is_an_io_diagnostic_exit_2(tmp_path, capsys):
     assert out.err.startswith(f"error[io]: cannot read {sidecar}: not UTF-8 text")
 
 
+def test_corpus_program_not_utf8_stops_the_run_exit_2(tmp_path, capsys):
+    write(tmp_path, "a.pvgr", SERVER)
+    write(tmp_path, "a.pvgr.expected", "type: Unit")
+    program = tmp_path / "b.pvgr"
+    program.write_bytes(b"\xff\xfe")
+    write(tmp_path, "b.pvgr.expected", "outcome: final")
+    assert main(["corpus", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error[io]: cannot read {program}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("name, ran", [("par", "final after 0 steps: () | ()"), ("nuap", "final after 4 steps: () | ()")])
+def test_a_parenthesised_configuration_checks_and_runs(tmp_path, capsys, name, ran):
+    f = write(tmp_path, "paren.pvgr", PARENTHESISED_CONFIGS[name][0])
+    assert main(["check", f]) == 0
+    assert capsys.readouterr().out == "config: ok\n"
+    assert main(["run", f]) == 0
+    assert capsys.readouterr().out == ran + "\n"
+
+
 def test_check_idempotent_no_side_effects(tmp_path, capsys):
     f = write(tmp_path, "server.pvgr", SERVER)
     assert main(["check", f]) == 0
@@ -563,6 +648,15 @@ print(before, missing)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "module 'pvgr' has no attribute 'Nonsense'\nFalse []\n", "",
     )
+
+
+def test_the_packages_names_resolve_in_process():
+    # the subprocess above sees when the machine loads; this sees the names
+    assert (pvgr.Machine, pvgr.Soup, pvgr.classify_config, pvgr.step_expr) == (
+        runtime.Machine, runtime.Soup, runtime.classify_config, runtime.step_expr
+    )
+    with pytest.raises(AttributeError, match="module 'pvgr' has no attribute 'no_such_name'"):
+        pvgr.no_such_name
 
 
 def test_internal_failure_is_a_diagnostic_exit_5(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import corpus_files, flatten_lets, parse_expr
+from conftest import corpus_files, flatten_lets, parse_expr, parse_with
 from oracles import random_session, random_type
 
 from pvgr.anf import anf_transform, is_strict_anf
@@ -113,6 +113,12 @@ PARSE_ERRORS = {
     "label": ("let s = select 3 x in s", "1:16: error[parse]: expected label 1 or 2, found '3'"),
     "config-line-2": ("nuap ap : End . (<let v = request ap in close v> |\n  <let u = accept ap in close 2>)",
                       "2:31: error[parse]: expected a value, found '2'"),
+    "session-binder-kind": ("let ap = new ?{z:Type}(.; Unit).End in ap",
+                            "1:22: error[parse]: session binder must have a Dom(..) kind, found '}'"),
+    "binder-body": ("nuap a : End . 5", "1:16: error[parse]: expected a configuration, found '5'"),
+    "kind": ("let f = /\\a:Foo[]. () in f", "1:13: error[parse]: expected a kind, found 'Foo'"),
+    "number-in-type": ("let ap = new 2 in ap", "1:14: error[parse]: unexpected number '2' in type"),
+    "type": ("let ap = new in ap", "1:14: error[parse]: expected a type, found 'in'"),
 }
 
 
@@ -122,6 +128,22 @@ def test_parse_error_location(name):
     with pytest.raises(ParseError) as exc:
         parse_program(src, "F")
     assert str(exc.value) == "F:" + want
+
+
+# Configurations in parentheses at the top of a file, and each without them
+PARENTHESISED_CONFIGS = {
+    "par": ("(<()> | <()>)", "<()> | <()>"),
+    "nuap": ("((nuap a : End . <let v = request a in close v> | <let u = accept a in close u>))",
+             "nuap a : End . <let v = request a in close v> | <let u = accept a in close u>"),
+}
+
+
+@pytest.mark.parametrize("name", list(PARENTHESISED_CONFIGS))
+def test_a_parenthesised_configuration_is_a_configuration(name):
+    src, bare = PARENTHESISED_CONFIGS[name]
+    prog = parse_program(src)
+    assert prog.expr is None
+    assert alpha_equiv(prog.config, parse_program(bare).config)
 
 
 def test_parse_errors_have_spans():
@@ -149,6 +171,31 @@ def test_pretty_examples():
 
     assert pretty(TEnd()) == "End"
     assert pretty(parse_program("()").expr) == "()"
+
+
+# Types that print as they are written: an argument is juxtaposed only
+# when the grammar reads it back as the argument
+PRINTED_TYPES = ["g (f d)", "g pi1 d", "g (pi1 (f d))", "g (Unit)"]
+
+
+@pytest.mark.parametrize("src", PRINTED_TYPES)
+def test_a_type_argument_prints_so_that_it_reads_back(src):
+    free = {n: fresh_name(n) for n in "gfd"}
+    t = parse_with("type", src, free)
+    assert pretty(t) == src
+    assert parse_with("type", pretty(t), free) == t
+
+
+def test_bindings_print_and_a_configuration_does_not():
+    from pvgr.ast import BTVar, BVal, KDom, ShOne, TUnit
+    from pvgr.pretty import pretty_ctx
+
+    x, d = fresh_name("x"), fresh_name("d")
+    assert pretty(BVal(x, TUnit())) == "x:Unit"
+    assert pretty(BTVar(d, KDom(ShOne()))) == "d:Dom(1)"
+    assert pretty_ctx((BTVar(d, KDom(ShOne())), BVal(x, TUnit()))) == "d:Dom(1), x:Unit"
+    with pytest.raises(TypeError, match="cannot pretty-print"):
+        pretty(parse_program("<()>").config)
 
 
 # One form per entry of the parser's keyword tables, spelled out here so that

@@ -74,7 +74,8 @@ BRANCHES = {
 }
 
 # Processes stuck off the well-typed fragment. A request on a value that is
-# not an access point is blocked, so it deadlocks with its site; the others
+# not an access point, and a close of a channel over no end, are blocked, so
+# each deadlocks with its site; the others
 # are neither values nor redexes nor blocked, so no deadlock predicate
 # holds, and the machine reports a deadlock with no sites (a fork of a
 # value that is not a lambda one step later).
@@ -83,6 +84,7 @@ STUCK = {
     "stuck-send": "<send () ()>",
     "stuck-request": "<request ()>",
     "stuck-fork": "<fork ()>",
+    "stuck-close": "<close (chan {})>",
 }
 
 

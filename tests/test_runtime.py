@@ -221,6 +221,35 @@ def test_first_head_that_is_a_let_runs_to_final(server, steps, tmp_path, capsys)
     assert capsys.readouterr().out.startswith(f"final after {steps} steps")
 
 
+# A `let [e]` over a receive binds e to the domain of the value received:
+# {} for unit, and the merge of both ends for a pair of channels, whose
+# halves the receiver then closes by name. Every configuration on the way
+# types.
+RECEIVED_DOMAINS = {
+    "unit": "nuap ap : ?Int.End . (<let u = accept ap in let [e] x = recv u in close u>"
+            " | <let v = request ap in let s = send () v in close v>)",
+    "pair": "nuap ap0 : End . nuap ap : ?{d:Dom((1*1))}({pi1 d: End, pi2 d: End}; (Chan (pi1 d) * Chan (pi2 d))).End ."
+            " (<let u = accept ap in let [e] p = recv u in"
+            " let c1 = close (chan pi1 e) in let c2 = close (chan pi2 e) in close u>"
+            " | <let d = accept ap0 in close d> | <let d = accept ap0 in close d>"
+            " | <let v = request ap in let d1 = request ap0 in let d2 = request ap0 in"
+            " let s = send (d1, d2) v in close v>)",
+}
+
+
+@pytest.mark.parametrize("name", list(RECEIVED_DOMAINS))
+def test_a_named_receive_binds_the_received_domain(name):
+    c = config(RECEIVED_DOMAINS[name])
+    for seed in range(3):
+        m = Machine(c, seed=seed)
+        while True:
+            type_config((), EMPTY, m.config)
+            out = m.step()
+            if out.kind != "stepped":
+                break
+        assert out.kind == "final", seed
+
+
 def test_run_out_of_fuel():
     src = """
     let ap = new End in

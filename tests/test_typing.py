@@ -10,6 +10,9 @@ from pvgr.anf import anf_transform
 from pvgr.ast import (
     BTVar,
     BVal,
+    CProc,
+    EApp,
+    EVal,
     KArrow,
     KDom,
     KSession,
@@ -18,15 +21,19 @@ from pvgr.ast import (
     ShOne,
     StBind,
     StEmpty,
+    TArr,
     TChan,
+    TEnd,
     TUnit,
     TVar,
     VChan,
     VUnit,
+    VVar,
     fresh_name,
     state_of_atoms,
 )
-from pvgr.kinding import KindError, check_ctx
+from pvgr.diagnostic import Diagnostic
+from pvgr.kinding import KindError, check_ctx, check_kind, disjoint_append, infer_kind
 from pvgr.normalize import conv
 from pvgr.parser import parse_program, parse_type
 from pvgr.pretty import pretty
@@ -171,11 +178,14 @@ def test_type_expr_session_mismatch():
     assert exc.value.code == "T-Close"
 
 
-def test_type_expr_send_of_a_domain_of_the_wrong_shape():
+# -- failures that only an API-built input reaches -----------------------------
+
+
+def _send_of_a_domain_of_the_wrong_shape():
     # the session sends a domain of shape h, and the payload's type matches
-    # its pattern only with a domain of shape 1. No surface program reaches
-    # this: kinding `g d` in a lambda's annotation fails K-App first, so the
-    # context here is built without being formed.
+    # its pattern only with a domain of shape 1. Kinding `g d` in a lambda's
+    # annotation fails K-App first, so the context is built without being
+    # formed.
     free = {t: fresh_name(t) for t in "hgdcx"}
     h, g, d, c, x = free.values()
     ctx = (
@@ -186,14 +196,91 @@ def test_type_expr_send_of_a_domain_of_the_wrong_shape():
         BVal(x, parse_with("type", "g d", free)),
     )
     sigma = parse_with("type", "{c: !{e:Dom(h)}(.; g e).End}", free)
-    e = parse_with("expr", "send x (chan c)", free)
+    type_expr(ctx, sigma, parse_with("expr", "send x (chan c)", free))
+
+
+def test_type_expr_send_of_a_domain_of_the_wrong_shape():
     with pytest.raises(TypecheckError) as exc:
-        type_expr(ctx, sigma, e)
+        _send_of_a_domain_of_the_wrong_shape()
     err = exc.value
     assert (err.code, err.message, err.expected, err.found) == (
         "T-Send", "transferred domain has the wrong shape", "Dom(h)", "Dom(1)"
     )
     assert str(err).startswith("<input>:1:1: error[T-Send]")
+
+
+def _application_of_a_package_binding_a_value():
+    # K-Arr rejects such an arrow, but type_expr kinds sigma and never
+    # forms the context
+    f, y = fresh_name("f"), fresh_name("y")
+    tf = TArr(EMPTY, TUnit(), (BVal(y, TUnit()),), EMPTY, TUnit())
+    type_expr((BVal(f, tf),), EMPTY, EApp(VVar(f), VUnit()))
+
+
+def _case_on_packages_of_different_kinds():
+    # each branch ends in its function's package; the second function's
+    # type is ill-kinded (Chan of a pair-shaped domain), and the context is
+    # not formed
+    free = {t: fresh_name(t) for t in ("mk1", "mk2")}
+    ctx = (
+        BVal(free["mk1"], parse_type("[.; Unit -> ex p:Dom(1). .; Chan p]")),
+        BVal(free["mk2"], parse_type("[.; Unit -> ex q:Dom((1 * 1)). .; Chan q]")),
+    )
+    src = (
+        "let ap = new (End +c End) in let v = request ap in"
+        " case v { let u = close v in mk1 () ; let u = close v in mk2 () }"
+    )
+    type_expr(ctx, EMPTY, anf_transform(parse_with("expr", src, free)))
+
+
+def _config_that_leaves_its_state():
+    c = fresh_name("c")
+    type_config((BTVar(c, KDom(ShOne())),), StBind(TVar(c), TEnd()), CProc(EVal(VUnit())))
+
+
+X = fresh_name("x")
+
+# Each failure the parser cannot produce, as (call, code, message, details,
+# where): the call makes the judgment on an input built through the API,
+# and `where` is the failure's line and column, or None for a node with no
+# location. Nodes of the wrong category reach each judgment's fallback.
+API_FAILURES = {
+    "T-Send": (_send_of_a_domain_of_the_wrong_shape, "T-Send", "transferred domain has the wrong shape",
+               {"expected": "Dom(h)", "found": "Dom(1)"}, (1, 1)),
+    "T-App-exctx": (_application_of_a_package_binding_a_value, "T-App", "existential context binds a value", {},
+                    None),
+    "T-Case-kinds": (_case_on_packages_of_different_kinds, "T-Case", "branch existentials have different kinds", {},
+                     (1, 52)),
+    "T-Par": (_config_that_leaves_its_state, "T-Par", "configuration does not consume its state",
+              {"state": "{c: End}"}, None),
+    "T-Let-anf": (lambda: type_expr((), EMPTY, parse_expr("let x = (let y = () in y) in x", open_world=False)),
+                  "T-Let", "expression is not in strict A-normal form", {}, (1, 1)),
+    "T-Var-not-a-value": (lambda: type_value((), TUnit()), "T-Var", "not a value: TUnit()", {}, None),
+    "T-Val": (lambda: type_expr((), EMPTY, TUnit()), "T-Val", "cannot type expression TUnit()", {}, None),
+    "T-Exp": (lambda: type_config((), EMPTY, VUnit()), "T-Exp", "cannot type configuration VUnit()", {}, None),
+    "K-Var-not-a-type": (lambda: infer_kind((), VUnit()), "K-Var", "not a type: VUnit()", {}, None),
+    "KF-Arr": (lambda: check_kind((), TUnit()), "KF-Arr", "unknown kind TUnit()", {}, None),
+    "K-Arr-value": (lambda: infer_kind((), TArr(EMPTY, TUnit(), (BVal(fresh_name("y"), TUnit()),), EMPTY, TUnit())),
+                    "K-Arr", "existential context may not bind values", {}, None),
+    "CF-ConsType-duplicate": (lambda: check_ctx((BVal(X, TUnit()), BVal(X, TUnit()))),
+                              "CF-ConsType", "duplicate binding for x", {}, None),
+    "CF-ConsType-kind": (lambda: check_ctx((BVal(X, TEnd()),)), "CF-ConsType", "value binding must be Type-kinded", {},
+                         None),
+    "CF-ConsKind-duplicate": (lambda: check_ctx((BTVar(X, KDom(ShOne())), BTVar(X, KDom(ShOne())))),
+                              "CF-ConsKind", "duplicate binding for x", {}, None),
+    "CF-ConsKind-fresh": (lambda: disjoint_append((BTVar(X, KDom(ShOne())),), (BTVar(X, KDom(ShOne())),)),
+                          "CF-ConsKind", "disjoint extension requires fresh identifiers", {}, None),
+}
+
+
+@pytest.mark.parametrize("site", list(API_FAILURES))
+def test_api_failure_diagnostic(site):
+    call, code, message, details, where = API_FAILURES[site]
+    with pytest.raises(Diagnostic) as exc:
+        call()
+    err = exc.value
+    assert (err.code, err.message, dict(err._details())) == (code, message, details)
+    assert (None if err.span is None else (err.span.line, err.span.col)) == where
 
 
 def test_frame_unused_binding_passes_through():
@@ -305,6 +392,14 @@ def test_type_config_nuaccess():
 def test_type_config_closed_channel_reading():
     # both references dead, session ended: accepted without state bindings
     type_config((), EMPTY, parse_program("nu a b : End . (<()> | <()>)").config)
+
+
+def test_type_config_outer_ends_pass_through_an_inner_binder():
+    # the inner binder is typed with the outer ends in its state, and hands
+    # them on untouched to the processes on its right
+    type_config((), EMPTY, parse_program(
+        "nu a b : End . (nu c d : End . (<close (chan c)> | <close (chan d)>) | <close (chan a)> | <close (chan b)>)"
+    ).config)
 
 
 def test_type_config_rejects_half_closed():
