@@ -7,9 +7,9 @@ branch and lambda body. The checker requires strict ANF
 (`typing.type_expr`), and the CLI puts expression programs into it with
 `anf_transform`: the parser accepts nested let heads, and `v [T] [T']`
 chains desugar into lets. The interpreter's processes read back flat:
-`runtime` runs a head that is a let, an applied lambda body and a chosen
-case branch each in a frame of its own, and reads each frame's spine back
-in front of the let below it with `let_in`.
+`runtime` enters a head that is a let, an applied lambda body and a chosen
+case branch with the let that waits for their value kept on a stack, and
+reads each nested spine back in front of that let with `let_in`.
 
 Each function loops along a spine, recursing only into heads, case
 branches and lambda bodies, so a long spine needs no deep recursion.

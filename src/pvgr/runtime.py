@@ -12,16 +12,18 @@ The machine is an environment machine, in the manner of the CEK machine
 (Felleisen & Friedman 1986), over a live tree of the configuration, so that
 a step costs what it touches (Accattoli & Barras, PPDP 2017):
 
-- A process is a stack of frames. A frame is a cursor into a let-spine
-  together with an environment that maps each variable the spine has bound
-  to its value closure, or to its type. A `let x = v` step, a beta or type
-  application, and a resolved `let [c]` each add one binding; nothing is
-  substituted into the rest of the spine. A head that is itself a let, an
-  applied lambda body and a chosen case branch each run in a frame pushed
-  above the let that waits for their value, which is how a flat spine
-  looks when read as a stack. Each environment belongs to one run of a
-  spine or of one application, and binders are unique, so no binding is
-  ever overwritten and a closure can share its environment.
+- A process is its redex and its evaluation context, E[r] with
+  E ::= [] | let x = E in e, as the paper splits it: a control, the
+  expression at the hole under its environment, and the lets that wait
+  for its value, the innermost last, each under the environment its body
+  runs in. An environment maps each variable bound so far to its value
+  closure, or to its type. `_focus` makes an expression the control and
+  pushes each let on the way to its head. A value control under a waiting
+  let is the CR-Expr redex that binds it; that, a beta or type
+  application and a resolved `let [c]` each add one binding, and nothing
+  is substituted into the rest of the spine. Each environment belongs to
+  one run of a spine or of one application, and binders are unique, so no
+  binding is ever overwritten and a closure can share its environment.
 - The configuration is a `Soup`: one order-maintenance list of binder,
   parallel and process cells in walk order (depth-first, left-first, a
   binder before its body). Each binder and parallel cell opens a bracket
@@ -46,11 +48,12 @@ a step costs what it touches (Accattoli & Barras, PPDP 2017):
   CR-Fork and CR-New) and its process cells, in trace order.
 - The `Soup` is the one form of a configuration that the machine, the
   search and the classifier work on; `Soup(cfg)` builds it and
-  `Machine.config` reads it back, by substituting each frame's environment
-  into its spine (binders freshened) and lifting each frame's spine in
-  front of the let below it: the flat processes, and the `CPar`/binder
-  shape, of a machine that substitutes. The read-back runs only when it is
-  asked for: `run --check` before each step, and the final values.
+  `Machine.config` reads it back, by substituting each environment into
+  its control or let (binders freshened) and plugging each control into
+  its lets, a nested spine lifted in front of the let that waits for it:
+  the flat processes, and the `CPar`/binder shape, of a machine that
+  substitutes. The read-back runs only when it is asked for: `run
+  --check` before each step, and the final values.
   `step_expr` is the one entry point on a plain expression, kept as a
   named layer for the benchmark's trace: it steps a process cell and reads
   it back.
@@ -60,9 +63,11 @@ a step costs what it touches (Accattoli & Barras, PPDP 2017):
   run is over; `pvgr.cli` calls it when `run` or `corpus` is done with a
   machine, on every exit. The walk order's back links, the hole lists
   that file a cell which lists them in turn, and a closure bound in its
-  own environment are reference cycles. Released, the configuration is
-  freed by reference counting, and the cyclic collector, whose full
-  passes walk everything alive, is not set off by it.
+  own environment are reference cycles. A closed value plugged by a step
+  keeps its process's environment, so that a cyclic one is still reached
+  when nothing waits for the value. Released, the configuration is freed
+  by reference counting, and the cyclic collector, whose full passes walk
+  everything alive, is not set off by it.
 """
 
 from __future__ import annotations
@@ -195,20 +200,18 @@ def _value_domains(v: Value, env: _Env | None = None) -> Type | None:
 
 
 # ---------------------------------------------------------------------------
-# processes: frames over let-spines
+# processes: a control and the lets that wait for it
 # ---------------------------------------------------------------------------
 
 
-class _Frame:
-    """A cursor `expr` into a spine under `env`. A let whose head has been
-    replaced by a value holds it as the EVal `head` under `henv`; `exnames`
-    are the let's existential names not yet resolved."""
+class _Let:
+    """A let waiting for its head's value: the ELet node, the environment
+    its body runs under, and its existential names not yet resolved."""
 
-    __slots__ = ("expr", "env", "head", "henv", "exnames")
+    __slots__ = ("let", "env", "exnames")
 
-    def __init__(self, expr: Expr, env: _Env | None) -> None:
-        self.expr, self.env, self.head, self.henv = expr, env, None, None
-        self.exnames = expr.exnames if expr.__class__ is ELet else ()
+    def __init__(self, let: ELet, env: _Env) -> None:
+        self.let, self.env, self.exnames = let, env, let.exnames
 
 
 class _Mark:
@@ -218,17 +221,17 @@ class _Mark:
 
 
 class _Proc(_Mark):
-    """A process cell: its frames (the top last), its span (None once it
+    """A process cell: its control `expr` under `env`, the lets that wait
+    for the control's value (the innermost last), its span (None once it
     has stepped), and what keying its hole found: the hole index lists it
     is filed in, and whether it is blocked on a communication. It starts as
     expr under env, by default an empty scope of its own."""
 
-    __slots__ = ("frames", "span", "key", "lists", "blocked")
+    __slots__ = ("expr", "env", "lets", "span", "key", "lists", "blocked")
 
     def __init__(self, expr: Expr, env: _Env | None = None, span: Span | None = None) -> None:
-        self.frames = [_Frame(expr, env or _Env({}, None))]
-        self.span, self.key, self.lists, self.blocked = span, None, [], False
-        _settle(self)
+        self.lets, self.span, self.key, self.lists, self.blocked = [], span, None, [], False
+        _focus(self, expr, env or _Env({}, None))
 
 
 class _Par(_Mark):
@@ -256,33 +259,16 @@ class _Nu(_Mark):
         self.holes = {op: [] for _, k, first, second in _PAIRS if k is kind for op in (first, second)}
 
 
-def _settle(p: _Proc) -> None:
-    """Bring p's hole to its top frame: a head that is a let runs in a frame
-    of its own, and a value at the top hands itself to the let below."""
-    frames = p.frames
-    while True:
-        f = frames[-1]
-        e = f.expr
-        if e.__class__ is ELet:
-            if f.head is None and e.head.__class__ is ELet:
-                frames.append(_Frame(e.head, f.env))
-                continue
-        elif e.__class__ is EVal and len(frames) > 1:
-            frames.pop()
-            below = frames[-1]
-            below.head, below.henv = e, f.env
-        return
-
-
-def _hole(p: _Proc) -> tuple[Expr, _Env | None]:
-    """The operation at p's evaluation hole and its environment."""
-    f = p.frames[-1]
-    e = f.expr
-    if e.__class__ is not ELet:
-        return e, f.env
-    if f.head is not None:
-        return f.head, f.henv
-    return e.head, f.env
+def _focus(p: _Proc, e: Expr, env: _Env | None) -> None:
+    """Make e under env p's control, pushing each let on the way to its
+    head. A closed value (env None) keeps p's environment, which may be
+    cyclic, where `Soup.release` reaches it."""
+    if env is None:
+        env = p.env
+    while e.__class__ is ELet:
+        p.lets.append(_Let(e, env))
+        e = e.head
+    p.expr, p.env = e, env
 
 
 # the operand field of each operation that needs one in a given form, and
@@ -312,87 +298,67 @@ def _operand(op: Expr, env: _Env | None) -> Closure | None:
 
 
 def _reduces(p: _Proc) -> bool:
-    """Whether p has a CR-Expr redex."""
-    f = p.frames[-1]
-    e = f.expr
-    if e.__class__ is ELet and (f.head is not None or e.head.__class__ is EVal):
-        return True
-    op, env = _hole(p)
-    return op.__class__ in _BETA and _operand(op, env) is not None
+    """Whether p has a CR-Expr redex: a value control that a let waits
+    for, or a beta or type application whose operand has its form."""
+    op = p.expr
+    if op.__class__ is EVal:
+        return bool(p.lets)
+    return op.__class__ in _BETA and _operand(op, p.env) is not None
 
 
-def _resolve(f: _Frame, v: Value, env: _Env | None) -> None:
-    """A `let [c]` frame whose head is the value v under env binds c to the
+def _resolve(w: _Let, v: Value, env: _Env | None) -> None:
+    """A `let [c]` that waits for the value v under env binds c to the
     value's domain, when it has one."""
-    if len(f.exnames) == 1:
+    if len(w.exnames) == 1:
         d = _value_domains(v, env)
         if d is not None:
-            f.env.vars[f.exnames[0].uid] = d
-            f.exnames = ()
+            w.env.vars[w.exnames[0].uid] = d
+            w.exnames = ()
 
 
 def _step(p: _Proc) -> None:
-    """p after its CR-Expr step: bind the value at a let head, or reduce the
-    application, projection or type application at its hole."""
-    frames = p.frames
-    f = frames[-1]
-    e = f.expr
-    if e.__class__ is ELet and (f.head is not None or e.head.__class__ is EVal):
-        head, henv = (f.head, f.henv) if f.head is not None else (e.head, f.env)
-        _resolve(f, head.value, henv)
-        f.env.vars[e.binder.uid] = _whnf(head.value, henv)
-        frames[-1] = _Frame(e.body, f.env)
+    """p after its CR-Expr step: bind the value control in the let that
+    waits for it, or reduce the application, projection or type
+    application at the control."""
+    op, env = p.expr, p.env
+    if op.__class__ is EVal:
+        w = p.lets.pop()
+        _resolve(w, op.value, env)
+        w.env.vars[w.let.binder.uid] = _whnf(op.value, env)
+        _focus(p, w.let.body, w.env)
+        return
+    v, venv = _operand(op, env)
+    if op.__class__ is EApp:
+        _focus(p, v.body, _Env({v.binder.uid: _whnf(op.arg, env)}, venv))
+    elif op.__class__ is EProj:
+        _focus(p, EVal(v.left if op.label is Label.L1 else v.right), venv)
     else:
-        op, env = _hole(p)
-        v, venv = _operand(op, env)
-        if op.__class__ is EApp:
-            new = _Frame(v.body, _Env({v.binder.uid: _whnf(op.arg, env)}, venv))
-        elif op.__class__ is EProj:
-            new = _Frame(EVal(v.left if op.label is Label.L1 else v.right), venv)
-        else:
-            new = _Frame(EVal(v.body), _Env({v.binder.uid: _type(op.type, env)}, venv))
-        if e.__class__ is ELet:
-            frames.append(new)
-        else:
-            frames[-1] = new
-    _settle(p)
+        _focus(p, EVal(v.body), _Env({v.binder.uid: _type(op.type, env)}, venv))
 
 
 def _plug(p: _Proc, h: Expr, env: _Env | None) -> None:
-    """p with its hole replaced by h under env, as a communication rule
-    does: a value at a `let [c]` head resolves c to the value's domain."""
-    frames = p.frames
-    if frames[-1].expr.__class__ is not ELet and len(frames) > 1:
-        frames.pop()  # the hole ends its spine: its value heads the let below
-    f = frames[-1]
-    if f.expr.__class__ is not ELet:
-        frames[-1] = _Frame(h, env)
-    elif h.__class__ is EVal:
-        f.head, f.henv = h, env
-        _resolve(f, h.value, env)
-    else:
-        frames.append(_Frame(h, env))
-    _settle(p)
+    """p with its control replaced by h under env, as a communication rule
+    does: a value resolves the `let [c]` that waits for it at once."""
+    if h.__class__ is EVal and p.lets:
+        _resolve(p.lets[-1], h.value, env)
+    _focus(p, h, env)
 
 
 def _read_proc(p: _Proc) -> Expr:
-    """p's expression, read back: each frame's spine lifted in front of the
-    let below it."""
-    e = None
-    for f in reversed(p.frames):
-        x = f.expr
-        if x.__class__ is not ELet or (f.head is None and e is None):
-            e = _read(x, f.env)
-            continue
-        head = _read(f.head, f.henv) if f.head is not None else e
-        let = _read(ELet(x.binder, _UNIT, x.body, exnames=f.exnames, span=x.span), f.env)
-        e = let_in(let.binder, head, let.body, let.exnames, let.span)
+    """p's expression, read back: the control plugged into each waiting
+    let from the innermost out, its spine lifted in front of the let."""
+    e = _read(p.expr, p.env)
+    for w in reversed(p.lets):
+        x = w.let
+        let = _read(ELet(x.binder, _UNIT, x.body, exnames=w.exnames, span=x.span), w.env)
+        e = let_in(let.binder, e, let.body, let.exnames, let.span)
     return e
 
 
 def step_expr(e: Expr) -> Expr | None:
     """One expression-level step, or None when no redex exists. The result
-    of a flat expression is flat (see pvgr.anf)."""
+    of a flat expression is flat, as `_read_proc` lifts a nested spine in
+    front of the let that waits for it."""
     p = _Proc(e)
     if not _reduces(p):
         return None
@@ -449,7 +415,7 @@ class Candidate(NamedTuple):
     def describe(self) -> str:
         """The trace text: the operation at each site's hole (read before
         the candidate is applied)."""
-        return " | ".join(pretty(_read(*_hole(p))) for p in self.sites)
+        return " | ".join(pretty(_read(p.expr, p.env)) for p in self.sites)
 
 
 def _label(m: _Mark) -> int:
@@ -536,13 +502,13 @@ class Soup:
         """File p's hole: under its rule, or under each binder of its name
         whose scope holds p. A hole at a request or accept, or at a channel
         operation on a channel, marks p blocked."""
-        if p.frames[-1].expr.__class__ is EVal:
-            return
         if _reduces(p):
             self._file(p, None, self.singles["CR-Expr"])
             return
-        op, env = _hole(p)
+        op, env = p.expr, p.env
         cls = op.__class__
+        if cls is EVal:  # a value that no let waits for
+            return
         if cls is EFork or cls is ENew:
             self._file(p, None, self.singles["CR-Fork" if cls is EFork else "CR-New"])
             return
@@ -553,7 +519,6 @@ class Soup:
                 return
             key = x.name.uid
         else:  # a channel operation, or an application that is stuck
-            # (a value at the hole reduces, and `_settle` gives a let head a frame)
             ch = _operand(op, env)
             if ch is None:
                 return
@@ -635,8 +600,7 @@ class Soup:
             self._touch(c.binder)
 
     def _fork(self, p: _Proc) -> _Proc:
-        op, env = _hole(p)
-        child = _Proc(EApp(op.value, VUnit()), _Env({}, env))
+        child = _Proc(EApp(p.expr.value, VUnit()), p.env)
         _plug(p, _UNIT, None)
         par = _Par()
         self._insert(par, p)
@@ -645,9 +609,8 @@ class Soup:
         return child
 
     def _new(self, p: _Proc) -> None:
-        op, env = _hole(p)
         ap = fresh_name("p")
-        nu = _Nu(CNuAccess, (ap,), _type(op.ses, env))
+        nu = _Nu(CNuAccess, (ap,), _type(p.expr.ses, p.env))
         _plug(p, EVal(VVar(ap)), None)
         self._insert(nu, p)
         self._insert(nu.close, p.next)
@@ -659,7 +622,7 @@ class Soup:
         case its chosen branch, and every other site unit."""
         nu = c.binder
         first, second = c.sites
-        op, env = _hole(first)
+        op, env = first.expr, first.env
         if op.__class__ is ERequest:
             c1, c2 = fresh_name("c"), fresh_name("c")
             chan = _Nu(CNuChan, (c1, c2), nu.ses)
@@ -672,7 +635,7 @@ class Soup:
         if op.__class__ is ESend:
             _plug(second, EVal(op.payload), env)
         elif op.__class__ is ESelect:
-            other, oenv = _hole(second)
+            other, oenv = second.expr, second.env
             _plug(second, other.left if op.label is Label.L1 else other.right, oenv)
         else:
             _plug(second, _UNIT, None)
@@ -694,7 +657,8 @@ class Soup:
         m = self.first
         while m is not None:
             if m.__class__ is _Proc:
-                envs += [env for f in m.frames for env in (f.env, f.henv)]
+                envs.append(m.env)
+                envs += [w.env for w in m.lets]
                 m.lists = []
             elif m.__class__ is _Nu:
                 m.holes = {}
@@ -775,7 +739,7 @@ class DeadlockReport(NamedTuple):
 
 def _blocked_site(p: _Proc) -> BlockedSite:
     """The operation p is blocked on, and its channel end or access point."""
-    op = _read(*_hole(p))
+    op = _read(p.expr, p.env)
     subject = op.value if op.__class__ in (EAccept, ERequest) else _operand(op, None)[0].dom
     return BlockedSite(OPERATIONS[op.__class__], pretty(subject))
 
@@ -793,7 +757,7 @@ def classify_config(soup: Soup):
         if m.__class__ is _Proc:
             if m.blocked:
                 blocked.append(m)
-            elif m.frames[-1].expr.__class__ is not EVal:
+            elif m.expr.__class__ is not EVal or m.lets:
                 return "reducible"
         elif m.__class__ is _Nu and m.kind is CNuChan:
             chans.append(m)

@@ -22,6 +22,7 @@ from .ast import (
     BVal,
     Ctx,
     DomMerge,
+    DomProj,
     DomZero,
     CNuAccess,
     CNuChan,
@@ -539,15 +540,22 @@ def match_existential(
     )
     shapes = {uid: normalize(b.kind.shape) if isinstance(b.kind, KDom) else None for uid, b in pvars.items()}
     assembled: list[Renaming] = []
+    unassembled: list[Type] = []  # per placement that leaves a part of a binder open, the first such part
     for sol in solutions:
-        rho: Renaming = {uid: _assemble(uid, (), shape, sol) for uid, shape in shapes.items()}
-        if None not in rho.values() and _verify(rho, pat_state, pat_ty, act_atoms, act_ty):
+        open_parts: list[Type] = []
+        rho: Renaming = {uid: _assemble(b.name, (), shapes[uid], sol, open_parts) for uid, b in pvars.items()}
+        if open_parts:
+            unassembled.append(open_parts[0])
+        elif _verify(rho, pat_state, pat_ty, act_atoms, act_ty):
             if not any(_same_renaming(rho, r) for r in assembled):
                 assembled.append(rho)
     if len(assembled) != 1:
         raise TypecheckError(
             "existential-match",
-            "ambiguous existential match" if assembled else "no instantiation of the existential package matches",
+            "ambiguous existential match" if assembled
+            else f"the payload and the state do not determine {pretty(unassembled[0])}"
+            if solutions and len(unassembled) == len(solutions)
+            else "no instantiation of the existential package matches",
             span,
             expected=pretty(normalize(pat_state)) + "; " + pretty(normalize(pat_ty)),
             found=pretty(normalize(state_of_atoms(act_atoms))) + "; " + pretty(normalize(act_ty)),
@@ -629,19 +637,23 @@ def _match_atom(pat: Type, act: Type, pvars: set[int], parts: dict) -> bool:
             return _match(pat, act, pvars, {}, parts)
 
 
-def _assemble(uid: int, path: tuple[Label, ...], shape: Type | None, parts: dict) -> Type | None:
-    whole = parts.get((uid, path))
+def _assemble(name: Name, path: tuple[Label, ...], shape: Type | None, parts: dict, open_parts: list) -> Type | None:
+    """The domain `parts` give the part of binder `name` under `path`, its
+    halves merged when its shape is a pair; None when a part is left open,
+    each open part added to `open_parts` as a projection chain."""
+    whole = parts.get((name.uid, path))
     if whole is not None:
         return whole
-    if shape is not None:
-        if isinstance(shape, TPair):
-            l = _assemble(uid, path + (Label.L1,), shape.left, parts)
-            r = _assemble(uid, path + (Label.L2,), shape.right, parts)
-            if l is not None and r is not None:
-                return DomMerge(l, r)
-            return None
-        if isinstance(shape, ShZero):
-            return DomZero()
+    if isinstance(shape, TPair):
+        l = _assemble(name, path + (Label.L1,), shape.left, parts, open_parts)
+        r = _assemble(name, path + (Label.L2,), shape.right, parts, open_parts)
+        return DomMerge(l, r) if l is not None and r is not None else None
+    if isinstance(shape, ShZero):
+        return DomZero()
+    chain: Type = TVar(name)
+    for label in path:
+        chain = DomProj(label, chain)
+    open_parts.append(chain)
     return None
 
 

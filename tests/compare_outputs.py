@@ -9,8 +9,10 @@ checkout, and every call runs in one scratch directory under relative
 paths, so two checkouts can be compared with `cmp` (or `diff`) on their
 two files. The calls are:
 
-- every corpus program, and perfbench's chain, fan and hold programs at
-  N = 3, 8 and 16 for generator seeds 1 and 2, each under `check`, `check
+- every corpus program, perfbench's chain, fan and hold programs at
+  N = 3, 8 and 16 for generator seeds 1 and 2, and the configurations of
+  `TAIL_OPERATIONS` in `tests/test_no_cycles.py`, whose processes end in
+  an operation rather than ANF's named tail, each under `check`, `check
   --format json`, `run --seed K --trace` for K = 0..5 and `run --seed K
   --check` for K = 0 and 1;
 - the untyped, rare-branch and stuck configurations of
@@ -64,6 +66,11 @@ def _untyped() -> dict[str, str]:
     return {**tables["UNTYPED"], **tables["BRANCHES"], **tables["STUCK"]}
 
 
+def _tail_operations() -> dict[str, str]:
+    """The TAIL_OPERATIONS configurations of tests/test_no_cycles.py."""
+    return _tables("test_no_cycles", ("TAIL_OPERATIONS",))["TAIL_OPERATIONS"]
+
+
 def _ill_typed() -> dict[str, str]:
     """The program of each entry of the failure tables of tests/test_cli.py,
     named by its table and its key."""
@@ -96,6 +103,10 @@ def _calls(work: Path) -> list[list[str]]:
                 rel = f"gen/{family}{n}_s{s}.pvgr"
                 (work / rel).write_text(make(n, random.Random(s)))
                 typed.append(rel)
+    for name, src in _tail_operations().items():
+        rel = f"gen/{name}.pvgr"
+        (work / rel).write_text(src + "\n")
+        typed.append(rel)
     untyped = []
     for name, src in _untyped().items():
         rel = f"gen/{name}.pvgr"

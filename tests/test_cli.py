@@ -290,11 +290,11 @@ RULE_FAILURES = {
     # the whole domain, and then the second half of a pair
     "existential-match-unmentioned": ("let ap = new ?{e:Dom(1)}(.; Unit).End in let v = request ap in"
                                       " let s = send () v in close v",
-                                      "existential-match", 72, "no instantiation of the existential package matches",
+                                      "existential-match", 72, "the payload and the state do not determine e",
                                       {"expected": ".; Unit", "found": ".; Unit"}),
     "existential-match-half": ("let ap = new ?{e:Dom((1 * 1))}({pi1 e: End}; Unit).End in let bp = new End in"
                                " let x = request bp in let v = request ap in let s = send () v in close v",
-                               "existential-match", 131, "no instantiation of the existential package matches",
+                               "existential-match", 131, "the payload and the state do not determine pi2 e",
                                {"expected": "{pi1 e: End}; Unit", "found": "{c: End}; Unit"}),
     # the payload's type matches the pattern, and its state does not
     "existential-match": ("let ap = new ?{e:Dom(1)}({e: End}; Chan e).End in let v = request ap in"

@@ -15,7 +15,9 @@ walk order (fan 32 does not). At every step of the same programs but
 those at N = 16, under seeds 0-3, the machine's walk order brackets its
 configuration: labels grow along it, each close mark ends the cell opened
 last, and reading it back and building a `Soup` from that gives the same
-configuration again. The whole file runs in about 8 s.
+configuration again; and no process's control is a let, and the
+classifier takes a process for a value exactly when its control is a value
+that no let waits for. The whole file runs in about 8 s.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from conftest import corpus_files, perfbench_gen
 
 from pvgr import runtime
 from pvgr.anf import anf_transform
-from pvgr.ast import CPar, CProc, EClose, TVar, VChan, canonicalize
+from pvgr.ast import CPar, CProc, EClose, ELet, EVal, TVar, VChan, canonicalize
 from pvgr.parser import parse_program
 from pvgr.pretty import pretty
 
@@ -219,6 +221,18 @@ def _assert_brackets(soup: runtime.Soup) -> None:
     assert len(opened) == 1 and len(opened[0][1]) == 1
 
 
+def _assert_controls(soup: runtime.Soup) -> None:
+    """No process's control is a let, and `classify_config` takes a process
+    for a value exactly when its control is a value that no let waits for:
+    a process that is neither such a value nor blocked makes it say
+    reducible, and when there is none it says so only for a candidate."""
+    procs = list(soup.procs())
+    assert not any(p.expr.__class__ is ELet for p in procs)
+    moving = any(not p.blocked and (p.expr.__class__ is not EVal or p.lets) for p in procs)
+    reducible = runtime.classify_config(soup) == "reducible"
+    assert reducible == (moving or bool(runtime.find_candidates(soup)))
+
+
 @pytest.mark.parametrize("name", sorted(name for name in SOURCES if not name.endswith(str(max(SIZES)))))
 def test_walk_order_brackets_the_configuration(name):
     cfg = _config(name)
@@ -226,6 +240,7 @@ def test_walk_order_brackets_the_configuration(name):
         m = runtime.Machine(cfg, seed=seed)
         while True:
             _assert_brackets(m.soup)
+            _assert_controls(m.soup)
             now = m.config
             assert canonicalize(runtime.Soup(now).config()) == canonicalize(now), (seed, m.steps)
             if m.step().kind != "stepped":
