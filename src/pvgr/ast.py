@@ -770,6 +770,18 @@ def state_atoms(st: Type) -> list[Type]:
             return [st]
 
 
+def plain_step(t: Type) -> bool:
+    """t is a send or receive that transfers no channel, `!T.S` or `?T.S`:
+    its binder has shape 0, its state is `.`, and its payload does not
+    mention the binder. Its package then has one instance, `{}`."""
+    return (
+        (t.__class__ is TSend or t.__class__ is TRecv)
+        and t.shape.__class__ is ShZero
+        and t.state.__class__ is StEmpty
+        and t.binder not in free_vars(t.payload)
+    )
+
+
 def state_of_atoms(atoms: list[Type]) -> Type:
     """The atoms merged, nested to the right as normalize nests them; `.`
     when there are none."""

@@ -59,6 +59,7 @@ from .ast import (
     VUnit,
     VVar,
     Value,
+    plain_step,
     state_atoms,
 )
 from .parser import KINDS, OPERATIONS, TYPE_PREFIXES, TYPE_WORDS
@@ -167,6 +168,11 @@ class _Printer:
             case TApp() | TChoice() | TBranch():
                 return f"({self.ty(t)})"
         mark = "!" if isinstance(t, TSend) else "?"  # t is a TSend or a TRecv
+        if plain_step(t):  # the sugar !T.S
+            pay = self.ty_atom(t.payload)
+            if pay[0] == "{":  # a `{` after the mark opens a binder
+                pay = f"({pay})"
+            return f"{mark}{pay}.{self.ty_atom(t.cont)}"
         sh = self.ty(t.shape)
         b = self.bind(t.binder)
         st = self.state(t.state)

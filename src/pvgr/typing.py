@@ -8,6 +8,19 @@ Existential binders created along it (received channels, new connections)
 are dropped from its package, once at its end, when neither the post state
 nor the result type mentions them; such binders are checker-internal and
 cannot be referenced by the program.
+
+T-Send on a plain step (`ast.plain_step`: the binder has shape 0, the
+state is `.`, and the payload does not mention the binder; the sugar
+`!T.S`) holds exactly when the payload's type converts to T, and then
+consumes nothing, so `_type_send` decides it by `conv` alone, without
+matching the package. This is exact: the general path's match finds no
+part of the binder in a payload that does not mention it; the empty
+pattern state places in one way; `_assemble` then gives `{}` for the
+binder, as its shape is 0; `{}` has kind Dom(0), so the kind premise
+holds; and the substituted state is `.`, so nothing is consumed. When the
+payload does not convert, the general path runs and reports the failure.
+T-Recv keeps a plain step's binder in its package all the same, as
+`let [c] x = recv u` may name it.
 """
 
 from __future__ import annotations
@@ -74,7 +87,6 @@ from .ast import (
     TUnit,
     TVar,
     Type,
-    VAR,
     VAbs,
     VChan,
     VPair,
@@ -84,6 +96,7 @@ from .ast import (
     Value,
     free_vars,
     fresh_name,
+    plain_step,
     state_atoms,
     state_of_atoms,
     subst,
@@ -483,23 +496,15 @@ def _gc_package(r: ExprTyping) -> ExprTyping:
 def _type_send(g: Ctx, atoms: list[Type], e: Expr, payload: Value, chanv: Value) -> ExprTyping:
     dom, ses, rest = _channel_op(g, atoms, e, chanv)
     tpay = normalize(type_value(g, payload))
-    rho = match_existential(
-        g,
-        (BTVar(ses.binder, KDom(normalize(ses.shape))),),
-        ses.state,
-        ses.payload,
-        rest,
-        tpay,
-        span=e.span,
-    )
+    if plain_step(ses) and conv(ses.payload, tpay):
+        # a send that transfers no channel: T-Send is conversion alone
+        return ExprTyping((), rest + [StBind(dom, normalize(ses.cont))], TUnit())
+    kdom = KDom(normalize(ses.shape))
+    rho = match_existential(g, (BTVar(ses.binder, kdom),), ses.state, ses.payload, rest, tpay, span=e.span)
     kd = located(e.span, infer_kind, g, rho[ses.binder.uid])
-    if not kind_equiv(kd, KDom(normalize(ses.shape))):
+    if not kind_equiv(kd, kdom):
         raise TypecheckError(
-            "T-Send",
-            "transferred domain has the wrong shape",
-            e.span,
-            expected=pretty(KDom(normalize(ses.shape))),
-            found=pretty(kd),
+            "T-Send", "transferred domain has the wrong shape", e.span, expected=pretty(kdom), found=pretty(kd)
         )
     consumed = _atoms_of(subst(rho, ses.state))
     leftover = _take_atoms(rest, consumed, "T-Send", e.span)
@@ -568,12 +573,14 @@ def _same_renaming(a: Renaming, b: Renaming) -> bool:
 
 
 # the constructors that _match walks field by field
-_MATCHED = {TVar, TApp, TChan, TAccess, TPair, TDual, TUnit, TEnd, DomMerge, TChoice, TBranch, TSend, TRecv}
+_MATCHED = {TApp, TChan, TAccess, TPair, TDual, TUnit, TEnd, DomMerge, TChoice, TBranch, TSend, TRecv}
 
 
-def _match(pat: Type, act: Type, pvars: set[int], alpha: dict[int, int], parts) -> bool:
+def _match(pat: Type, act: Type, pvars: set[int], alpha: dict[int, Type], parts) -> bool:
     """Structural first-order matching; pattern-variable projection chains
-    are collected into `parts` keyed by (uid, path)."""
+    are collected into `parts` keyed by (uid, path). `alpha` maps the uid
+    of each binder of the pattern that encloses pat to the variable of the
+    actual binder it faces."""
     chain = chain_of(pat)
     if chain is not None and chain.base.uid in pvars:
         key = (chain.base.uid, chain.path)
@@ -584,17 +591,15 @@ def _match(pat: Type, act: Type, pvars: set[int], alpha: dict[int, int], parts) 
         return True
     cls = pat.__class__
     if cls is not act.__class__ or cls not in _MATCHED:
-        # remaining pairs must agree up to conversion without touching
-        # pattern variables
-        return not {n.uid for n in free_vars(pat)} & pvars and conv(pat, act)
+        # remaining pairs, variables among them, must agree up to conversion
+        # without touching pattern variables, once the enclosing binders are
+        # the actual ones
+        return not {n.uid for n in free_vars(pat)} & pvars and conv(subst(alpha, pat) if alpha else pat, act)
     inner = alpha  # alpha extended by the node's binder, seen by IN fields
     for name, role, _ in LAYOUT[cls].fields:
         p, a = getattr(pat, name), getattr(act, name)
-        if role is VAR:
-            if alpha.get(p.uid, p.uid) != a.uid:
-                return False
-        elif role is TBIND:
-            inner = {**alpha, p.uid: a.uid}
+        if role is TBIND:
+            inner = {**alpha, p.uid: TVar(a)}
         elif not _match(p, a, pvars, inner if role is IN else alpha, parts):
             return False
     return True

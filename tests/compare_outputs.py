@@ -10,9 +10,11 @@ paths, so two checkouts can be compared with `cmp` (or `diff`) on their
 two files. The calls are:
 
 - every corpus program, perfbench's chain, fan and hold programs at
-  N = 3, 8 and 16 for generator seeds 1 and 2, and the configurations of
+  N = 3, 8 and 16 for generator seeds 1 and 2, the configurations of
   `TAIL_OPERATIONS` in `tests/test_no_cycles.py`, whose processes end in
-  an operation rather than ANF's named tail, each under `check`, `check
+  an operation rather than ANF's named tail, and the programs of the
+  `PLAIN_STEPS` table of `tests/test_cli.py`, which send on either side
+  of `ast.plain_step`, each under `check`, `check
   --format json`, `run --seed K --trace` for K = 0..5 and `run --seed K
   --check` for K = 0 and 1;
 - the untyped, rare-branch and stuck configurations of
@@ -71,6 +73,11 @@ def _tail_operations() -> dict[str, str]:
     return _tables("test_no_cycles", ("TAIL_OPERATIONS",))["TAIL_OPERATIONS"]
 
 
+def _plain_steps() -> dict[str, str]:
+    """The program of each entry of the PLAIN_STEPS table of tests/test_cli.py."""
+    return {name: row[0] for name, row in _tables("test_cli", ("PLAIN_STEPS",))["PLAIN_STEPS"].items()}
+
+
 def _ill_typed() -> dict[str, str]:
     """The program of each entry of the failure tables of tests/test_cli.py,
     named by its table and its key."""
@@ -106,6 +113,10 @@ def _calls(work: Path) -> list[list[str]]:
     for name, src in _tail_operations().items():
         rel = f"gen/{name}.pvgr"
         (work / rel).write_text(src + "\n")
+        typed.append(rel)
+    for name, src in _plain_steps().items():
+        rel = f"gen/plain_{name}.pvgr"
+        (work / rel).write_text(src)
         typed.append(rel)
     untyped = []
     for name, src in _untyped().items():

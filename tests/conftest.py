@@ -59,6 +59,31 @@ def cli_programs() -> list[tuple[str, str]]:
     return out
 
 
+def checked_programs(sizes: tuple[int, ...]) -> list[tuple[str, str]]:
+    """The corpus programs, perfbench's chain, fan and hold programs at each
+    of `sizes` (generator seed N), and the programs of tests/test_cli.py,
+    each named."""
+    import random
+
+    gen = perfbench_gen()
+    generated = [(f"{family}{n}", make(n, random.Random(n))) for family, make in gen.FAMILIES.items() for n in sizes]
+    return [(f.stem, f.read_text()) for f in corpus_files()] + generated + cli_programs()
+
+
+def run_cli(tmp_path, capsys, programs, commands=(("check",), ("run", "--check"))) -> list[int]:
+    """The exit status of `pvgr CMD FILE ARGS...` for each program and each
+    (CMD, ARGS...) of `commands`, in-process, output discarded."""
+    from pvgr.cli import main
+
+    statuses = []
+    for i, (_, src) in enumerate(programs):
+        f = tmp_path / f"p{i}.pvgr"
+        f.write_text(src)
+        statuses += [main([cmd[0], str(f), *cmd[1:]]) for cmd in commands]
+        capsys.readouterr()
+    return statuses
+
+
 def perfbench_gen():
     """perfbench's generators of the chain, fan and hold programs."""
     import importlib.util

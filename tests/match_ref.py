@@ -2,8 +2,11 @@
 reference that `test_scopes.py` holds `typing._match` to.
 
 `match_ref` is the earlier `typing._match`, copied without change but for
-its name: one `case` per constructor, with the alpha extension of `TSend`
-and `TRecv` written out. `_pattern_chain`, the earlier reader of a
+its name and one mend: one `case` per constructor, with the alpha extension
+of `TSend` and `TRecv` written out. The mend: `alpha` maps a pattern
+binder's uid to the actual binder's name, and a pair left to `conv` has the
+pattern's enclosing binders renamed to the actual ones first, so that an
+alpha-equivalent payload matches. `_pattern_chain`, the earlier reader of a
 pattern variable's projection chain, is copied without change too.
 This module is kept apart from `oracles.py`, which perfbench loads to
 verify outputs.
@@ -14,6 +17,7 @@ from __future__ import annotations
 from pvgr.ast import (
     DomMerge,
     DomProj,
+    Name,
     TAccess,
     TApp,
     TBranch,
@@ -28,11 +32,12 @@ from pvgr.ast import (
     TVar,
     Type,
     free_vars,
+    subst,
 )
 from pvgr.normalize import conv
 
 
-def match_ref(pat: Type, act: Type, pvars: set[int], alpha: dict[int, int], parts) -> bool:
+def match_ref(pat: Type, act: Type, pvars: set[int], alpha: dict[int, Name], parts) -> bool:
     """Structural first-order matching; pattern-variable projection chains
     are collected into `parts` keyed by (uid, path)."""
     chain = _pattern_chain(pat, pvars)
@@ -45,7 +50,7 @@ def match_ref(pat: Type, act: Type, pvars: set[int], alpha: dict[int, int], part
         return True
     match (pat, act):
         case (TVar(a), TVar(b)):
-            return alpha.get(a.uid, a.uid) == b.uid
+            return (alpha[a.uid].uid if a.uid in alpha else a.uid) == b.uid
         case (TApp(f1, a1), TApp(f2, a2)):
             return match_ref(f1, f2, pvars, alpha, parts) and match_ref(a1, a2, pvars, alpha, parts)
         case (TChan(d1), TChan(d2)):
@@ -68,7 +73,7 @@ def match_ref(pat: Type, act: Type, pvars: set[int], alpha: dict[int, int], part
         ):
             if type(pat) is not type(act):
                 return False
-            alpha2 = {**alpha, b1.uid: b2.uid}
+            alpha2 = {**alpha, b1.uid: b2}
             return (
                 match_ref(sh1, sh2, pvars, alpha, parts)
                 and match_ref(st1, st2, pvars, alpha2, parts)
@@ -80,7 +85,7 @@ def match_ref(pat: Type, act: Type, pvars: set[int], alpha: dict[int, int], part
             # touching pattern variables
             if {n.uid for n in free_vars(pat)} & pvars:
                 return False
-            return conv(pat, act)
+            return conv(subst({uid: TVar(b) for uid, b in alpha.items()}, pat), act)
 
 
 def _pattern_chain(t: Type, pvars: set[int]) -> tuple[int, tuple[int, ...]] | None:

@@ -300,7 +300,7 @@ RULE_FAILURES = {
     "existential-match": ("let ap = new ?{e:Dom(1)}({e: End}; Chan e).End in let v = request ap in"
                           " let bp = new !Int.End in let w = request bp in let a = send w v in close v",
                           "existential-match", 128, "no instantiation of the existential package matches",
-                          {"expected": "{e: End}; Chan e", "found": "{c: ?{_z:Dom(0)}(.; Unit).End}; Chan c"}),
+                          {"expected": "{e: End}; Chan e", "found": "{c: ?Unit.End}; Chan c"}),
     # two channels of session End are in the state, and the pattern {d: End}
     # takes either; the two print under one name (`pretty` does not tell
     # apart free names that share their text)
@@ -344,23 +344,23 @@ RULE_FAILURES = {
     # each channel operation on a session of another form
     "T-Send-not-ready": ("let ap = new !Int.End in let v = request ap in let s = send () v in close v", "T-Send", 56,
                          "channel is not ready to send",
-                         {"expected": "!{..}(..).. session", "found": "?{_z:Dom(0)}(.; Unit).End"}),
+                         {"expected": "!{..}(..).. session", "found": "?Unit.End"}),
     "T-Recv-not-ready": ("let ap = new ?Int.End in let v = request ap in let x = recv v in close v", "T-Recv", 56,
                          "channel is not ready to receive",
-                         {"expected": "?{..}(..).. session", "found": "!{_z:Dom(0)}(.; Unit).End"}),
+                         {"expected": "?{..}(..).. session", "found": "!Unit.End"}),
     "T-Select-not-a-choice": ("let ap = new End in let v = request ap in let s = select 1 v in close v", "T-Select", 51,
                               "channel does not offer a choice", {"expected": "S +c S session", "found": "End"}),
     "T-Case-not-a-branch": ("let ap = new End in let v = request ap in case v {(); ()}", "T-Case", 43,
                             "channel does not offer a branch", {"expected": "S +b S session", "found": "End"}),
     "T-Close-not-ended": ("let ap = new ?Int.End in let v = request ap in close v", "T-Close", 48,
-                          "channel session has not ended", {"expected": "End", "found": "!{_z:Dom(0)}(.; Unit).End"}),
+                          "channel session has not ended", {"expected": "End", "found": "!Unit.End"}),
     "existential-match-payload": ("let ap = new ?{e:Dom(1)}({e: End}; Chan e).End in let v = request ap in"
                                   " let s = send () v in close v", "existential-match", 81,
                                   "payload type does not match the session's pattern",
                                   {"expected": "Chan e", "found": "Unit"}),
     # the sender's end is left at End, and the receiver's end untouched
     "T-Exp": ("nu a b : !Int.End . (<send () (chan a)> | <recv (chan b)>)", "T-Exp", 22,
-              "process ends with leftover state of its own", {"state": "{a: End, b: ?{_z:Dom(0)}(.; Unit).End}"}),
+              "process ends with leftover state of its own", {"state": "{a: End, b: ?Unit.End}"}),
     "T-NuChan": ("nu a b : End . (<close (chan a)> | <()>)", "T-NuChan", 1,
                  "channel binder requires both ends to be consumed", {"state": "{b: End}"}),
 }
@@ -371,6 +371,62 @@ RULE_FAILURES = {
 def test_rule_failure_diagnostic(tmp_path, capsys, site, fmt):
     src, code, col, message, details = RULE_FAILURES[site]
     _check_fails_with(tmp_path, capsys, fmt, src, code, 1, col, message, details)
+
+
+# Sends on either side of `ast.plain_step`, which T-Send types by conversion
+# alone: program -> (`check` status, `run --check` stdout, or the first line
+# of its stderr when it fails)
+PLAIN_STEPS = {
+    # a named binder of shape 0 that the payload does not mention: plain
+    "named-unused-binder": ("let ap = new ?{e:Dom(0)}(.; Unit).End in "
+                            r"let z = fork (\[.](w: Unit). let u = accept ap in let x = recv u in close u) in "
+                            "let v = request ap in let s = send () v in close v",
+                            0, "final after 14 steps: () | ()\n"),
+    # a binder of shape (0 * 0) transfers the empty domain, but is not plain
+    "pair-of-zero-shapes": ("let ap = new ?{e:Dom((0*0))}(.; Unit).End in "
+                            r"let z = fork (\[.](w: Unit). let u = accept ap in let x = recv u in close u) in "
+                            "let v = request ap in let s = send () v in close v",
+                            0, "final after 14 steps: () | ()\n"),
+    # a plain step whose payload does not convert: the general path reports it
+    "payload-mismatch": ("let ap = new ?Int.End in "
+                         r"let z = fork (\[.](w: Unit). let u = accept ap in let x = recv u in close u) in "
+                         "let v = request ap in let s = send ap v in close v",
+                         1, "<file>:1:136: error[existential-match]: payload type does not match the session's"
+                         " pattern"),
+    # T-Recv keeps a plain step's binder in its package, for `let [c]` to name
+    "named-plain-recv": (r"let ap = new ?Int.End in let z = fork (\[.](w: Unit). let u = accept ap in"
+                         " let [c] x = recv u in close u) in let v = request ap in let s = send () v in close v",
+                         0, "final after 14 steps: () | ()\n"),
+    # the payload is an access point whose session binds e in its state: the
+    # pattern and the payload are alpha-equivalent, and each binds e anew
+    "alpha-equivalent-payload": (
+        "let inner = new ?{e:Dom(1)}({e: End}; Unit).End in\n"
+        "let ap = new ?AP(?{e:Dom(1)}({e: End}; Unit).End).End in\n"
+        "let z = fork (\\[.](w: Unit). let u = accept ap in let x = recv u in close u) in\n"
+        "let v = request ap in let s = send inner v in close v\n",
+        0, "final after 16 steps: () | ()\n"),
+    # the same access point travels beside a channel: matched on the general path
+    "alpha-equivalent-payload-transfer": (
+        "let inner = new ?{e:Dom(1)}({e: End}; Unit).End in\n"
+        "let ap0 = new End in\n"
+        "let ap = new ?{c:Dom(1)}({c: End}; (Chan c * AP(?{e:Dom(1)}({e: End}; Unit).End))).End in\n"
+        "let z0 = fork (\\[.](w: Unit). let d = accept ap0 in close d) in\n"
+        "let z = fork (\\[.](w: Unit). let u = accept ap in let x = recv u in let y = proj1 x in"
+        " let r = close y in close u) in\n"
+        "let v = request ap in let d = request ap0 in let p = (d, inner) in let s = send p v in close v\n",
+        0, "final after 30 steps: () | () | ()\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(PLAIN_STEPS))
+def test_plain_step_programs(tmp_path, capsys, name):
+    src, status, outcome = PLAIN_STEPS[name]
+    f = write(tmp_path, "plain.pvgr", src)
+    assert main(["check", f]) == status
+    capsys.readouterr()
+    assert main(["run", f, "--check"]) == status
+    out, err = capsys.readouterr()
+    assert (out if status == 0 else err.splitlines()[0].replace(f, "<file>")) == outcome
 
 
 def test_case_branches_with_equal_packages(tmp_path, capsys):
@@ -613,8 +669,8 @@ def test_a_fresh_interpreter_loads_what_each_command_needs(tmp_path, capsys):
     assert _fresh_pvgr("run", "corpus/client_server.pvgr") == (0, "final after 20 steps: () | ()\n", "")
     assert _fresh_pvgr("check", "--format", "json", "corpus/server.pvgr") == (
         0,
-        '{"ok": true, "kind": "expr", "type": "forall s:Session[]. forall a:Dom(1)[]. [{a: ?{_z:Dom(0)}(.; Unit)'
-        '.?{_z\':Dom(0)}(.; Unit).!{_z\'\':Dom(0)}(.; Unit).s}; Chan a -> ex . {a: s}; Unit]", "post": ".", "ex": ""}\n',
+        '{"ok": true, "kind": "expr", "type": "forall s:Session[]. forall a:Dom(1)[]. [{a: ?Unit.?Unit.!Unit.s};'
+        ' Chan a -> ex . {a: s}; Unit]", "post": ".", "ex": ""}\n',
         "",
     )
     bad = write(tmp_path, "bad.pvgr", "close ()")
