@@ -20,7 +20,8 @@ field that `SCOPES` does not list, and for the fields that hold an
 expression or a value (the operands `pvgr.anf` walks).
 
 A node's `span` is a `Span`: the token it starts at, which is also that
-token's location, the one object the tokenizer builds per token.
+token's location. The parser builds it from the scanner's flat lists the
+first time a node or a diagnostic keeps that token, and only then.
 
 The scope table `SCOPES` is the one statement of binder scoping: free
 variables, substitution, canonical renaming and normalization all walk
@@ -135,17 +136,23 @@ def fresh_name(text: str) -> Name:
 
 
 class Span:
-    """A token, which is also its own source location: the tokenizer builds
-    one per token, and a node's `span` is the token it starts at. `kind` is
-    'ident', 'num', 'eof', or a keyword's or punctuation mark's text; a
-    span built elsewhere has kind and text ''. Equality, hash and repr are
-    those of the location."""
+    """A token, which is also its own source location: the parser builds
+    one for a token that a node or a diagnostic keeps, once, and a node's
+    `span` is the token it starts at. `kind` is 'ident', 'num', 'eof', or a
+    keyword's or punctuation mark's text; a span built elsewhere has kind
+    and text ''. Equality, hash and repr are those of the location."""
 
     __slots__ = ("file", "start", "end", "line", "col", "kind", "text")
 
     def __init__(self, file: str, start: int, end: int, line: int, col: int, kind: str = "", text: str = ""):
-        self.file, self.start, self.end, self.line, self.col = file, start, end, line, col
-        self.kind, self.text = kind, text
+        # one store a line: cheaper than unpacking a tuple of seven
+        self.file = file
+        self.start = start
+        self.end = end
+        self.line = line
+        self.col = col
+        self.kind = kind
+        self.text = text
 
     def _loc(self) -> tuple:
         return (self.file, self.start, self.end, self.line, self.col)

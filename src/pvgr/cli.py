@@ -20,11 +20,18 @@ site. Output goes to stdout, diagnostics to stderr. A reader that closes
 stdout early (`pvgr run F --trace | head`) ends the command quietly, with
 exit code 0. `run` and `corpus` load the machine (`pvgr.runtime`) and
 `--format json` loads `json` when they run, so `check` loads neither.
+
+While a command runs, the cyclic garbage collector is paused, and `main`
+leaves it as it found it. `check` and `run` free what they build by
+reference counting (tests/test_no_cycles.py), so a collection started by
+their own allocations would find nothing of theirs to free and would only
+walk everything alive, the caller's objects included.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from functools import cache
@@ -255,6 +262,8 @@ def _arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _arg_parser().parse_args(argv)
     fmt = getattr(args, "format", "pretty")
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         status = args.fn(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
@@ -268,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except Exception as e:  # every failure the commands do not report themselves
         return _report(e, fmt)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _report(e: Exception, fmt: str) -> int:

@@ -1,16 +1,21 @@
 """Concrete ASCII syntax for pvgr programs and types.
 
-The grammar is documented in docs/syntax.md. The tokenizer builds one
-object per token, an `ast.Span` that is also the token's location, and a
-node's span is the token it starts at. Binders receive globally unique
-names at parse time; a let-spine is read in a loop; the parser accepts
-non-strict let nesting (anf.anf_transform restores strict form before
-checking).
+The grammar is documented in docs/syntax.md. The scanner reads a file in
+one pass into flat lists: each token's kind, text and start offset, and
+the offsets at which lines start. A token becomes an object, an
+`ast.Span` that is its location, only when a node or a diagnostic keeps
+it: a node's span is the token it starts at, built from the token's
+index once (`Parser.span`). Binders receive globally unique names at parse
+time; a let-spine and a session's continuations are read in loops, and
+every other construct that nests counts against `MAX_NESTING`; the parser
+accepts non-strict let nesting (anf.anf_transform restores strict form
+before checking).
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from functools import reduce
 from typing import NamedTuple
 
@@ -151,32 +156,48 @@ def _word(text: str) -> list[tuple[str, int, int]]:
     return out
 
 
-def tokenize(src: str, filename: str = "<input>") -> list[Span]:
-    """The tokens of `src`, each one `Span` that is also its location,
-    ending with an 'eof' token."""
-    toks: list[Span] = []
-    append = toks.append
-    line, line_start = 1, 0  # line_start: the offset at which `line` starts
+# the kind of a word or punctuation mark: a keyword or a mark is its own
+# kind, and any other word is an identifier
+_KIND_OF = {**{kw: kw for kw in KEYWORDS}, **{p: p for p in PUNCT}}
+
+
+def _scan(src: str, filename: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """The tokens of `src` as three lists, each kind, text and start offset,
+    ending with an 'eof' token at the end of input; and the offsets at
+    which its lines start, the first line's 0 first."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    lines = [0]
+    kind_of = _KIND_OF.get
     for m in _TOKEN.finditer(src):
         g = m.lastindex
-        if g == 3:
-            line += 1
-            line_start = m.end()
-        elif g is not None:
-            start, end = m.span(g)
+        if g is None:
+            continue
+        if g < 3:
             text = m[g]
-            if g < 5:
-                kind = "num" if g == 4 else text if g == 2 or text in KEYWORDS else "ident"
-                append(Span(filename, start, end, line, start - line_start + 1, kind, text))
-                continue
+            kinds.append(kind_of(text, "ident"))
+            texts.append(text)
+            starts.append(m.start(g))
+        elif g == 3:
+            lines.append(m.end())
+        elif g == 4:
+            kinds.append("num")
+            texts.append(m[4])
+            starts.append(m.start(4))
+        else:
+            text, start = m[5], m.start(5)
             for kind, i, j in _word(text):
-                sp = Span(filename, start + i, start + j, line, start + i - line_start + 1, kind, text[i:j])
                 if not kind:
+                    sp = Span(filename, start + i, start + j, len(lines), start + i - lines[-1] + 1, kind, text[i:j])
                     raise ParseError("parse", f"unexpected character {text[i]!r}", sp)
-                append(sp)
-    n = len(src)
-    append(Span(filename, n, n, line, n - line_start + 1, "eof", ""))
-    return toks
+                kinds.append(kind)
+                texts.append(text[i:j])
+                starts.append(start + i)
+    kinds.append("eof")
+    texts.append("")
+    starts.append(len(src))
+    return kinds, texts, starts, lines
 
 
 class Program(NamedTuple):
@@ -226,49 +247,85 @@ class _Scope:
         return None
 
 
+# How deeply constructs may nest (docs/syntax.md, "Nesting"): each bracket
+# until it closes, and each lambda, type abstraction, `forall`, binder
+# `nu`/`nuap`, prefix (`dual`, `Chan`, `pi1`, `pi2`), payload of a `!T.S`
+# or `?T.S` step and let-spine until it ends, is one level. Every recursion
+# of the parser passes one of them, so it stays within Python's default
+# recursion limit.
+MAX_NESTING = 100
+
+
 class Parser:
+    """A recursive-descent reader of the scanned tokens: `pos` indexes the
+    next one, and `depth` counts the levels of nesting open at it."""
+
     def __init__(self, src: str, filename: str = "<input>", open_world: bool = False):
-        self.toks = tokenize(src, filename)
+        self.kinds, self.texts, self.starts, self.lines = _scan(src, filename)
+        self.file = filename
+        self.spans: list[Span | None] = [None] * len(self.kinds)
         self.pos = 0
+        self.depth = 0
         self.scope = _Scope(open_world)
 
     # -- token helpers ------------------------------------------------------
-    # `pos` never passes the eof token that ends `toks`, and the grammar
+    # `pos` never passes the eof token that ends `kinds`, and the grammar
     # looks one token ahead only past a token that is not eof, so no read
-    # needs a bounds check
+    # needs a bounds check; a rule steps past a token only once it has
+    # read its kind
 
-    def peek(self, ahead: int = 0) -> Span:
-        return self.toks[self.pos + ahead]
-
-    def next(self) -> Span:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def span(self, i: int) -> Span:
+        """Token i as a `Span`, its location: built the first time a node or
+        a diagnostic asks for it, and the same object after that."""
+        sp = self.spans[i]
+        if sp is None:
+            start, text, lines = self.starts[i], self.texts[i], self.lines
+            line = bisect_right(lines, start)
+            sp = Span(self.file, start, start + len(text), line, start - lines[line - 1] + 1, self.kinds[i], text)
+            self.spans[i] = sp
+        return sp
 
     def at(self, kind: str) -> bool:
-        return self.toks[self.pos].kind == kind
+        return self.kinds[self.pos] == kind
 
-    def eat(self, kind: str) -> Span:
-        t = self.toks[self.pos]
-        if t.kind != kind:
-            raise ParseError("parse", f"expected {kind!r}, found {t.text or 'end of input'!r}", t)
+    def eat(self, kind: str) -> int:
+        """Step past a token of `kind`, returning its index."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise self.fail(f"expected {kind!r}")
         if kind != "eof":
-            self.pos += 1
-        return t
+            self.pos = i + 1
+        return i
 
     def fail(self, msg: str) -> ParseError:
-        t = self.peek()
-        return ParseError("parse", f"{msg}, found {t.text or 'end of input'!r}", t)
+        i = self.pos
+        return ParseError("parse", f"{msg}, found {self.texts[i] or 'end of input'!r}", self.span(i))
+
+    def nest(self, i: int) -> None:
+        """Open one level of nesting at token i; the rule that opens it
+        closes it with `self.depth -= 1`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("parse", f"constructs nested more than {MAX_NESTING} deep", self.span(i))
+
+    def open(self, bracket: str) -> int:
+        """Step past an opening bracket and open its level."""
+        i = self.eat(bracket)
+        self.nest(i)
+        return i
+
+    def close(self, bracket: str) -> None:
+        self.eat(bracket)
+        self.depth -= 1
 
     def ident(self) -> str:
-        return self.eat("ident").text
+        return self.texts[self.eat("ident")]
 
     def comma_list(self, item) -> list:
         """item (',' item)*"""
         out = [item()]
         while self.at(","):
-            self.next()
+            self.pos += 1
             out.append(item())
         return out
 
@@ -279,37 +336,43 @@ class Parser:
         return out
 
     def name_use(self) -> Name:
-        t = self.eat("ident")
-        nm = self.scope.lookup(t.text)
+        i = self.pos
+        text = self.ident()
+        nm = self.scope.lookup(text)
         if nm is None:
-            raise ParseError("parse", f"unbound identifier {t.text!r}", t)
+            raise ParseError("parse", f"unbound identifier {text!r}", self.span(i))
         return nm
 
     # -- kinds --------------------------------------------------------------
 
     def kind(self) -> Kind:
-        k = self.kind_atom()
-        if self.at("->"):
-            self.next()
-            return KArrow(k, self.kind())
+        """kind_atom ('->' kind_atom)*, read in a loop, grouped to the right."""
+        atoms = [self.kind_atom()]
+        while self.at("->"):
+            self.pos += 1
+            atoms.append(self.kind_atom())
+        k = atoms.pop()
+        while atoms:
+            k = KArrow(atoms.pop(), k)
         return k
 
     def kind_atom(self) -> Kind:
-        t = self.peek()
-        if t.kind in KINDS:
-            self.next()
-            return KINDS[t.kind]()
-        if t.kind == "Dom":
-            self.next()
-            self.eat("(")
+        i = self.pos
+        k = self.kinds[i]
+        if k in KINDS:
+            self.pos = i + 1
+            return KINDS[k]()
+        if k == "Dom":
+            self.pos = i + 1
+            self.open("(")
             sh = self.type_()
-            self.eat(")")
+            self.close(")")
             return KDom(sh)
-        if t.kind == "(":
-            self.next()
-            k = self.kind()
-            self.eat(")")
-            return k
+        if k == "(":
+            self.open("(")
+            out = self.kind()
+            self.close(")")
+            return out
         raise self.fail("expected a kind")
 
     def dom_kind_shape(self) -> Type:
@@ -323,60 +386,74 @@ class Parser:
     def type_(self) -> Type:
         left = self.type_app()
         if self.at("+c"):
-            self.next()
+            self.pos += 1
             return TChoice(left, self.type_app())
         if self.at("+b"):
-            self.next()
+            self.pos += 1
             return TBranch(left, self.type_app())
         return left
 
     def type_app(self) -> Type:
         t = self.type_atom()
         # only domain-shaped atoms can follow by juxtaposition
-        while self.peek().kind in {"ident", "(", "{", "pi1", "pi2"}:
+        while self.kinds[self.pos] in {"ident", "(", "{", "pi1", "pi2"}:
             t = TApp(t, self.type_atom())
         return t
 
     def type_atom(self) -> Type:
-        t = self.peek()
-        if t.kind in _TYPE_ATOM_WORDS:
-            self.next()
-            return _TYPE_ATOM_WORDS[t.kind](span=t)
-        if t.kind in TYPE_PREFIXES:
-            self.next()
-            return TYPE_PREFIXES[t.kind](self.type_atom(), span=t)
-        match t.kind:
+        i = self.pos
+        k = self.kinds[i]
+        if k in _TYPE_ATOM_WORDS:
+            self.pos = i + 1
+            return _TYPE_ATOM_WORDS[k](span=self.span(i))
+        if k in TYPE_PREFIXES:
+            self.pos = i + 1
+            self.nest(i)
+            arg = self.type_atom()
+            self.depth -= 1
+            return TYPE_PREFIXES[k](arg, span=self.span(i))
+        match k:
+            case "ident":
+                return TVar(self.name_use(), span=self.span(i))
+            case "!" | "?":
+                return self.session()
             case "num":
-                self.next()
-                if t.text == "0":
-                    return ShZero(span=t)
-                if t.text == "1":
-                    return ShOne(span=t)
-                raise ParseError("parse", f"unexpected number {t.text!r} in type", t)
+                self.pos = i + 1
+                text = self.texts[i]
+                if text == "0":
+                    return ShZero(span=self.span(i))
+                if text == "1":
+                    return ShOne(span=self.span(i))
+                raise ParseError("parse", f"unexpected number {text!r} in type", self.span(i))
             case "AP":
-                self.next()
-                self.eat("(")
+                self.pos = i + 1
+                self.open("(")
                 s = self.type_()
-                self.eat(")")
-                return TAccess(s, span=t)
+                self.close(")")
+                return TAccess(s, span=self.span(i))
             case "pi1" | "pi2":
-                self.next()
-                lab = Label.L1 if t.kind == "pi1" else Label.L2
-                return DomProj(lab, self.type_atom(), span=t)
+                self.pos = i + 1
+                self.nest(i)
+                arg = self.type_atom()
+                self.depth -= 1
+                return DomProj(Label.L1 if k == "pi1" else Label.L2, arg, span=self.span(i))
             case "forall":
-                self.next()
+                self.pos = i + 1
+                self.nest(i)
                 txt = self.ident()
                 self.eat(":")
-                k = self.kind()
+                kd = self.kind()
                 self.scope.push()
                 binder = self.scope.bind(txt)
                 cs = self.constraints()
                 self.eat(".")
                 body = self.type_()
                 self.scope.pop()
-                return TAll(binder, k, cs, body, span=t)
+                self.depth -= 1
+                return TAll(binder, kd, cs, body, span=self.span(i))
             case "\\":
-                self.next()
+                self.pos = i + 1
+                self.nest(i)
                 txt = self.ident()
                 self.eat(":")
                 shape = self.type_()
@@ -385,70 +462,81 @@ class Parser:
                 self.eat(".")
                 body = self.type_()
                 self.scope.pop()
-                return TLam(binder, shape, body, span=t)
-            case "!" | "?":
-                return self.session_comm()
+                self.depth -= 1
+                return TLam(binder, shape, body, span=self.span(i))
             case ".":
-                self.next()
-                return StEmpty(span=t)
+                self.pos = i + 1
+                return StEmpty(span=self.span(i))
             case "{":
                 return self.braces_type()
             case "[":
                 return self.arr_type()
             case "(":
-                self.next()
+                self.open("(")
                 inner = self.type_()
                 if self.at(","):
-                    self.next()
+                    self.pos += 1
                     right = self.type_()
-                    self.eat(")")
-                    return DomMerge(inner, right, span=t)
+                    self.close(")")
+                    return DomMerge(inner, right, span=self.span(i))
                 if self.at("*"):
-                    self.next()
+                    self.pos += 1
                     right = self.type_()
-                    self.eat(")")
+                    self.close(")")
                     # pair of types and pair of shapes share one surface form;
                     # kinding tells them apart
-                    return TPair(inner, right, span=t)
-                self.eat(")")
+                    return TPair(inner, right, span=self.span(i))
+                self.close(")")
                 return inner
-            case "ident":
-                return TVar(self.name_use(), span=t)
         raise self.fail("expected a type")
 
-    def session_comm(self) -> Type:
-        t = self.next()  # '!' or '?'
-        cls = TSend if t.kind == "!" else TRecv
-        if self.at("{"):
-            self.next()
-            txt = self.ident()
-            self.eat(":")
-            shape = self.dom_kind_shape()
-            self.eat("}")
-            self.scope.push()
-            binder = self.scope.bind(txt)
-            self.eat("(")
-            st = self.state()
-            self.eat(";")
-            payload = self.type_()
-            self.eat(")")
-            self.scope.pop()
+    def session(self) -> Type:
+        """A `!` or `?` step and the steps that continue it, read in a loop,
+        then the continuation that is not a step. A `{..}` binder's scope
+        closes before the `.` that ends its step. The sugar `!T.S` is
+        `!{_:Dom(0)}(.;T).S` for a channel-free payload; its binder is named
+        once its continuation is read."""
+        kinds = self.kinds
+        steps = []
+        while kinds[self.pos] in ("!", "?"):
+            i = self.pos
+            self.pos = i + 1
+            if kinds[self.pos] == "{":
+                self.open("{")
+                txt = self.ident()
+                self.eat(":")
+                shape = self.dom_kind_shape()
+                self.close("}")
+                self.scope.push()
+                binder = self.scope.bind(txt)
+                self.open("(")
+                st = self.state()
+                self.eat(";")
+                payload = self.type_()
+                self.close(")")
+                self.scope.pop()
+                steps.append((i, binder, shape, st, payload))
+            else:
+                self.nest(i)
+                steps.append((i, None, None, None, self.type_atom()))
+                self.depth -= 1
             self.eat(".")
-            cont = self.type_atom()
-            return cls(binder, shape, st, payload, cont, span=t)
-        # sugar: !T.S == !{_:Dom(0)}(.;T).S for channel-free payloads
-        payload = self.type_atom()
-        self.eat(".")
-        cont = self.type_atom()
-        return cls(fresh_name("_z"), ShZero(), StEmpty(), payload, cont, span=t)
+        t = self.type_atom()
+        for i, binder, shape, st, payload in reversed(steps):
+            cls = TSend if kinds[i] == "!" else TRecv
+            if binder is None:
+                t = cls(fresh_name("_z"), ShZero(), StEmpty(), payload, t, span=self.span(i))
+            else:
+                t = cls(binder, shape, st, payload, t, span=self.span(i))
+        return t
 
     def braces_type(self) -> Type:
-        sp = self.eat("{")
+        i = self.open("{")
         if self.at("}"):
-            self.next()
-            return DomZero(span=sp)
+            self.close("}")
+            return DomZero(span=self.span(i))
         binds = self.comma_list(self.state_binding)
-        self.eat("}")
+        self.close("}")
         return reduce(StMerge, binds)
 
     def state_binding(self) -> Type:
@@ -461,14 +549,16 @@ class Parser:
         return reduce(StMerge, self.comma_list(self.state_atom))
 
     def state_atom(self) -> Type:
-        if self.at("."):
-            return StEmpty(span=self.next())
-        if self.at("{"):
+        i = self.pos
+        if self.kinds[i] == ".":
+            self.pos = i + 1
+            return StEmpty(span=self.span(i))
+        if self.kinds[i] == "{":
             return self.braces_type()
         return self.type_app()  # state variable or application
 
     def arr_type(self) -> Type:
-        sp = self.eat("[")
+        i = self.open("[")
         pre = self.state()
         self.eat(";")
         arg = self.type_()
@@ -481,8 +571,8 @@ class Parser:
         self.eat(";")
         res = self.type_()
         self.scope.pop()
-        self.eat("]")
-        return TArr(pre, arg, ex, post, res, span=sp)
+        self.close("]")
+        return TArr(pre, arg, ex, post, res, span=self.span(i))
 
     def ex_bindings(self) -> tuple[Binding, ...]:
         if self.at("."):
@@ -490,7 +580,8 @@ class Parser:
         return tuple(self.comma_list(self.ex_binding))
 
     def ex_binding(self) -> Binding:
-        if self.at("ident") and self.peek(1).kind == ":":
+        i = self.pos
+        if self.kinds[i] == "ident" and self.kinds[i + 1] == ":":
             txt = self.ident()
             self.eat(":")
             k = self.kind()
@@ -503,34 +594,52 @@ class Parser:
         return BDisjoint(left, self.type_app())
 
     def constraints(self) -> tuple[BDisjoint, ...]:
-        self.eat("[")
+        self.open("[")
         out = () if self.at("]") else tuple(self.comma_list(self.disjointness))
-        self.eat("]")
+        self.close("]")
         return out
 
     # -- values and expressions ---------------------------------------------
 
     def value(self) -> Value:
-        t = self.peek()
-        match t.kind:
+        i = self.pos
+        match self.kinds[i]:
+            case "ident":
+                return VVar(self.name_use(), span=self.span(i))
+            case "(":
+                self.open("(")
+                if self.at(")"):
+                    self.close(")")
+                    return VUnit(span=self.span(i))
+                v = self.value()
+                if self.at(","):
+                    self.pos += 1
+                    w = self.value()
+                    self.close(")")
+                    return VPair(v, w, span=self.span(i))
+                self.close(")")
+                return v
             case "\\":
-                self.next()
-                self.eat("[")
+                self.pos = i + 1
+                self.nest(i)
+                self.open("[")
                 pre = self.state()
-                self.eat("]")
-                self.eat("(")
+                self.close("]")
+                self.open("(")
                 txt = self.ident()
                 self.eat(":")
                 argty = self.type_()
-                self.eat(")")
+                self.close(")")
                 self.eat(".")
                 self.scope.push()
                 binder = self.scope.bind(txt)
                 body = self.expr()
                 self.scope.pop()
-                return VAbs(pre, binder, argty, body, span=t)
+                self.depth -= 1
+                return VAbs(pre, binder, argty, body, span=self.span(i))
             case "/\\":
-                self.next()
+                self.pos = i + 1
+                self.nest(i)
                 txt = self.ident()
                 self.eat(":")
                 k = self.kind()
@@ -540,122 +649,118 @@ class Parser:
                 self.eat(".")
                 body = self.value()
                 self.scope.pop()
-                return VTAbs(binder, k, cs, body, span=t)
+                self.depth -= 1
+                return VTAbs(binder, k, cs, body, span=self.span(i))
             case "chan":
-                self.next()
-                return VChan(self.type_atom(), span=t)
-            case "(":
-                self.next()
-                if self.at(")"):
-                    self.next()
-                    return VUnit(span=t)
-                v = self.value()
-                if self.at(","):
-                    self.next()
-                    w = self.value()
-                    self.eat(")")
-                    return VPair(v, w, span=t)
-                self.eat(")")
-                return v
-            case "ident":
-                return VVar(self.name_use(), span=t)
+                self.pos = i + 1
+                return VChan(self.type_atom(), span=self.span(i))
         raise self.fail("expected a value")
-
-    def value_starts(self) -> bool:
-        return self.peek().kind in {"\\", "/\\", "chan", "(", "ident"}
 
     _EXPR_KEYWORDS = {"let", "proj1", "proj2", *_OPERATION_OF}
 
     def expr(self) -> Expr:
-        t = self.peek()
-        if t.kind == "(" and self.peek(1).kind in self._EXPR_KEYWORDS:
-            self.next()
+        i = self.pos
+        k = self.kinds[i]
+        if k == "(" and self.kinds[i + 1] in self._EXPR_KEYWORDS:
+            self.open("(")
             e = self.expr()
-            self.eat(")")
+            self.close(")")
             return e
-        op = _OPERATION_OF.get(t.kind)
+        op = _OPERATION_OF.get(k)
         if op is not None:
-            self.next()
-            return self.operation(op, t)
-        match t.kind:
+            self.pos = i + 1
+            return self.operation(op, i)
+        match k:
             case "let":
                 return self.let_spine()
             case "proj1" | "proj2":
-                self.next()
-                lab = Label.L1 if t.kind == "proj1" else Label.L2
-                return EProj(lab, self.value(), span=t)
+                self.pos = i + 1
+                lab = Label.L1 if k == "proj1" else Label.L2
+                return EProj(lab, self.value(), span=self.span(i))
             case _:
                 return self.app_chain()
 
     def let_spine(self) -> Expr:
         """`let [..] x = head in` repeated, then the body, read in a loop:
         each let binds its names after its head, and its scope closes,
-        innermost first, once the body is read."""
+        innermost first, once the body is read. The spine is one level of
+        nesting, so a spine in a head is one more."""
+        kinds, scope = self.kinds, self.scope
+        self.nest(self.pos)
         lets = []
-        while self.at("let"):
-            sp = self.next()
-            exnames_txt: list[str] = []
-            if self.at("["):
-                self.next()
+        while kinds[self.pos] == "let":
+            i = self.pos
+            self.pos = i + 1
+            exnames_txt = None
+            if kinds[self.pos] == "[":
+                self.open("[")
                 exnames_txt = self.comma_list(self.ident)
-                self.eat("]")
+                self.close("]")
             txt = self.ident()
             self.eat("=")
             head = self.expr()
             self.eat("in")
-            self.scope.push()
-            exnames = tuple(map(self.scope.bind, exnames_txt))
-            lets.append((self.scope.bind(txt), head, exnames, sp))
+            scope.push()
+            exnames = tuple(map(scope.bind, exnames_txt)) if exnames_txt else ()
+            lets.append((scope.bind(txt), head, exnames, i))
         e = self.expr()
-        for binder, head, exnames, sp in reversed(lets):
-            self.scope.pop()
-            e = ELet(binder, head, e, exnames, span=sp)
+        for binder, head, exnames, i in reversed(lets):
+            scope.pop()
+            e = ELet(binder, head, e, exnames, span=self.span(i))
+        self.depth -= 1
         return e
 
-    def operation(self, op: type, sp: Span) -> Expr:
-        """The operands of the operation whose keyword was just read."""
+    def operation(self, op: type, i: int) -> Expr:
+        """The operands of the operation whose keyword, token i, was just
+        read."""
         if op is ENew:
-            return ENew(self.type_atom(), span=sp)
+            return ENew(self.type_atom(), span=self.span(i))
         if op is ESelect:
             lab = self.label()
-            return ESelect(lab, self.value(), span=sp)
+            return ESelect(lab, self.value(), span=self.span(i))
         v = self.value()
         if op is ESend:
-            return ESend(v, self.value(), span=sp)
+            return ESend(v, self.value(), span=self.span(i))
         if op is ECase:
-            self.eat("{")
+            self.open("{")
             left = self.expr()
             self.eat(";")
             right = self.expr()
-            self.eat("}")
-            return ECase(v, left, right, span=sp)
-        return op(v, span=sp)  # fork, accept, request, recv, close
+            self.close("}")
+            return ECase(v, left, right, span=self.span(i))
+        return op(v, span=self.span(i))  # fork, accept, request, recv, close
 
     def label(self) -> Label:
-        t = self.eat("num")
-        if t.text == "1":
+        i = self.eat("num")
+        text = self.texts[i]
+        if text == "1":
             return Label.L1
-        if t.text == "2":
+        if text == "2":
             return Label.L2
-        raise ParseError("parse", f"expected label 1 or 2, found {t.text!r}", t)
+        raise ParseError("parse", f"expected label 1 or 2, found {text!r}", self.span(i))
+
+    # what may follow a value that an application applies: an argument
+    # value, or a bracketed type
+    _APPLIED = {"\\", "/\\", "chan", "(", "ident", "["}
 
     def app_chain(self) -> Expr:
         """value (value | '[' type ']')*; chains of length > 1 desugar into lets."""
-        sp = self.peek()
+        i = self.pos
         v = self.value()
-        if not (self.value_starts() or self.at("[")):
+        sp = self.span(i)
+        if self.kinds[self.pos] not in self._APPLIED:
             return EVal(v, span=sp)
         cur = self._apply(v, sp)
-        while self.value_starts() or self.at("["):
+        while self.kinds[self.pos] in self._APPLIED:
             tmp = fresh_name("_t")
             cur = ELet(tmp, cur, self._apply(VVar(tmp), sp), span=sp)
         return cur
 
     def _apply(self, fn: Value, sp: Span) -> Expr:
         if self.at("["):
-            self.next()
+            self.open("[")
             ty = self.type_()
-            self.eat("]")
+            self.close("]")
             return ETApp(fn, ty, span=sp)
         return EApp(fn, self.value(), span=sp)
 
@@ -664,20 +769,21 @@ class Parser:
     def config(self) -> Config:
         c = self.config_atom()
         while self.at("|"):
-            self.next()
+            self.pos += 1
             c = CPar(c, self.config_atom())
         return c
 
     def config_atom(self) -> Config:
-        t = self.peek()
-        match t.kind:
+        i = self.pos
+        match self.kinds[i]:
             case "<":
-                self.next()
+                self.pos = i + 1
                 e = self.expr()
                 self.eat(">")
-                return CProc(e, span=t)
+                return CProc(e, span=self.span(i))
             case "nu":
-                self.next()
+                self.pos = i + 1
+                self.nest(i)
                 t1 = self.ident()
                 t2 = self.ident()
                 self.eat(":")
@@ -688,9 +794,11 @@ class Parser:
                 n2 = self.scope.bind(t2)
                 body = self.config()
                 self.scope.pop()
-                return CNuChan(n1, n2, ses, body, span=t)
+                self.depth -= 1
+                return CNuChan(n1, n2, ses, body, span=self.span(i))
             case "nuap":
-                self.next()
+                self.pos = i + 1
+                self.nest(i)
                 txt = self.ident()
                 self.eat(":")
                 ses = self.type_()
@@ -699,27 +807,28 @@ class Parser:
                 binder = self.scope.bind(txt)
                 body = self.config()
                 self.scope.pop()
-                return CNuAccess(binder, ses, body, span=t)
+                self.depth -= 1
+                return CNuAccess(binder, ses, body, span=self.span(i))
             case "(":
-                self.next()
+                self.open("(")
                 c = self.config()
-                self.eat(")")
+                self.close(")")
                 return c
         raise self.fail("expected a configuration")
 
     def config_starts(self) -> bool:
         """A configuration starts with `<`, `nu` or `nuap` after any `(`s,
         and no expression does. The tokens end with eof, so the scan stops."""
-        i = self.pos
-        while self.toks[i].kind == "(":
+        kinds, i = self.kinds, self.pos
+        while kinds[i] == "(":
             i += 1
-        return self.toks[i].kind in {"<", "nu", "nuap"}
+        return kinds[i] in {"<", "nu", "nuap"}
 
 
 def parse_program(src: str, filename: str = "<input>") -> Program:
     p = Parser(src, filename, open_world=False)
     if p.at("eof"):
-        raise ParseError("parse", "empty program", p.peek())
+        raise ParseError("parse", "empty program", p.span(p.pos))
     if p.config_starts():
         return Program(config=p.whole(Parser.config), expr=None, filename=filename)
     return Program(config=None, expr=p.whole(Parser.expr), filename=filename)
@@ -727,4 +836,3 @@ def parse_program(src: str, filename: str = "<input>") -> Program:
 
 def parse_type(src: str, filename: str = "<input>", open_world: bool = True) -> Type:
     return Parser(src, filename, open_world=open_world).whole(Parser.type_)
-

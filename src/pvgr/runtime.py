@@ -64,8 +64,10 @@ a step costs what it touches (Accattoli & Barras, PPDP 2017):
   machine, on every exit. The walk order's back links, the hole lists
   that file a cell which lists them in turn, and a closure bound in its
   own environment are reference cycles. A closed value plugged by a step
-  keeps its process's environment, so that a cyclic one is still reached
-  when nothing waits for the value. Released, the configuration is freed
+  keeps its process's environment, and one that a control leaves for
+  another (a received value's, or the one a function or pair was made
+  in) is kept on the process, so that a cyclic one is still reached when
+  nothing waits for the value. Released, the configuration is freed
   by reference counting, and the cyclic collector, whose full passes walk
   everything alive, is not set off by it.
 """
@@ -222,16 +224,18 @@ class _Mark:
 
 class _Proc(_Mark):
     """A process cell: its control `expr` under `env`, the lets that wait
-    for the control's value (the innermost last), its span (None once it
+    for the control's value (the innermost last), the environments its
+    control has left (`spent`, for `Soup.release`), its span (None once it
     has stepped), and what keying its hole found: the hole index lists it
     is filed in, and whether it is blocked on a communication. It starts as
     expr under env, by default an empty scope of its own."""
 
-    __slots__ = ("expr", "env", "lets", "span", "key", "lists", "blocked")
+    __slots__ = ("expr", "env", "lets", "spent", "span", "key", "lists", "blocked")
 
     def __init__(self, expr: Expr, env: _Env | None = None, span: Span | None = None) -> None:
-        self.lets, self.span, self.key, self.lists, self.blocked = [], span, None, [], False
-        _focus(self, expr, env or _Env({}, None))
+        self.lets, self.spent, self.span, self.key, self.lists, self.blocked = [], [], span, None, [], False
+        self.env = env = env or _Env({}, None)
+        _focus(self, expr, env)
 
 
 class _Par(_Mark):
@@ -262,9 +266,12 @@ class _Nu(_Mark):
 def _focus(p: _Proc, e: Expr, env: _Env | None) -> None:
     """Make e under env p's control, pushing each let on the way to its
     head. A closed value (env None) keeps p's environment, which may be
-    cyclic, where `Soup.release` reaches it."""
+    cyclic, where `Soup.release` reaches it; so does `p.spent`, when the
+    control moves to another environment."""
     if env is None:
         env = p.env
+    elif env is not p.env:
+        p.spent.append(p.env)
     while e.__class__ is ELet:
         p.lets.append(_Let(e, env))
         e = e.head
@@ -659,6 +666,7 @@ class Soup:
             if m.__class__ is _Proc:
                 envs.append(m.env)
                 envs += [w.env for w in m.lets]
+                envs += m.spent
                 m.lists = []
             elif m.__class__ is _Nu:
                 m.holes = {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -732,6 +733,84 @@ def test_internal_failure_is_a_diagnostic_exit_5(tmp_path, capsys, monkeypatch):
                 assert "Traceback" not in err
             assert main(["check", f, "--format", "json"]) == 5
             assert json.loads(capsys.readouterr().err)["code"] == "internal"
+
+
+# Nesting past `parser.MAX_NESTING` (docs/syntax.md, "Nesting"): 3000
+# parentheses around a unit, which overflowed the parser's stack, and
+# lambdas nested as deep as the limit allows, and one more.
+DEEP_PARENTHESES = "let x = " + "(" * 3000 + "()" + ")" * 3000 + " in x"
+
+
+def _lambdas(n: int) -> str:
+    """A spine whose head is n nested lambdas, n + 2 levels deep at the
+    innermost lambda's brackets."""
+    return "let f = " + "".join(f"\\[.](a{i}: Unit). " for i in range(n)) + "() in f ()"
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_nesting_past_the_limit_is_a_parse_error_exit_2(tmp_path, capsys, fmt):
+    # the spine is level 1, so the 100th parenthesis, at column 108, opens level 101
+    f = write(tmp_path, "deep.pvgr", DEEP_PARENTHESES)
+    message = f"constructs nested more than {pvgr.parser.MAX_NESTING} deep"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        assert main(["check", f, "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert main(["run", f]) == 2
+        assert capsys.readouterr().err == f"{f}:1:108: error[parse]: {message}\n"
+    finally:
+        sys.setrecursionlimit(limit)
+    if fmt == "json":
+        assert json.loads(err) == {
+            "severity": "error", "code": "parse", "message": message, "file": f, "line": 1, "col": 108,
+        }
+    else:
+        assert err == f"{f}:1:108: error[parse]: {message}\n"
+
+
+def test_nesting_at_the_limit_checks_and_runs(tmp_path, capsys):
+    n = pvgr.parser.MAX_NESTING - 2
+    f = write(tmp_path, "at.pvgr", _lambdas(n))
+    past = _lambdas(n + 1)
+    g = write(tmp_path, "past.pvgr", past)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        assert main(["check", f]) == 0
+        # f () is the n - 1 lambdas inside the outermost
+        assert capsys.readouterr().out.endswith("; Unit -> ex . .; Unit" + "]" * (n - 1) + "\n")
+        assert main(["run", f]) == 0
+        assert capsys.readouterr().out.endswith(f"(a{n - 1}:Unit). ()" + ")" * (n - 1) + "\n")
+        assert main(["check", g]) == 2
+    finally:
+        sys.setrecursionlimit(limit)
+    col = past.rindex("[.]") + 1  # the innermost lambda's bracket
+    assert capsys.readouterr().err == f"{g}:1:{col}: error[parse]: constructs nested more than {n + 2} deep\n"
+
+
+def test_a_command_runs_with_the_collector_paused(tmp_path, capsys, monkeypatch):
+    # and main leaves it as it found it, on success and on failure
+    seen = []
+    parse = cli.parse_program
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_program", spy)
+    f = write(tmp_path, "cs.pvgr", CLIENT_SERVER)
+    bad = write(tmp_path, "bad.pvgr", "let x = in x")
+    for argv, status in ((["check", f], 0), (["run", f], 0), (["check", bad], 2)):
+        assert main(argv) == status
+        assert gc.isenabled()
+    assert seen == [False, False, False]
+    gc.disable()
+    try:
+        assert main(["check", f]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_unreadable_file_is_an_io_diagnostic_exit_2(tmp_path, capsys):

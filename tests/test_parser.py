@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
-from conftest import corpus_files, flatten_lets, parse_expr, parse_with
+from conftest import corpus_files, flatten_lets, parse_expr, parse_with, perfbench_gen
 from oracles import random_session, random_type
 
 from pvgr.anf import anf_transform, is_strict_anf
@@ -29,6 +32,7 @@ from pvgr.ast import (
     TChan,
     TDual,
     TEnd,
+    TRecv,
     TSend,
     TUnit,
     VAbs,
@@ -39,6 +43,7 @@ from pvgr.ast import (
 )
 from pvgr.parser import (
     KINDS,
+    MAX_NESTING,
     OPERATIONS,
     TYPE_PREFIXES,
     TYPE_WORDS,
@@ -164,6 +169,69 @@ def test_end_of_input_after_a_trailing_comment_is_at_the_end():
     with pytest.raises(ParseError) as exc:
         parse_program("\t-- only a comment")
     assert str(exc.value) == "<input>:1:19: error[parse]: empty program"
+
+
+# One program (or type) per construct that nests, n levels of it deep
+# (docs/syntax.md, "Nesting")
+NESTING_FORMS = {
+    "parentheses": ("program", lambda n: "let x = " + "(" * n + "()" + ")" * n + " in x"),
+    "lambdas": ("program", lambda n: "let f = " + "".join(f"\\[.](a{i}: Unit). " for i in range(n)) + "() in f"),
+    "type-abstractions": ("program", lambda n: "let f = " + "".join(f"/\\t{i}: Session []. " for i in range(n)) + "() in f"),
+    "let-heads": ("program", lambda n: "let x = " * n + "()" + " in x" * n),
+    "case-braces": ("program", lambda n: "let y = () in let x = " + "case y {" * n + "()" + "; ()}" * n + " in x"),
+    "binders": ("program", lambda n: "nuap a : End . " * n + "<()>"),
+    "channel-binders": ("program", lambda n: "nu a b : End . " * n + "<()>"),
+    "configuration-parentheses": ("program", lambda n: "(" * n + "<()>" + ")" * n),
+    "type-parentheses": ("type", lambda n: "(" * n + "End" + ")" * n),
+    "prefixes": ("type", lambda n: "dual Chan " * n + "x"),
+    "projections": ("type", lambda n: "pi1 " * n + "x"),
+    "foralls": ("type", lambda n: "forall t: Session []. " * n + "End"),
+    "type-lambdas": ("type", lambda n: "\\t: 1. " * n + "End"),
+    "state-braces": ("type", lambda n: "{" * n + "x: End" + "}: End" * (n - 1) + "}"),
+    "arrows": ("type", lambda n: "[.; " * n + "Unit" + " -> ex . . ; Unit]" * n),
+    "payloads": ("type", lambda n: "!" * n + "Int" + ".End" * n),
+    "binder-kinds": ("type", lambda n: "!{e: Dom(" * n + "0" + ")}(.; Unit).End" * n),
+    "kind-parentheses": ("type", lambda n: "forall a: " + "(" * n + "Type" + ")" * n + " []. End"),
+}
+
+
+@pytest.mark.parametrize("name", list(NESTING_FORMS))
+def test_each_construct_that_nests_is_limited(name):
+    # nesting past the limit is an error[parse] at the token that opens the
+    # level past it, not a recursion error, at the default recursion limit
+    rule, nested = NESTING_FORMS[name]
+    parse = parse_program if rule == "program" else parse_type
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        parse(nested(10), "F")
+        with pytest.raises(ParseError) as exc:
+            parse(nested(3000), "F")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert exc.value.message == f"constructs nested more than {MAX_NESTING} deep"
+    assert exc.value.span.text in {"(", "[", "{", "\\", "/\\", "forall", "let", "nu", "nuap", "dual", "Chan", "pi1", "!"}
+
+
+def test_long_sessions_and_kind_arrows_are_read_in_loops():
+    # a session's continuations, and a kind's arrows, nest no level
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        t = parse_type("?Int." * 5000 + "End")
+        parse_type("forall a: " + "Type -> " * 5000 + "Type []. End")
+        prog = parse_program(perfbench_gen().chain(1000, random.Random(1)))
+    finally:
+        sys.setrecursionlimit(limit)
+    steps = 0
+    while isinstance(t, TRecv):
+        t, steps = t.cont, steps + 1
+    assert (steps, t.__class__) == (5000, TEnd)
+    assert prog.expr is not None
+    # a step's binder is not in scope in its continuation
+    with pytest.raises(ParseError) as exc:
+        parse_program("let ap = new ?{e: Dom(1)}({e: End}; Chan e).?Chan e.End in ap", "F")
+    assert str(exc.value) == "F:1:51: error[parse]: unbound identifier 'e'"
 
 
 def test_pretty_examples():

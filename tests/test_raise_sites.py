@@ -46,6 +46,8 @@ ALLOWED = {
     ("cli", "_fuel", "usage", "PVGR_MAX_STEPS must be an integer, got {}"): "pinned by test_cli.py",
     ("cli", "_fuel", "usage", "PVGR_MAX_STEPS must not be negative, got {}"): "pinned by test_cli.py",
     ("cli", "cmd_corpus", "io", "cannot read {}: {}"): "pinned by test_cli.py, for a missing corpus directory",
+    ("parser", "Parser.nest", "parse", "constructs nested more than {} deep"): "pinned by test_cli.py, past the"
+    " limit and at it, and by test_parser.py for each construct that nests",
 }
 
 

@@ -1,14 +1,16 @@
-"""The one-regex tokenizer against the character loop it replaced.
+"""The one-regex scanner against the character loop it replaced.
 
 `tokenize_ref.tokenize` is the earlier tokenizer, kept verbatim but for
-its container, a token holding a separate span. On every input the two must
-give the same tokens (kind, text, file, start, end, line and col) or the
-same `error[parse]`, except for the end-of-input token after a trailing
-`--` comment: the reference leaves its column where the comment starts.
+its container, a token holding a separate span. On every input the
+scanner, read back token by token through `Parser.span`, must give the
+same tokens (kind, text, file, start, end, line and col) or the same
+`error[parse]`, except for the end-of-input token after a trailing `--`
+comment: the reference leaves its column where the comment starts.
 
 Every span that the parser gives a node of a corpus, family or mutant
 program holds the source text between its offsets, and a line and column
-that agree with the newlines before it.
+that agree with the newlines before it. Parsing builds a `Span` only for
+a token that some node's span is, and only once.
 """
 
 from __future__ import annotations
@@ -19,9 +21,17 @@ import pytest
 from conftest import corpus_files, perfbench_gen
 from tokenize_ref import tokenize as tokenize_ref
 
+import pvgr.parser
 from pvgr.ast import Node
 from pvgr.diagnostic import Diagnostic
-from pvgr.parser import ParseError, parse_program, tokenize
+from pvgr.parser import Parser, ParseError, parse_program
+
+
+def tokenize(src: str, filename: str = "<input>") -> list:
+    """Every token the scanner finds in `src`, the end of input last, each
+    as the `Span` that `Parser.span` builds for it."""
+    p = Parser(src, filename)
+    return [p.span(i) for i in range(len(p.kinds))]
 
 
 def loc(sp) -> tuple:
@@ -174,3 +184,21 @@ def test_every_node_span_is_its_source_text_and_place():
         for sp in spans:
             assert_located(src, sp)
     assert parsed > len(corpus_files()) + len(family_programs())
+
+
+def test_parsing_builds_a_span_only_for_a_token_a_node_keeps(monkeypatch):
+    # a token's `Span` is built when some node's span is that token, and
+    # once: as many are built as there are distinct such tokens
+    built = []
+    span = pvgr.parser.Span
+
+    def counting_span(*args):
+        built.append(span(*args))
+        return built[-1]
+
+    monkeypatch.setattr(pvgr.parser, "Span", counting_span)
+    for src in [p.read_text() for p in corpus_files()] + family_programs():
+        built.clear()
+        prog = parse_program(src, "F")
+        kept = {sp.start for sp in node_spans(prog.config or prog.expr)}
+        assert len(built) == len(kept), src

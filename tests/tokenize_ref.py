@@ -1,8 +1,8 @@
 """The tokenizer as it was before it became one regular-expression pass,
 kept verbatim as the reference that `tests/test_tokenize.py` compares
-`pvgr.parser.tokenize` against.
+the scanner of `pvgr.parser` against, token by token.
 
-It differs from `pvgr.parser.tokenize` in one place only: it does not
+It differs from that scanner in one place only: it does not
 advance the column through a `--` comment, so after a trailing comment the
 end-of-input token is reported where the comment starts.
 
