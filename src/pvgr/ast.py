@@ -768,13 +768,12 @@ def alpha_equiv(a: Tree, b: Tree) -> bool:
 
 def state_atoms(st: Type) -> list[Type]:
     """Flatten a state into bindings / opaque atoms (vars, stuck applications)."""
-    match st:
-        case StEmpty():
-            return []
-        case StMerge(l, r):
-            return state_atoms(l) + state_atoms(r)
-        case _:
-            return [st]
+    cls = st.__class__
+    if cls is StEmpty:
+        return []
+    if cls is StMerge:
+        return state_atoms(st.left) + state_atoms(st.right)
+    return [st]
 
 
 def plain_step(t: Type) -> bool:

@@ -82,11 +82,11 @@ def chain_of(d: Type) -> Chain | None:
 def _sides(d: Type) -> list[Chain]:
     """Decompose a normalized domain into its chain parts (CE-Split); the
     empty domain contributes nothing (CE-Zero discharges those pairs)."""
-    match d:
-        case DomZero():
-            return []
-        case DomMerge(l, r):
-            return _sides(l) + _sides(r)
+    cls = d.__class__
+    if cls is DomZero:
+        return []
+    if cls is DomMerge:
+        return _sides(d.left) + _sides(d.right)
     chain = chain_of(d)
     if chain is not None:
         return [chain]

@@ -1,5 +1,14 @@
 """Context formation, kind formation, kinding, context restriction, and
-disjoint context extension."""
+disjoint context extension.
+
+Each judgment is syntax-directed: it picks its rule from the class at the
+root of its subject, read as `x.__class__` and compared by identity, arm
+by arm in a fixed order. That is the arm a `match` with class patterns
+would take, as no concrete node class has a subclass
+(tests/test_dispatch.py), and it is cheaper: CPython 3.11 does not
+specialize `MATCH_CLASS`, so each arm tried would cost an `isinstance`,
+and one with captures several attribute lookups more.
+"""
 
 from __future__ import annotations
 
@@ -86,13 +95,14 @@ def lookup_val(g: Ctx, name: Name) -> Type | None:
 
 def kind_equiv(k1: Kind, k2: Kind) -> bool:
     """Kind equality; shapes inside Dom are compared up to conversion."""
-    match (k1, k2):
-        case (KDom(s1), KDom(s2)):
-            return conv(s1, s2)
-        case (KArrow(a1, b1), KArrow(a2, b2)):
-            return kind_equiv(a1, a2) and kind_equiv(b1, b2)
-        case _:
-            return type(k1) is type(k2)
+    cls = k1.__class__
+    if cls is not k2.__class__:
+        return False
+    if cls is KDom:
+        return conv(k1.shape, k2.shape)
+    if cls is KArrow:
+        return kind_equiv(k1.src, k2.src) and kind_equiv(k1.dst, k2.dst)
+    return True
 
 
 # -- context restriction (keep only type variables of channel-free kinds) ----
@@ -137,24 +147,25 @@ def check_ctx(g: Ctx) -> None:
 
 
 def check_kind(g: Ctx, k: Kind) -> None:
-    match k:
-        case KType() | KSession() | KState() | KShape():
-            return
-        case KDom(shape):
-            sk = infer_kind(g, shape)
-            if not isinstance(sk, KShape):
-                raise KindError(
-                    "KF-Dom",
-                    "domain kind index must be a shape",
-                    span=shape.span,
-                    expected=pretty(KShape()),
-                    found=pretty(sk),
-                )
-        case KArrow(src, dst):
-            check_kind(g, src)
-            check_kind(g, dst)
-        case _:
-            raise KindError("KF-Arr", f"unknown kind {k!r}")
+    cls = k.__class__
+    if cls is KType or cls is KSession or cls is KState or cls is KShape:
+        return
+    if cls is KDom:
+        shape = k.shape
+        sk = infer_kind(g, shape)
+        if not isinstance(sk, KShape):
+            raise KindError(
+                "KF-Dom",
+                "domain kind index must be a shape",
+                span=shape.span,
+                expected=pretty(KShape()),
+                found=pretty(sk),
+            )
+    elif cls is KArrow:
+        check_kind(g, k.src)
+        check_kind(g, k.dst)
+    else:
+        raise KindError("KF-Arr", f"unknown kind {k!r}")
 
 
 # -- kinding -------------------------------------------------------------------
@@ -177,129 +188,134 @@ def infer_kind(g: Ctx, t: Type) -> Kind:
     """The unique kind of t under g; raises KindError at the deepest failing
     premise."""
     g = context(g)
-    match t:
-        case TVar(nm):
-            k = lookup_tvar(g, nm)
-            if k is None:
-                raise _fail("K-Var", f"unbound type variable {nm.text}", t)
-            return k
-        case TApp(fn, arg):
-            kf = infer_kind(g, fn)
-            if not isinstance(kf, KArrow):
-                raise _fail("K-App", "application of a non-arrow type", t, found=pretty(kf))
-            ka = infer_kind(g, arg)
-            if not kind_equiv(ka, kf.src):
-                raise _fail(
-                    "K-App", "argument kind mismatch", t, expected=pretty(kf.src), found=pretty(ka)
-                )
-            return kf.dst
-        case TLam(binder, shape, body):
-            _expect(g, shape, KShape(), "K-Lam")
-            inner = restrict_non_dom(g) + (BTVar(binder, KDom(shape)),)
-            kb = infer_kind(inner, body)
-            if not isinstance(kb, (KType, KState)):
-                raise _fail(
-                    "K-Lam",
-                    "type function body must have kind Type or State",
-                    t,
-                    found=pretty(kb),
-                )
-            return KArrow(KDom(shape), kb)
-        case TAll(binder, kind, cstr, body):
-            g2 = g + ((BTVar(binder, kind),) + cstr)
-            check_ctx_suffix(g, g2)  # forms the kind and each constraint
-            kb = infer_kind(g2, body)
-            if not isinstance(kb, KType):
-                raise _fail("K-All", "quantified body must have kind Type", t, found=pretty(kb))
-            return KType()
-        case TArr(pre, arg):
-            _expect(g, pre, KState(), "K-Arr")
-            _expect(g, arg, KType(), "K-Arr")
-            check_arrow_package(g, t)
-            return KType()
-        case TChan(dom):
-            kd = infer_kind(g, dom)
-            if not kind_equiv(kd, KDom(ShOne())):
-                raise _fail(
-                    "K-Chan",
-                    "channel type needs a single-channel domain",
-                    t,
-                    expected="Dom(1)",
-                    found=pretty(kd),
-                )
-            return KType()
-        case TAccess(ses):
-            _expect(g, ses, KSession(), "K-AccessPoint")
-            return KType()
-        case TUnit():
-            return KType()
-        case TPair(l, r):
-            kl = infer_kind(g, l)
-            if isinstance(kl, KShape):
-                _expect(g, r, KShape(), "K-ShapePair")
-                return KShape()
-            if isinstance(kl, KType):
-                _expect(g, r, KType(), "K-Pair")
-                return KType()
-            raise _fail("K-Pair", "pair component must be a type or a shape", t, found=pretty(kl))
-        case TSend(binder, shape, state, payload, cont) | TRecv(binder, shape, state, payload, cont):
-            rule = _SESSION_RULE[type(t)]
-            _expect(g, shape, KShape(), rule)
-            inner = restrict_non_dom(g) + (BTVar(binder, KDom(shape)),)
-            _expect(inner, state, KState(), rule)
-            _expect(inner, payload, KType(), rule)
-            _expect(g, cont, KSession(), rule)
-            return KSession()
-        case TChoice(l, r) | TBranch(l, r):
-            rule = _SESSION_RULE[type(t)]
-            _expect(g, l, KSession(), rule)
-            _expect(g, r, KSession(), rule)
-            return KSession()
-        case TEnd():
-            return KSession()
-        case TDual(s):
-            _expect(g, s, KSession(), "K-Dual")
-            return KSession()
-        case ShZero() | ShOne():
+    cls = t.__class__
+    if cls is TVar:
+        nm = t.name
+        k = lookup_tvar(g, nm)
+        if k is None:
+            raise _fail("K-Var", f"unbound type variable {nm.text}", t)
+        return k
+    if cls is TApp:
+        kf = infer_kind(g, t.fn)
+        if not isinstance(kf, KArrow):
+            raise _fail("K-App", "application of a non-arrow type", t, found=pretty(kf))
+        ka = infer_kind(g, t.arg)
+        if not kind_equiv(ka, kf.src):
+            raise _fail(
+                "K-App", "argument kind mismatch", t, expected=pretty(kf.src), found=pretty(ka)
+            )
+        return kf.dst
+    if cls is TLam:
+        shape = t.shape
+        _expect(g, shape, KShape(), "K-Lam")
+        inner = restrict_non_dom(g) + (BTVar(t.binder, KDom(shape)),)
+        kb = infer_kind(inner, t.body)
+        if not isinstance(kb, (KType, KState)):
+            raise _fail(
+                "K-Lam",
+                "type function body must have kind Type or State",
+                t,
+                found=pretty(kb),
+            )
+        return KArrow(KDom(shape), kb)
+    if cls is TAll:
+        g2 = g + ((BTVar(t.binder, t.kind),) + t.cstr)
+        check_ctx_suffix(g, g2)  # forms the kind and each constraint
+        kb = infer_kind(g2, t.body)
+        if not isinstance(kb, KType):
+            raise _fail("K-All", "quantified body must have kind Type", t, found=pretty(kb))
+        return KType()
+    if cls is TArr:
+        _expect(g, t.pre, KState(), "K-Arr")
+        _expect(g, t.arg, KType(), "K-Arr")
+        check_arrow_package(g, t)
+        return KType()
+    if cls is TChan:
+        kd = infer_kind(g, t.dom)
+        if not kind_equiv(kd, KDom(ShOne())):
+            raise _fail(
+                "K-Chan",
+                "channel type needs a single-channel domain",
+                t,
+                expected="Dom(1)",
+                found=pretty(kd),
+            )
+        return KType()
+    if cls is TAccess:
+        _expect(g, t.ses, KSession(), "K-AccessPoint")
+        return KType()
+    if cls is TUnit:
+        return KType()
+    if cls is TPair:
+        r = t.right
+        kl = infer_kind(g, t.left)
+        if isinstance(kl, KShape):
+            _expect(g, r, KShape(), "K-ShapePair")
             return KShape()
-        case DomZero():
-            return KDom(ShZero())
-        case DomMerge(l, r):
-            kl, kr = infer_kind(g, l), infer_kind(g, r)
-            if not (isinstance(kl, KDom) and isinstance(kr, KDom)):
-                raise _fail("K-DomMerge", "merge of non-domains", t)
-            _require_disjoint(g, l, r, "K-DomMerge", t)
-            return KDom(TPair(kl.shape, kr.shape))
-        case DomProj(lab, dom):
-            kd = infer_kind(g, dom)
-            if not isinstance(kd, KDom):
-                raise _fail("K-DomProj", "projection of a non-domain", t, found=pretty(kd))
-            sh = normalize(kd.shape)
-            if not isinstance(sh, TPair):
-                raise _fail(
-                    "K-DomProj",
-                    "projection needs a pair-shaped domain",
-                    t,
-                    found=pretty(sh),
-                )
-            return KDom(sh.left if lab is Label.L1 else sh.right)
-        case StEmpty():
-            return KState()
-        case StBind(dom, ses):
-            kd = infer_kind(g, dom)
-            if not kind_equiv(kd, KDom(ShOne())):
-                raise _fail(
-                    "K-StChan",
-                    "state binding needs a single-channel domain",
-                    t,
-                    expected="Dom(1)",
-                    found=pretty(kd),
-                )
-            _expect(g, ses, KSession(), "K-StChan")
-            return KState()
-        case StMerge():
-            _kind_merge_tree(g, t)
-            return KState()
+        if isinstance(kl, KType):
+            _expect(g, r, KType(), "K-Pair")
+            return KType()
+        raise _fail("K-Pair", "pair component must be a type or a shape", t, found=pretty(kl))
+    if cls is TSend or cls is TRecv:
+        rule = _SESSION_RULE[cls]
+        shape = t.shape
+        _expect(g, shape, KShape(), rule)
+        inner = restrict_non_dom(g) + (BTVar(t.binder, KDom(shape)),)
+        _expect(inner, t.state, KState(), rule)
+        _expect(inner, t.payload, KType(), rule)
+        _expect(g, t.cont, KSession(), rule)
+        return KSession()
+    if cls is TChoice or cls is TBranch:
+        rule = _SESSION_RULE[cls]
+        _expect(g, t.left, KSession(), rule)
+        _expect(g, t.right, KSession(), rule)
+        return KSession()
+    if cls is TEnd:
+        return KSession()
+    if cls is TDual:
+        _expect(g, t.ses, KSession(), "K-Dual")
+        return KSession()
+    if cls is ShZero or cls is ShOne:
+        return KShape()
+    if cls is DomZero:
+        return KDom(ShZero())
+    if cls is DomMerge:
+        l, r = t.left, t.right
+        kl, kr = infer_kind(g, l), infer_kind(g, r)
+        if not (isinstance(kl, KDom) and isinstance(kr, KDom)):
+            raise _fail("K-DomMerge", "merge of non-domains", t)
+        _require_disjoint(g, l, r, "K-DomMerge", t)
+        return KDom(TPair(kl.shape, kr.shape))
+    if cls is DomProj:
+        kd = infer_kind(g, t.dom)
+        if not isinstance(kd, KDom):
+            raise _fail("K-DomProj", "projection of a non-domain", t, found=pretty(kd))
+        sh = normalize(kd.shape)
+        if not isinstance(sh, TPair):
+            raise _fail(
+                "K-DomProj",
+                "projection needs a pair-shaped domain",
+                t,
+                found=pretty(sh),
+            )
+        return KDom(sh.left if t.label is Label.L1 else sh.right)
+    if cls is StEmpty:
+        return KState()
+    if cls is StBind:
+        kd = infer_kind(g, t.dom)
+        if not kind_equiv(kd, KDom(ShOne())):
+            raise _fail(
+                "K-StChan",
+                "state binding needs a single-channel domain",
+                t,
+                expected="Dom(1)",
+                found=pretty(kd),
+            )
+        _expect(g, t.ses, KSession(), "K-StChan")
+        return KState()
+    if cls is StMerge:
+        _kind_merge_tree(g, t)
+        return KState()
     raise _fail("K-Var", f"not a type: {t!r}", t)
 
 
@@ -436,20 +452,22 @@ def check_ctx_suffix(g_ok: Ctx, g: Ctx) -> None:
     """check_ctx for g, assuming its prefix g_ok was already checked."""
     prefix = context(g_ok)
     for b in g[len(g_ok) :]:
-        match b:
-            case BTVar(nm, kind):
-                if nm.uid in prefix.names:
-                    raise KindError("CF-ConsKind", f"duplicate binding for {nm.text}")
-                check_kind(prefix, kind)
-            case BVal(nm, ty):
-                if nm.uid in prefix.names:
-                    raise KindError("CF-ConsType", f"duplicate binding for {nm.text}")
-                k = infer_kind(prefix, ty)
-                if not isinstance(k, KType):
-                    raise KindError("CF-ConsType", "value binding must be Type-kinded")
-            case BDisjoint(l, r):
-                for side in (l, r):
-                    if not isinstance(infer_kind(prefix, side), KDom):
-                        raise KindError("CF-ConsCstr", "constraint over a non-domain")
-            # a disjoint extension's marker names domains bound before it
+        cls = b.__class__
+        if cls is BTVar:
+            nm = b.name
+            if nm.uid in prefix.names:
+                raise KindError("CF-ConsKind", f"duplicate binding for {nm.text}")
+            check_kind(prefix, b.kind)
+        elif cls is BVal:
+            nm = b.name
+            if nm.uid in prefix.names:
+                raise KindError("CF-ConsType", f"duplicate binding for {nm.text}")
+            k = infer_kind(prefix, b.type)
+            if not isinstance(k, KType):
+                raise KindError("CF-ConsType", "value binding must be Type-kinded")
+        elif cls is BDisjoint:
+            for side in (b.left, b.right):
+                if not isinstance(infer_kind(prefix, side), KDom):
+                    raise KindError("CF-ConsCstr", "constraint over a non-domain")
+        # a disjoint extension's marker names domains bound before it
         prefix = prefix + (b,)

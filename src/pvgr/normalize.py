@@ -18,6 +18,9 @@ alpha-equivalence of normal forms, so `conv` compares `conv_key`s: the key
 of a type's normal form, taken at the top, computed once and kept on the
 type and on its normal form. A key taken under a binder depends on the
 binder and is never kept.
+
+`_norm` and `_dual_push` pick their rewrite from the node's class by
+identity, as `pvgr.kinding` does, and for the same reason.
 """
 
 from __future__ import annotations
@@ -97,33 +100,34 @@ def _norm(t: Type, scope: _Scope) -> Type:
     top = scope is _TOP  # _bind_level makes a new scope for each binder
     if top and t._normal:
         return t
-    match t:
-        case TApp(fn, arg):
-            nf = _norm(fn, scope)
-            na = _norm(arg, scope)
-            if isinstance(nf, TLam):
-                out = _norm(subst1(nf.binder, na, nf.body), scope)
-            else:
-                out = TApp(nf, na)
-        case TDual(s):
-            out = _dual_push(_norm(s, scope))
-        case DomProj(lab, dom):
-            nd = _norm(dom, scope)
-            if isinstance(nd, DomMerge):
-                out = nd.left if lab is Label.L1 else nd.right
-            else:
-                out = DomProj(lab, nd)
-        case StMerge():
-            atoms: list[Type] = []
-            for a in state_atoms(t):
-                atoms.extend(state_atoms(_norm(a, scope)))  # normalization may expose merges
-            atoms = [a for a in atoms if not isinstance(a, StEmpty)]
-            # each atom is normal under this scope; only a top key is kept
-            atoms.sort(key=conv_key if top else lambda a: _key(a, scope))
-            out = state_of_atoms(atoms)
-        case _:
-            # every other node: congruence, scoped by the table
-            out = scope_walk(t, scope, _norm, _bind_level, _bare)[0]
+    cls = t.__class__
+    if cls is TApp:
+        nf = _norm(t.fn, scope)
+        na = _norm(t.arg, scope)
+        if isinstance(nf, TLam):
+            out = _norm(subst1(nf.binder, na, nf.body), scope)
+        else:
+            out = TApp(nf, na)
+    elif cls is TDual:
+        out = _dual_push(_norm(t.ses, scope))
+    elif cls is DomProj:
+        lab = t.label
+        nd = _norm(t.dom, scope)
+        if isinstance(nd, DomMerge):
+            out = nd.left if lab is Label.L1 else nd.right
+        else:
+            out = DomProj(lab, nd)
+    elif cls is StMerge:
+        atoms: list[Type] = []
+        for a in state_atoms(t):
+            atoms.extend(state_atoms(_norm(a, scope)))  # normalization may expose merges
+        atoms = [a for a in atoms if not isinstance(a, StEmpty)]
+        # each atom is normal under this scope; only a top key is kept
+        atoms.sort(key=conv_key if top else lambda a: _key(a, scope))
+        out = state_of_atoms(atoms)
+    else:
+        # every other node: congruence, scoped by the table
+        out = scope_walk(t, scope, _norm, _bind_level, _bare)[0]
     if top:
         out.__dict__["_normal"] = True
     return out
@@ -141,21 +145,20 @@ def _bare(t: Tree, vals: list) -> Tree:
 
 def _dual_push(s: Type) -> Type:
     """Dual of an already-normal session; stays stuck on variables."""
-    match s:
-        case TEnd():
-            return TEnd()
-        case TSend(binder, shape, state, payload, cont):
-            return TRecv(binder, shape, state, payload, _dual_push(cont))
-        case TRecv(binder, shape, state, payload, cont):
-            return TSend(binder, shape, state, payload, _dual_push(cont))
-        case TChoice(l, r):
-            return TBranch(_dual_push(l), _dual_push(r))
-        case TBranch(l, r):
-            return TChoice(_dual_push(l), _dual_push(r))
-        case TDual(inner) if isinstance(inner, TVar):
-            return inner  # involution
-        case _:
-            return TDual(s)  # stuck
+    cls = s.__class__
+    if cls is TEnd:
+        return TEnd()
+    if cls is TSend:
+        return TRecv(s.binder, s.shape, s.state, s.payload, _dual_push(s.cont))
+    if cls is TRecv:
+        return TSend(s.binder, s.shape, s.state, s.payload, _dual_push(s.cont))
+    if cls is TChoice:
+        return TBranch(_dual_push(s.left), _dual_push(s.right))
+    if cls is TBranch:
+        return TChoice(_dual_push(s.left), _dual_push(s.right))
+    if cls is TDual and s.ses.__class__ is TVar:
+        return s.ses  # involution
+    return TDual(s)  # stuck
 
 
 # ---------------------------------------------------------------------------

@@ -660,12 +660,21 @@ class Parser:
 
     def expr(self) -> Expr:
         i = self.pos
-        k = self.kinds[i]
-        if k == "(" and self.kinds[i + 1] in self._EXPR_KEYWORDS:
-            self.open("(")
-            e = self.expr()
-            self.close(")")
-            return e
+        kinds = self.kinds
+        k = kinds[i]
+        if k == "(":
+            # brackets around a keyword expression, each its own level;
+            # the tokens end with eof, so the scan stops
+            j = i + 1
+            while kinds[j] == "(":
+                j += 1
+            if kinds[j] in self._EXPR_KEYWORDS:
+                for _ in range(j - i):
+                    self.open("(")
+                e = self.expr()
+                for _ in range(j - i):
+                    self.close(")")
+                return e
         op = _OPERATION_OF.get(k)
         if op is not None:
             self.pos = i + 1

@@ -90,23 +90,22 @@ class _Printer:
     # -- kinds ---------------------------------------------------------------
 
     def kind(self, k: Kind) -> str:
-        match k:
-            case KType() | KSession() | KState() | KShape():
-                return _KEYWORD[k.__class__]
-            case KDom(shape):
-                return f"Dom({self.ty(shape)})"
+        cls = k.__class__
+        if cls is KType or cls is KSession or cls is KState or cls is KShape:
+            return _KEYWORD[cls]
+        if cls is KDom:
+            return f"Dom({self.ty(k.shape)})"
         return f"({self.kind(k.src)} -> {self.kind(k.dst)})"
 
     # -- types -----------------------------------------------------------------
 
     def ty(self, t: Type) -> str:
-        match t:
-            case TChoice(l, r):
-                return f"{self.ty_app(l)} +c {self.ty_app(r)}"
-            case TBranch(l, r):
-                return f"{self.ty_app(l)} +b {self.ty_app(r)}"
-            case _:
-                return self.ty_app(t)
+        cls = t.__class__
+        if cls is TChoice:
+            return f"{self.ty_app(t.left)} +c {self.ty_app(t.right)}"
+        if cls is TBranch:
+            return f"{self.ty_app(t.left)} +b {self.ty_app(t.right)}"
+        return self.ty_app(t)
 
     def ty_app(self, t: Type) -> str:
         if isinstance(t, TApp):
@@ -118,55 +117,56 @@ class _Printer:
 
     def _juxtaposable(self, t: Type) -> bool:
         """Argument forms the grammar accepts by juxtaposition."""
-        match t:
-            case TVar() | DomZero() | DomMerge() | TPair() | StBind():
-                return True
-            case DomProj(_, d):
-                return self._juxtaposable(d)
-            case _:
-                return False
+        cls = t.__class__
+        if cls is TVar or cls is DomZero or cls is DomMerge or cls is TPair or cls is StBind:
+            return True
+        if cls is DomProj:
+            return self._juxtaposable(t.dom)
+        return False
 
     def ty_atom(self, t: Type) -> str:
-        match t:
-            case TVar(nm):
-                return self.var(nm)
-            case TEnd() | TUnit():
-                return _KEYWORD[t.__class__]
-            case TDual(s) | TChan(s):
-                return f"{_KEYWORD[t.__class__]} {self.ty_atom(s)}"
-            case TAccess(s):
-                return f"AP({self.ty(s)})"
-            case TPair(l, r):
-                return f"({self.ty(l)} * {self.ty(r)})"
-            case ShZero():
-                return "0"
-            case ShOne():
-                return "1"
-            case DomZero():
-                return "{}"
-            case DomMerge(l, r):
-                return f"({self.ty(l)}, {self.ty(r)})"
-            case DomProj(lab, d):
-                return f"pi{int(lab)} {self.ty_atom(d)}"
-            case StEmpty() | StBind() | StMerge():
-                return self.state(t)
-            case TLam(binder, shape, body):
-                sh = self.ty(shape)
-                b = self.bind(binder)
-                return f"(\\{b}:{sh}. {self.ty(body)})"
-            case TAll(binder, kind, cstr, body):
-                k = self.kind(kind)
-                b = self.bind(binder)
-                cs = ", ".join(self.cstr(c) for c in cstr)
-                return f"forall {b}:{k}[{cs}]. {self.ty(body)}"
-            case TArr(pre, arg, exctx, post, res):
-                ex = self.bindings(exctx)
-                return (
-                    f"[{self.state(pre)}; {self.ty(arg)} -> ex {ex}. "
-                    f"{self.state(post)}; {self.ty(res)}]"
-                )
-            case TApp() | TChoice() | TBranch():
-                return f"({self.ty(t)})"
+        cls = t.__class__
+        if cls is TVar:
+            return self.var(t.name)
+        if cls is TEnd or cls is TUnit:
+            return _KEYWORD[cls]
+        if cls is TDual:
+            return f"{_KEYWORD[cls]} {self.ty_atom(t.ses)}"
+        if cls is TChan:
+            return f"{_KEYWORD[cls]} {self.ty_atom(t.dom)}"
+        if cls is TAccess:
+            return f"AP({self.ty(t.ses)})"
+        if cls is TPair:
+            return f"({self.ty(t.left)} * {self.ty(t.right)})"
+        if cls is ShZero:
+            return "0"
+        if cls is ShOne:
+            return "1"
+        if cls is DomZero:
+            return "{}"
+        if cls is DomMerge:
+            return f"({self.ty(t.left)}, {self.ty(t.right)})"
+        if cls is DomProj:
+            return f"pi{int(t.label)} {self.ty_atom(t.dom)}"
+        if cls is StEmpty or cls is StBind or cls is StMerge:
+            return self.state(t)
+        if cls is TLam:
+            sh = self.ty(t.shape)
+            b = self.bind(t.binder)
+            return f"(\\{b}:{sh}. {self.ty(t.body)})"
+        if cls is TAll:
+            k = self.kind(t.kind)
+            b = self.bind(t.binder)
+            cs = ", ".join(self.cstr(c) for c in t.cstr)
+            return f"forall {b}:{k}[{cs}]. {self.ty(t.body)}"
+        if cls is TArr:
+            ex = self.bindings(t.exctx)
+            return (
+                f"[{self.state(t.pre)}; {self.ty(t.arg)} -> ex {ex}. "
+                f"{self.state(t.post)}; {self.ty(t.res)}]"
+            )
+        if cls is TApp or cls is TChoice or cls is TBranch:
+            return f"({self.ty(t)})"
         mark = "!" if isinstance(t, TSend) else "?"  # t is a TSend or a TRecv
         if plain_step(t):  # the sugar !T.S
             pay = self.ty_atom(t.payload)
@@ -208,65 +208,66 @@ class _Printer:
             return ""
         out = []
         for b in bs:
-            match b:
-                case BTVar(nm, kind):
-                    k = self.kind(kind)
-                    out.append(f"{self.bind(nm)}:{k}")
-                case BVal(nm, ty):
-                    out.append(f"{self.bind(nm)}:{self.ty(ty)}")
-                case BDisjoint():
-                    out.append(self.cstr(b))
+            cls = b.__class__
+            if cls is BTVar:
+                k = self.kind(b.kind)
+                out.append(f"{self.bind(b.name)}:{k}")
+            elif cls is BVal:
+                out.append(f"{self.bind(b.name)}:{self.ty(b.type)}")
+            elif cls is BDisjoint:
+                out.append(self.cstr(b))
         return ", ".join(out)
 
     # -- values / expressions ----------------------------------------------------
 
     def value(self, v: Value) -> str:
-        match v:
-            case VVar(nm):
-                return self.var(nm)
-            case VUnit():
-                return "()"
-            case VChan(d):
-                return f"chan {self.ty_atom(d)}"
-            case VPair(l, r):
-                return f"({self.value(l)}, {self.value(r)})"
-            case VAbs(pre, binder, argty, body):
-                st = self.state(pre)
-                at = self.ty(argty)
-                b = self.bind(binder)
-                return f"(\\[{st}]({b}:{at}). {self.expr(body)})"
+        cls = v.__class__
+        if cls is VVar:
+            return self.var(v.name)
+        if cls is VUnit:
+            return "()"
+        if cls is VChan:
+            return f"chan {self.ty_atom(v.dom)}"
+        if cls is VPair:
+            return f"({self.value(v.left)}, {self.value(v.right)})"
+        if cls is VAbs:
+            st = self.state(v.pre)
+            at = self.ty(v.argty)
+            b = self.bind(v.binder)
+            return f"(\\[{st}]({b}:{at}). {self.expr(v.body)})"
         k = self.kind(v.kind)  # v is a VTAbs
         b = self.bind(v.binder)
         cs = ", ".join(self.cstr(c) for c in v.cstr)
         return f"(/\\{b}:{k}[{cs}]. {self.value(v.body)})"
 
     def expr(self, e: Expr) -> str:
-        match e:
-            case EVal(v):
-                return self.value(v)
-            case ELet(binder, head, body, exnames):
-                h = self.expr(head)
-                if isinstance(head, ELet):
-                    h = f"({h})"
-                ex = ""
-                if exnames:
-                    ex = "[" + ", ".join(self.bind(n) for n in exnames) + "] "
-                b = self.bind(binder)
-                return f"let {ex}{b} = {h} in {self.expr(body)}"
-            case EApp(f, a):
-                return f"{self.value(f)} {self.value(a)}"
-            case EProj(lab, v):
-                return f"proj{int(lab)} {self.value(v)}"
-            case ETApp(v, ty):
-                return f"{self.value(v)} [{self.ty(ty)}]"
-            case EFork(v) | EAccept(v) | ERequest(v) | ERecv(v) | EClose(v):
-                return f"{_KEYWORD[e.__class__]} {self.value(v)}"
-            case ENew(s):
-                return f"{_KEYWORD[ENew]} {self.ty_atom(s)}"
-            case ESend(p, c):
-                return f"{_KEYWORD[ESend]} {self.value(p)} {self.value(c)}"
-            case ESelect(lab, v):
-                return f"{_KEYWORD[ESelect]} {int(lab)} {self.value(v)}"
+        cls = e.__class__
+        if cls is EVal:
+            return self.value(e.value)
+        if cls is ELet:
+            head = e.head
+            h = self.expr(head)
+            if isinstance(head, ELet):
+                h = f"({h})"
+            ex = ""
+            if e.exnames:
+                ex = "[" + ", ".join(self.bind(n) for n in e.exnames) + "] "
+            b = self.bind(e.binder)
+            return f"let {ex}{b} = {h} in {self.expr(e.body)}"
+        if cls is EApp:
+            return f"{self.value(e.fn)} {self.value(e.arg)}"
+        if cls is EProj:
+            return f"proj{int(e.label)} {self.value(e.value)}"
+        if cls is ETApp:
+            return f"{self.value(e.value)} [{self.ty(e.type)}]"
+        if cls is EFork or cls is EAccept or cls is ERequest or cls is ERecv or cls is EClose:
+            return f"{_KEYWORD[cls]} {self.value(e.value)}"
+        if cls is ENew:
+            return f"{_KEYWORD[ENew]} {self.ty_atom(e.ses)}"
+        if cls is ESend:
+            return f"{_KEYWORD[ESend]} {self.value(e.payload)} {self.value(e.chan)}"
+        if cls is ESelect:
+            return f"{_KEYWORD[ESelect]} {int(e.label)} {self.value(e.value)}"
         # e is an ECase
         return f"{_KEYWORD[ECase]} {self.value(e.value)} {{{self.expr(e.left)}; {self.expr(e.right)}}}"
 

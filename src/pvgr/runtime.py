@@ -189,15 +189,15 @@ def _type(t: Type, env: _Env | None) -> Type:
 def _value_domains(v: Value, env: _Env | None = None) -> Type | None:
     """The domain aggregate a value's channels form, read off structurally."""
     v, env = _whnf(v, env)
-    match v:
-        case VChan(d):
-            return _type(d, env)
-        case VUnit():
-            return DomZero()
-        case VPair(l, r):
-            dl, dr = _value_domains(l, env), _value_domains(r, env)
-            if dl is not None and dr is not None:
-                return DomMerge(dl, dr)
+    cls = v.__class__
+    if cls is VChan:
+        return _type(v.dom, env)
+    if cls is VUnit:
+        return DomZero()
+    if cls is VPair:
+        dl, dr = _value_domains(v.left, env), _value_domains(v.right, env)
+        if dl is not None and dr is not None:
+            return DomMerge(dl, dr)
     return None
 
 
@@ -253,14 +253,26 @@ class _Nu(_Mark):
     lies between it and its `close` mark in the walk order, and `holes`
     files the holes keyed by its names that lie in that scope, in walk
     order, one list per operation that meets another at this kind of
-    binder."""
+    binder. A channel made at a rendezvous has its access point's cell as
+    `source`, whose session it starts with."""
 
-    __slots__ = ("kind", "names", "ses", "closed", "span", "close", "holes", "active")
+    __slots__ = ("kind", "names", "ses", "normal", "source", "closed", "span", "close", "holes", "active")
 
-    def __init__(self, kind: type, names, ses: Type, closed=False, span=None) -> None:
+    def __init__(self, kind: type, names, ses: Type, closed=False, span=None, source: _Nu | None = None) -> None:
         self.kind, self.names, self.ses, self.closed = kind, names, ses, closed
+        self.normal, self.source = None, source
         self.span, self.close, self.active = span, _Mark(), False
         self.holes = {op: [] for _, k, first, second in _PAIRS if k is kind for op in (first, second)}
+
+    def session(self) -> Type:
+        """The normal form of `ses`, computed when a step first needs it and
+        kept. A channel that starts with its access point's session takes
+        the access point's normal form, so that is computed once for all of
+        its channels; `ses` itself stays as written, for the read-back."""
+        nf = self.normal
+        if nf is None:
+            nf = self.normal = normalize(self.ses) if self.source is None else self.source.session()
+        return nf
 
 
 def _focus(p: _Proc, e: Expr, env: _Env | None) -> None:
@@ -632,7 +644,7 @@ class Soup:
         op, env = first.expr, first.env
         if op.__class__ is ERequest:
             c1, c2 = fresh_name("c"), fresh_name("c")
-            chan = _Nu(CNuChan, (c1, c2), nu.ses)
+            chan = _Nu(CNuChan, (c1, c2), nu.ses, source=nu)
             self._insert(chan, nu.next)
             self._insert(chan.close, nu.close)
             self._bind(chan)
@@ -650,9 +662,9 @@ class Soup:
         if op.__class__ is EClose:
             nu.closed = True
             return
-        rest = _session_after(normalize(nu.ses), op)
+        rest = _session_after(nu.session(), op)
         if rest is not None:  # a part of a normal form, itself normal
-            nu.ses = rest
+            nu.ses = nu.normal = rest
 
     # -- releasing ---------------------------------------------------------------
 
@@ -770,7 +782,7 @@ def classify_config(soup: Soup):
         elif m.__class__ is _Nu and m.kind is CNuChan:
             chans.append(m)
         m = m.next
-    if not blocked and all(nu.closed or isinstance(normalize(nu.ses), TEnd) for nu in chans):
+    if not blocked and all(nu.closed or isinstance(nu.session(), TEnd) for nu in chans):
         return "final"
     if soup.candidates():  # every process is a value or blocked: any candidate is a rendezvous
         return "reducible"

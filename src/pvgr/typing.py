@@ -21,6 +21,10 @@ holds; and the substituted state is `.`, so nothing is consumed. When the
 payload does not convert, the general path runs and reports the failure.
 T-Recv keeps a plain step's binder in its package all the same, as
 `let [c] x = recv u` may name it.
+
+Value, expression and configuration typing pick their rule from the
+subject's class by identity, as `pvgr.kinding` does, and for the same
+reason.
 """
 
 from __future__ import annotations
@@ -183,39 +187,42 @@ def _take_atoms(atoms: list[Type], wanted: list[Type], rule: str, span: Span | N
 
 def type_value(g: Ctx, v: Value) -> Type:
     g = context(g)
-    match v:
-        case VVar(nm):
-            ty = lookup_val(g, nm)
-            if ty is None:
-                raise TypecheckError("T-Var", f"unbound variable {nm.text}", v.span)
-            return ty
-        case VUnit():
-            return TUnit()
-        case VChan(dom):
-            kd = located(v.span, infer_kind, g, dom)
-            if not kind_equiv(kd, KDom(ShOne())):
-                raise TypecheckError(
-                    "T-Chan",
-                    "channel value over a non single-channel domain",
-                    v.span,
-                    expected="Dom(1)",
-                    found=pretty(kd),
-                )
-            return TChan(normalize(dom))
-        case VPair(l, r):
-            return TPair(type_value(g, l), type_value(g, r))
-        case VAbs(pre, binder, argty, body):
-            npre = _kind_check(g, pre, KState(), "T-Abs", v.span, normal=True)
-            nargty = _kind_check(g, argty, KType(), "T-Abs", v.span, normal=True)
-            r = _type_expr(g + (BVal(binder, nargty),), _atoms_of(npre), body)
-            arr = TArr(npre, nargty, r.exctx, r.post_state, r.ty)
-            located(v.span, check_arrow_package, g, arr)  # pre and argty are kinded above
-            return arr
-        case VTAbs(binder, kind, cstr, body):
-            g2 = g + ((BTVar(binder, kind),) + cstr)
-            located(v.span, check_ctx_suffix, g, g2)  # forms the kind and each constraint
-            ty = type_value(g2, body)
-            return TAll(binder, kind, cstr, ty)
+    cls = v.__class__
+    if cls is VVar:
+        nm = v.name
+        ty = lookup_val(g, nm)
+        if ty is None:
+            raise TypecheckError("T-Var", f"unbound variable {nm.text}", v.span)
+        return ty
+    if cls is VUnit:
+        return TUnit()
+    if cls is VChan:
+        dom = v.dom
+        kd = located(v.span, infer_kind, g, dom)
+        if not kind_equiv(kd, KDom(ShOne())):
+            raise TypecheckError(
+                "T-Chan",
+                "channel value over a non single-channel domain",
+                v.span,
+                expected="Dom(1)",
+                found=pretty(kd),
+            )
+        return TChan(normalize(dom))
+    if cls is VPair:
+        return TPair(type_value(g, v.left), type_value(g, v.right))
+    if cls is VAbs:
+        npre = _kind_check(g, v.pre, KState(), "T-Abs", v.span, normal=True)
+        nargty = _kind_check(g, v.argty, KType(), "T-Abs", v.span, normal=True)
+        r = _type_expr(g + (BVal(v.binder, nargty),), _atoms_of(npre), v.body)
+        arr = TArr(npre, nargty, r.exctx, r.post_state, r.ty)
+        located(v.span, check_arrow_package, g, arr)  # pre and argty are kinded above
+        return arr
+    if cls is VTAbs:
+        binder, kind, cstr = v.binder, v.kind, v.cstr
+        g2 = g + ((BTVar(binder, kind),) + cstr)
+        located(v.span, check_ctx_suffix, g, g2)  # forms the kind and each constraint
+        ty = type_value(g2, v.body)
+        return TAll(binder, kind, cstr, ty)
     raise TypecheckError("T-Var", f"not a value: {v!r}", v.span)
 
 
@@ -249,156 +256,158 @@ def type_expr(g: Ctx, sigma: Type, e: Expr) -> ExprTyping:
 
 
 def _type_expr(g: Ctx, atoms: list[Type], e: Expr) -> ExprTyping:
-    match e:
-        case EVal(v):
-            return ExprTyping((), list(atoms), type_value(g, v))
+    cls = e.__class__
+    if cls is EVal:
+        return ExprTyping((), list(atoms), type_value(g, e.value))
 
-        case ELet():
-            # T-Let along the whole spine, its package collected once: each
-            # let ends in the tail's post-state and type, so a collection at
-            # each kept the same binders, and no head's constraint names a
-            # later binder, fresh for the context (disjoint_append checks).
-            # A head leaves the atoms it does not consume in order, in front
-            # of the atoms it makes, which alone can mention its fresh
-            # binders: from the first let that names them, `met` holds every
-            # atom a head was given, by identity, so the atoms a head made
-            # are those after the last one in `met`.
-            package: list[Binding] = []
-            met: dict[int, Type] | None = None
-            while isinstance(e, ELet):
-                r1 = _type_expr(g, atoms, e.head)
-                if e.exnames or met is not None:
-                    if met is None:
-                        met = {id(a): a for a in atoms}
-                    made = len(r1.post)
-                    while made and id(r1.post[made - 1]) not in met:
-                        made -= 1
-                    if e.exnames:
-                        r1 = _rename_exctx(r1, e.exnames, e.span, made)
-                    met.update((id(a), a) for a in r1.post[made:])
-                g = disjoint_append(g, r1.exctx) + (BVal(e.binder, normalize(r1.ty)),)
-                package += r1.exctx
-                atoms, e = r1.post, e.body
-            r2 = _type_expr(g, atoms, e)
-            return _gc_package(ExprTyping(tuple(package) + r2.exctx, r2.post, r2.ty))
+    if cls is ELet:
+        # T-Let along the whole spine, its package collected once: each
+        # let ends in the tail's post-state and type, so a collection at
+        # each kept the same binders, and no head's constraint names a
+        # later binder, fresh for the context (disjoint_append checks).
+        # A head leaves the atoms it does not consume in order, in front
+        # of the atoms it makes, which alone can mention its fresh
+        # binders: from the first let that names them, `met` holds every
+        # atom a head was given, by identity, so the atoms a head made
+        # are those after the last one in `met`.
+        package: list[Binding] = []
+        met: dict[int, Type] | None = None
+        while isinstance(e, ELet):
+            r1 = _type_expr(g, atoms, e.head)
+            if e.exnames or met is not None:
+                if met is None:
+                    met = {id(a): a for a in atoms}
+                made = len(r1.post)
+                while made and id(r1.post[made - 1]) not in met:
+                    made -= 1
+                if e.exnames:
+                    r1 = _rename_exctx(r1, e.exnames, e.span, made)
+                met.update((id(a), a) for a in r1.post[made:])
+            g = disjoint_append(g, r1.exctx) + (BVal(e.binder, normalize(r1.ty)),)
+            package += r1.exctx
+            atoms, e = r1.post, e.body
+        r2 = _type_expr(g, atoms, e)
+        return _gc_package(ExprTyping(tuple(package) + r2.exctx, r2.post, r2.ty))
 
-        case EApp(f, a):
-            tf = normalize(type_value(g, f))
-            if not isinstance(tf, TArr):
-                raise TypecheckError(
-                    "T-App", "application of a non-function", e.span, found=pretty(tf)
-                )
-            ta = type_value(g, a)
-            if not conv(ta, tf.arg):
-                raise TypecheckError(
-                    "T-App",
-                    "argument type mismatch",
-                    e.span,
-                    expected=pretty(normalize(tf.arg)),
-                    found=pretty(normalize(ta)),
-                )
-            rest = _take_atoms(atoms, _atoms_of(tf.pre), "T-App", e.span)
-            exctx, post, ty = _instantiate_arr(tf)
-            return ExprTyping(exctx, rest + post, ty)
-
-        case EProj(lab, v):
-            tv = normalize(type_value(g, v))
-            if not isinstance(tv, TPair):
-                raise TypecheckError(
-                    "T-Proj", "projection of a non-pair", e.span, found=pretty(tv)
-                )
-            return ExprTyping((), list(atoms), tv.left if lab is Label.L1 else tv.right)
-
-        case ETApp(v, targ):
-            tv = normalize(type_value(g, v))
-            if not isinstance(tv, TAll):
-                raise TypecheckError(
-                    "T-TApp", "type application of a non-polymorphic value", e.span, found=pretty(tv)
-                )
-            ka = located(e.span, infer_kind, g, targ)
-            if not kind_equiv(ka, tv.kind):
-                raise TypecheckError(
-                    "T-TApp",
-                    "type argument kind mismatch",
-                    e.span,
-                    expected=pretty(tv.kind),
-                    found=pretty(ka),
-                )
-            inst = {tv.binder.uid: normalize(targ)}
-            cs = tuple(subst(inst, c) for c in tv.cstr)
-            if not entails(g, cs):
-                raise TypecheckError(
-                    "T-TApp",
-                    "instantiated constraints are not entailed",
-                    e.span,
-                    expected=", ".join(pretty(c) for c in cs) or "(empty)",
-                    state=pretty_ctx(tuple(b for b in expand(g) if isinstance(b, BDisjoint))),
-                )
-            return ExprTyping((), list(atoms), normalize(subst(inst, tv.body)))
-
-        case ENew(ses):
-            _kind_check(g, ses, KSession(), "T-New", e.span)
-            return ExprTyping((), list(atoms), TAccess(normalize(ses)))
-
-        case EAccept(v) | ERequest(v):
-            rule = "T-Accept" if isinstance(e, EAccept) else "T-Request"
-            tv = normalize(type_value(g, v))
-            if not isinstance(tv, TAccess):
-                raise TypecheckError(
-                    rule, "accept/request on a non access point", e.span, found=pretty(tv)
-                )
-            c = fresh_name("c")
-            ses = tv.ses if isinstance(e, EAccept) else dual(tv.ses)
-            return ExprTyping(
-                (BTVar(c, KDom(ShOne())),),
-                list(atoms) + [StBind(TVar(c), ses)],
-                TChan(TVar(c)),
+    if cls is EApp:
+        tf = normalize(type_value(g, e.fn))
+        if not isinstance(tf, TArr):
+            raise TypecheckError(
+                "T-App", "application of a non-function", e.span, found=pretty(tf)
             )
-
-        case ESend(payload, chanv):
-            return _type_send(g, atoms, e, payload, chanv)
-
-        case ERecv(v):
-            dom, ses, rest = _channel_op(g, atoms, e, v)
-            b2 = fresh_name(ses.binder.text or "d")
-            inst = {ses.binder.uid: TVar(b2)}
-            new_state = _atoms_of(subst(inst, ses.state))
-            ty = normalize(subst(inst, ses.payload))
-            return ExprTyping(
-                (BTVar(b2, KDom(normalize(ses.shape))),),
-                rest + new_state + [StBind(dom, normalize(ses.cont))],
-                ty,
+        ta = type_value(g, e.arg)
+        if not conv(ta, tf.arg):
+            raise TypecheckError(
+                "T-App",
+                "argument type mismatch",
+                e.span,
+                expected=pretty(normalize(tf.arg)),
+                found=pretty(normalize(ta)),
             )
+        rest = _take_atoms(atoms, _atoms_of(tf.pre), "T-App", e.span)
+        exctx, post, ty = _instantiate_arr(tf)
+        return ExprTyping(exctx, rest + post, ty)
 
-        case ESelect(lab, v):
-            dom, ses, rest = _channel_op(g, atoms, e, v)
-            chosen = ses.left if lab is Label.L1 else ses.right
-            return ExprTyping((), rest + [StBind(dom, chosen)], TUnit())
+    if cls is EProj:
+        tv = normalize(type_value(g, e.value))
+        if not isinstance(tv, TPair):
+            raise TypecheckError(
+                "T-Proj", "projection of a non-pair", e.span, found=pretty(tv)
+            )
+        return ExprTyping((), list(atoms), tv.left if e.label is Label.L1 else tv.right)
 
-        case ECase(v, left, right):
-            return _type_case(g, atoms, e, v, left, right)
+    if cls is ETApp:
+        targ = e.type
+        tv = normalize(type_value(g, e.value))
+        if not isinstance(tv, TAll):
+            raise TypecheckError(
+                "T-TApp", "type application of a non-polymorphic value", e.span, found=pretty(tv)
+            )
+        ka = located(e.span, infer_kind, g, targ)
+        if not kind_equiv(ka, tv.kind):
+            raise TypecheckError(
+                "T-TApp",
+                "type argument kind mismatch",
+                e.span,
+                expected=pretty(tv.kind),
+                found=pretty(ka),
+            )
+        inst = {tv.binder.uid: normalize(targ)}
+        cs = tuple(subst(inst, c) for c in tv.cstr)
+        if not entails(g, cs):
+            raise TypecheckError(
+                "T-TApp",
+                "instantiated constraints are not entailed",
+                e.span,
+                expected=", ".join(pretty(c) for c in cs) or "(empty)",
+                state=pretty_ctx(tuple(b for b in expand(g) if isinstance(b, BDisjoint))),
+            )
+        return ExprTyping((), list(atoms), normalize(subst(inst, tv.body)))
 
-        case EClose(v):
-            _, _, rest = _channel_op(g, atoms, e, v)
-            return ExprTyping((), rest, TUnit())
+    if cls is ENew:
+        ses = e.ses
+        _kind_check(g, ses, KSession(), "T-New", e.span)
+        return ExprTyping((), list(atoms), TAccess(normalize(ses)))
 
-        case EFork(v):
-            tv = normalize(type_value(g, v))
-            if not (
-                isinstance(tv, TArr)
-                and conv(tv.arg, TUnit())
-                and conv(tv.res, TUnit())
-                and isinstance(normalize(tv.post), StEmpty)
-                and not tv.exctx
-            ):
-                raise TypecheckError(
-                    "T-Fork",
-                    "fork needs a [S;Unit -> ex . .;Unit] function",
-                    e.span,
-                    found=pretty(tv),
-                )
-            rest = _take_atoms(atoms, _atoms_of(tv.pre), "T-Fork", e.span)
-            return ExprTyping((), rest, TUnit())
+    if cls is EAccept or cls is ERequest:
+        rule = "T-Accept" if isinstance(e, EAccept) else "T-Request"
+        tv = normalize(type_value(g, e.value))
+        if not isinstance(tv, TAccess):
+            raise TypecheckError(
+                rule, "accept/request on a non access point", e.span, found=pretty(tv)
+            )
+        c = fresh_name("c")
+        ses = tv.ses if isinstance(e, EAccept) else dual(tv.ses)
+        return ExprTyping(
+            (BTVar(c, KDom(ShOne())),),
+            list(atoms) + [StBind(TVar(c), ses)],
+            TChan(TVar(c)),
+        )
+
+    if cls is ESend:
+        return _type_send(g, atoms, e, e.payload, e.chan)
+
+    if cls is ERecv:
+        dom, ses, rest = _channel_op(g, atoms, e, e.value)
+        b2 = fresh_name(ses.binder.text or "d")
+        inst = {ses.binder.uid: TVar(b2)}
+        new_state = _atoms_of(subst(inst, ses.state))
+        ty = normalize(subst(inst, ses.payload))
+        return ExprTyping(
+            (BTVar(b2, KDom(normalize(ses.shape))),),
+            rest + new_state + [StBind(dom, normalize(ses.cont))],
+            ty,
+        )
+
+    if cls is ESelect:
+        dom, ses, rest = _channel_op(g, atoms, e, e.value)
+        chosen = ses.left if e.label is Label.L1 else ses.right
+        return ExprTyping((), rest + [StBind(dom, chosen)], TUnit())
+
+    if cls is ECase:
+        return _type_case(g, atoms, e, e.value, e.left, e.right)
+
+    if cls is EClose:
+        _, _, rest = _channel_op(g, atoms, e, e.value)
+        return ExprTyping((), rest, TUnit())
+
+    if cls is EFork:
+        tv = normalize(type_value(g, e.value))
+        if not (
+            isinstance(tv, TArr)
+            and conv(tv.arg, TUnit())
+            and conv(tv.res, TUnit())
+            and isinstance(normalize(tv.post), StEmpty)
+            and not tv.exctx
+        ):
+            raise TypecheckError(
+                "T-Fork",
+                "fork needs a [S;Unit -> ex . .;Unit] function",
+                e.span,
+                found=pretty(tv),
+            )
+        rest = _take_atoms(atoms, _atoms_of(tv.pre), "T-Fork", e.span)
+        return ExprTyping((), rest, TUnit())
 
     raise TypecheckError("T-Val", f"cannot type expression {e!r}", e.span)
 
@@ -635,11 +644,9 @@ def _place(pat_atoms, act_atoms, pvars, i: int, used: set[int], parts: dict, out
 
 
 def _match_atom(pat: Type, act: Type, pvars: set[int], parts: dict) -> bool:
-    match (pat, act):
-        case (StBind(d1, s1), StBind(d2, s2)):
-            return _match(d1, d2, pvars, {}, parts) and _match(s1, s2, pvars, {}, parts)
-        case _:
-            return _match(pat, act, pvars, {}, parts)
+    if pat.__class__ is StBind and act.__class__ is StBind:
+        return _match(pat.dom, act.dom, pvars, {}, parts) and _match(pat.ses, act.ses, pvars, {}, parts)
+    return _match(pat, act, pvars, {}, parts)
 
 
 def _assemble(name: Name, path: tuple[Label, ...], shape: Type | None, parts: dict, open_parts: list) -> Type | None:
@@ -765,56 +772,58 @@ def type_config(
 def _type_config(
     g: Ctx, atoms: list[Type], cfg: Config, collect: list[ProcTyping] | None
 ) -> list[Type]:
-    match cfg:
-        case CProc(e):
-            r = _type_expr(g, atoms, e)
-            if collect is not None:
-                collect.append(ProcTyping(g, list(atoms), r))
-            # leftovers must be untouched bindings of the incoming state:
-            # anything modified or created belongs to this process and must
-            # have been consumed (T-Exp ends in the empty state)
-            if _remove(atoms, r.post)[1] is not None:
-                raise TypecheckError(
-                    "T-Exp",
-                    "process ends with leftover state of its own",
-                    cfg.span,
-                    state=pretty(normalize(state_of_atoms(r.post))),
-                )
-            return r.post
-
-        case CPar(l, r):
-            mid = _type_config(g, atoms, l, collect)
-            return _type_config(g, mid, r, collect)
-
-        case CNuChan(end1, end2, ses, body, closed):
-            _kind_check(g, ses, KSession(), "T-NuChan", cfg.span)
-            nses = normalize(ses)
-            g2 = disjoint_append(
-                disjoint_append(g, (BTVar(end1, KDom(ShOne())),)),
-                (BTVar(end2, KDom(ShOne())),),
+    cls = cfg.__class__
+    if cls is CProc:
+        r = _type_expr(g, atoms, cfg.expr)
+        if collect is not None:
+            collect.append(ProcTyping(g, list(atoms), r))
+        # leftovers must be untouched bindings of the incoming state:
+        # anything modified or created belongs to this process and must
+        # have been consumed (T-Exp ends in the empty state)
+        if _remove(atoms, r.post)[1] is not None:
+            raise TypecheckError(
+                "T-Exp",
+                "process ends with leftover state of its own",
+                cfg.span,
+                state=pretty(normalize(state_of_atoms(r.post))),
             )
-            if closed:
-                return _type_config(g2, atoms, body, collect)
-            extra = [StBind(TVar(end1), nses), StBind(TVar(end2), dual(nses))]
-            leftover = _type_config(g2, atoms + extra, body, collect)
-            extra_keys = [conv_key(x) for x in extra]
-            untouched = [a for a in leftover if conv_key(a) in extra_keys]
-            # either both ends were consumed (channel exercised and closed),
-            # or neither was (the closed reading: no state contribution)
-            if untouched and not (len(untouched) == 2 and isinstance(nses, TEnd)):
-                raise TypecheckError(
-                    "T-NuChan",
-                    "channel binder requires both ends to be consumed",
-                    cfg.span,
-                    state=pretty(normalize(state_of_atoms(untouched))),
-                )
-            # the rest is the outer atoms, untouched (T-Exp): formed under g,
-            # where both ends are fresh, they cannot mention them
-            return [a for a in leftover if conv_key(a) not in extra_keys]
+        return r.post
 
-        case CNuAccess(binder, ses, body):
-            _kind_check(g, ses, KSession(), "T-NuAccess", cfg.span)
-            g2 = g + (BVal(binder, TAccess(normalize(ses))),)
+    if cls is CPar:
+        mid = _type_config(g, atoms, cfg.left, collect)
+        return _type_config(g, mid, cfg.right, collect)
+
+    if cls is CNuChan:
+        end1, end2, ses, body = cfg.end1, cfg.end2, cfg.ses, cfg.body
+        _kind_check(g, ses, KSession(), "T-NuChan", cfg.span)
+        nses = normalize(ses)
+        g2 = disjoint_append(
+            disjoint_append(g, (BTVar(end1, KDom(ShOne())),)),
+            (BTVar(end2, KDom(ShOne())),),
+        )
+        if cfg.closed:
             return _type_config(g2, atoms, body, collect)
+        extra = [StBind(TVar(end1), nses), StBind(TVar(end2), dual(nses))]
+        leftover = _type_config(g2, atoms + extra, body, collect)
+        extra_keys = [conv_key(x) for x in extra]
+        untouched = [a for a in leftover if conv_key(a) in extra_keys]
+        # either both ends were consumed (channel exercised and closed),
+        # or neither was (the closed reading: no state contribution)
+        if untouched and not (len(untouched) == 2 and isinstance(nses, TEnd)):
+            raise TypecheckError(
+                "T-NuChan",
+                "channel binder requires both ends to be consumed",
+                cfg.span,
+                state=pretty(normalize(state_of_atoms(untouched))),
+            )
+        # the rest is the outer atoms, untouched (T-Exp): formed under g,
+        # where both ends are fresh, they cannot mention them
+        return [a for a in leftover if conv_key(a) not in extra_keys]
+
+    if cls is CNuAccess:
+        ses = cfg.ses
+        _kind_check(g, ses, KSession(), "T-NuAccess", cfg.span)
+        g2 = g + (BVal(cfg.binder, TAccess(normalize(ses))),)
+        return _type_config(g2, atoms, cfg.body, collect)
 
     raise TypecheckError("T-Exp", f"cannot type configuration {cfg!r}", cfg.span)

@@ -28,7 +28,12 @@ two files. The calls are:
   `run`;
 - the two 5000-`let` files of `tests/test_let_spine.py`, each under `check`
   and `run`;
-- `corpus corpus`.
+- `corpus corpus`;
+- the programs of the `KEYWORD_BRACKETS` table of `tests/test_parser.py`,
+  keyword expressions in nested brackets, under `check`, `check --format
+  json`, `run --seed K --trace` for K = 0..5 and `run --seed K --check`
+  for K = 0 and 1. They come last, so that a checkout that does not
+  parse them still matches the calls before them.
 
 Pytest does not collect this file. The whole set takes about a minute.
 """
@@ -139,12 +144,22 @@ def _calls(work: Path) -> list[list[str]]:
         rel = f"gen/{name}.pvgr"
         (work / rel).write_text(src)
         lets.append(rel)
+    bracketed = []
+    for name, (src, _) in _tables("test_parser", ("KEYWORD_BRACKETS",))["KEYWORD_BRACKETS"].items():
+        rel = f"gen/brackets_{name}.pvgr"
+        (work / rel).write_text(src)
+        bracketed.append(rel)
+
+    def typed_calls(f: str) -> list[list[str]]:
+        return [
+            ["check", f], ["check", f, "--format", "json"],
+            *(["run", f, "--seed", str(k), "--trace"] for k in range(6)),
+            *(["run", f, "--seed", str(k), "--check"] for k in range(2)),
+        ]
 
     calls = []
     for f in typed:
-        calls += [["check", f], ["check", f, "--format", "json"]]
-        calls += [["run", f, "--seed", str(k), "--trace"] for k in range(6)]
-        calls += [["run", f, "--seed", str(k), "--check"] for k in range(2)]
+        calls += typed_calls(f)
     for f in untyped:
         calls += [["run", f, "--no-check", "--trace", "--max-steps", "50", "--seed", str(k)] for k in range(4)]
         calls += [["run", f, "--no-check", "--check", "--max-steps", "50", "--seed", str(k)] for k in range(2)]
@@ -156,6 +171,8 @@ def _calls(work: Path) -> list[list[str]]:
     for f in lets:
         calls += [["check", f], ["run", f]]
     calls.append(["corpus", "corpus"])
+    for f in bracketed:
+        calls += typed_calls(f)
     return calls
 
 

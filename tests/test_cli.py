@@ -10,7 +10,7 @@ import sys
 
 import pytest
 from conftest import CORPUS, ROOT
-from test_parser import PARENTHESISED_CONFIGS
+from test_parser import KEYWORD_BRACKETS, PARENTHESISED_CONFIGS
 
 import pvgr
 from pvgr import cli, runtime
@@ -584,6 +584,31 @@ def test_a_parenthesised_configuration_checks_and_runs(tmp_path, capsys, name, r
     assert capsys.readouterr().out == "config: ok\n"
     assert main(["run", f]) == 0
     assert capsys.readouterr().out == ran + "\n"
+
+
+# what `check` and `run` print for each program of KEYWORD_BRACKETS
+KEYWORD_BRACKETS_OUT = {
+    "let": ("ex: .\npost: .\ntype: Unit\n", "final after 1 steps: ()\n"),
+    "recv-head": ("config: ok\n", "final after 5 steps: () | ()\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(KEYWORD_BRACKETS_OUT))
+def test_brackets_around_a_keyword_expression_check_and_run(tmp_path, capsys, name):
+    checked, ran = KEYWORD_BRACKETS_OUT[name]
+    f = write(tmp_path, "brackets.pvgr", KEYWORD_BRACKETS[name][0])
+    assert main(["check", f]) == 0
+    assert capsys.readouterr().out == checked
+    assert main(["run", f]) == 0
+    assert capsys.readouterr().out == ran
+
+
+def test_brackets_around_a_keyword_expression_past_the_limit(tmp_path, capsys):
+    # 100 brackets, then the let-spine at column 101 opens level 101
+    f = write(tmp_path, "brackets.pvgr", "(" * 100 + "let x = () in x" + ")" * 100)
+    assert main(["check", f]) == 2
+    message = f"constructs nested more than {pvgr.parser.MAX_NESTING} deep"
+    assert capsys.readouterr().err == f"{f}:1:101: error[parse]: {message}\n"
 
 
 def test_check_idempotent_no_side_effects(tmp_path, capsys):

@@ -151,6 +151,39 @@ def test_a_parenthesised_configuration_is_a_configuration(name):
     assert alpha_equiv(prog.config, parse_program(bare).config)
 
 
+# Expressions that start with a keyword, in brackets more than one deep,
+# each with its bare form; tests/test_cli.py checks and runs them, and
+# tests/compare_outputs.py runs them too
+KEYWORD_BRACKETS = {
+    "let": ("((let x = () in x))", "let x = () in x"),
+    "recv-head": (
+        "nu a b : ?Unit.End . (<let y = ((recv (chan a))) in let u = close (chan a) in y>"
+        " | <let u = send () (chan b) in close (chan b)>)",
+        "nu a b : ?Unit.End . (<let y = recv (chan a) in let u = close (chan a) in y>"
+        " | <let u = send () (chan b) in close (chan b)>)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(KEYWORD_BRACKETS))
+def test_brackets_around_a_keyword_expression_nest(name):
+    src, bare = KEYWORD_BRACKETS[name]
+    prog, want = parse_program(src), parse_program(bare)
+    assert (prog.expr is None, prog.config is None) == (want.expr is None, want.config is None)
+    assert alpha_equiv(prog.expr or prog.config, want.expr or want.config)
+
+
+def test_brackets_around_a_keyword_expression_count_toward_the_limit():
+    # each bracket is a level, and the let-spine one more: 98 brackets, the
+    # spine and the unit's brackets are 100 levels, and the spine inside
+    # 100 brackets opens level 101
+    parse_program("(" * 98 + "let x = () in x" + ")" * 98)
+    with pytest.raises(ParseError) as exc:
+        parse_program("(" * 100 + "let x = () in x" + ")" * 100, "F")
+    assert str(exc.value) == f"F:1:101: error[parse]: constructs nested more than {MAX_NESTING} deep"
+    assert exc.value.span.text == "let"
+
+
 def test_parse_errors_have_spans():
     with pytest.raises(ParseError) as exc:
         parse_program("let x = in x")
@@ -175,6 +208,7 @@ def test_end_of_input_after_a_trailing_comment_is_at_the_end():
 # (docs/syntax.md, "Nesting")
 NESTING_FORMS = {
     "parentheses": ("program", lambda n: "let x = " + "(" * n + "()" + ")" * n + " in x"),
+    "keyword-parentheses": ("program", lambda n: "(" * n + "let x = () in x" + ")" * n),
     "lambdas": ("program", lambda n: "let f = " + "".join(f"\\[.](a{i}: Unit). " for i in range(n)) + "() in f"),
     "type-abstractions": ("program", lambda n: "let f = " + "".join(f"/\\t{i}: Session []. " for i in range(n)) + "() in f"),
     "let-heads": ("program", lambda n: "let x = " * n + "()" + " in x" * n),

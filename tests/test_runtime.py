@@ -584,3 +584,33 @@ def test_a_5000_let_spine_runs_at_the_default_recursion_limit():
     out = m.run()
     assert (out.kind, m.steps) == ("final", n)
     assert [pretty(v) for _, v in iter_procs(m.config)] == ["()"]
+
+
+def test_an_access_points_session_is_normalized_once(monkeypatch):
+    # each channel made at the access point starts from the normal form its
+    # cell keeps: fan 16 normalizes the parsed `?Int.End` once, not once per
+    # channel
+    import random
+
+    from conftest import perfbench_gen
+
+    from pvgr import runtime
+
+    cfg = config(perfbench_gen().fan(16, random.Random(16)))
+    normalized = []
+    real = runtime.normalize
+    monkeypatch.setattr(runtime, "normalize", lambda t: normalized.append(t) or real(t))
+    assert Machine(cfg, seed=1).run().kind == "final"
+    assert sum(t is cfg.ses for t in normalized) == 1
+
+
+def test_an_access_points_session_is_normalized_only_when_a_step_needs_it(tmp_path, capsys):
+    # channels that only close never need it; normalizing this ill-kinded
+    # session would not end (an error[internal] once the stack runs out)
+    f = tmp_path / "omega.pvgr"
+    f.write_text(
+        "nuap p : (\\a:1. a a) (\\a:1. a a) . "
+        "(<let c = request p in close c> | <let d = accept p in close d>)\n"
+    )
+    assert main(["run", "--no-check", str(f)]) == 0
+    assert capsys.readouterr().out == "final after 4 steps: () | ()\n"
