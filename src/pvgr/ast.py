@@ -29,6 +29,8 @@ trees through it with `scope_walk`, and existential matching
 (`typing._match`) walks pairs of trees through its `LAYOUT`. Each walk is
 a module-level function that carries its state (the names bound, the
 substitution, how to name a binder) in the scope it hands `scope_walk`.
+`free_vars` and `subst` follow a let-spine's bodies in a loop, not one
+recursion per `let`.
 A nested function that calls itself refers to itself through its closure
 cell, so each call of such a walk would leave a reference cycle behind
 for the cyclic collector; these walks leave none, and what they build is
@@ -664,7 +666,8 @@ def size(t: Tree) -> int:
 
 
 def _has_binders(t: Tree) -> bool:
-    return LAYOUT[t.__class__].binds or any(_has_binders(c) for c in children(t))
+    layout = LAYOUT[t.__class__]
+    return layout.binds or bool(layout.children) and any(_has_binders(c) for c in children(t))
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +688,12 @@ def _free(t: Tree, scope: tuple[frozenset[int], set[Name]]) -> None:
     if t.__class__ is TVar or t.__class__ is VVar:
         if t.name.uid not in scope[0]:
             scope[1].add(t.name)
+    elif t.__class__ is ELet:
+        while t.__class__ is ELet:
+            _free(t.head, scope)
+            scope = (scope[0] | {t.binder.uid, *[n.uid for n in t.exnames]}, scope[1])
+            t = t.body
+        _free(t, scope)
     else:
         scope_walk(t, scope, _free, _bind_free, _discard)
 
@@ -705,23 +714,43 @@ def _rebuild(t: Tree, vals: list) -> Tree:
     return t
 
 
-def _rename(t: Tree, scope: tuple[Subst, object]) -> Tree:
+_HOLE = EVal(VUnit())  # stands for a let's body while the let is renamed
+
+
+def replacements(s: Subst) -> dict:
+    """s with each replacement paired with whether it has binders."""
+    return {uid: (r, _has_binders(r)) for uid, r in s.items()}
+
+
+def insert(hit: tuple[Tree, bool]) -> Tree:
+    """A replacement at one occurrence, its own binders made fresh."""
+    return subst({}, hit[0]) if hit[1] else hit[0]
+
+
+def _rename(t: Tree, scope: tuple[dict, object]) -> Tree:
     """The walk behind subst and canonicalize. Its scope maps a uid to the
-    tree that replaces the variable, and holds the function that names
-    each binder."""
+    replacement of the variable (as `replacements` pairs it), and holds
+    the function that names each binder."""
     if t.__class__ is TVar or t.__class__ is VVar:
-        r = scope[0].get(t.name.uid)
-        if r is None:
-            return t
-        # freshen the payload's own binders per insertion site
-        return subst({}, r) if _has_binders(r) else r
-    return scope_walk(t, scope, _rename, _bind_rename, _rebuild)[0]
+        hit = scope[0].get(t.name.uid)
+        return t if hit is None else insert(hit)
+    if t.__class__ is not ELet:
+        return scope_walk(t, scope, _rename, _bind_rename, _rebuild)[0]
+    lets = []  # a let-spine, in a loop: scope_walk renames each let but its body
+    while t.__class__ is ELet:
+        let, scope = scope_walk(replace(t, body=_HOLE), scope, _rename, _bind_rename, _rebuild)
+        lets.append(let)
+        t = t.body
+    out = _rename(t, scope)
+    for let in reversed(lets):
+        out = replace(let, body=out)
+    return out
 
 
 def _bind_rename(name: Name, role: str, scope):
     s, new_name = scope
     new = new_name(name)
-    return new, ({**s, name.uid: (TVar if role is TBIND else VVar)(new)}, new_name)
+    return new, ({**s, name.uid: ((TVar if role is TBIND else VVar)(new), False)}, new_name)
 
 
 def _fresh_like(n: Name) -> Name:
@@ -735,11 +764,7 @@ def subst(s: Subst, t: Tree) -> Tree:
     substituted payloads, which re-establishes the hygiene invariant even
     when one payload is inserted at several sites.
     """
-    return _rename(t, (s, _fresh_like))
-
-
-def subst1(name: Name, replacement: Union[Type, Value], t: Tree) -> Tree:
-    return subst({name.uid: replacement}, t)
+    return _rename(t, (replacements(s), _fresh_like))
 
 
 def canonicalize(t: Tree) -> Tree:

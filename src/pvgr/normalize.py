@@ -19,6 +19,9 @@ of a type's normal form, taken at the top, computed once and kept on the
 type and on its normal form. A key taken under a binder depends on the
 binder and is never kept.
 
+`instantiate(t, s)` is `normalize(subst(s, t))` in one pass, and so is a
+beta step (docs/normalization.md, "Instantiation in one pass").
+
 `_norm` and `_dual_push` pick their rewrite from the node's class by
 identity, as `pvgr.kinding` does, and for the same reason.
 """
@@ -39,6 +42,7 @@ from .ast import (
     Name,
     StEmpty,
     StMerge,
+    Subst,
     TApp,
     TBranch,
     TChoice,
@@ -50,22 +54,33 @@ from .ast import (
     TVar,
     Tree,
     Type,
+    fresh_name,
+    insert,
+    replacements,
     scope_walk,
     state_atoms,
     state_of_atoms,
-    subst1,
 )
 
 # A Type with no beta/projection redexes, duals pushed to variables, and
 # states in canonical (flattened, sorted) form.
 NormalType = Type
 
-_Scope = tuple[dict[int, int], int]  # binder uid -> de Bruijn level; binders in scope
-_TOP: _Scope = ({}, 0)
+_Levels = tuple[dict[int, int], int]  # binder uid -> de Bruijn level; binders in scope
+_Scope = tuple[dict[int, int], int, "dict | None"]  # and the substitution, if any
+_TOP: _Scope = ({}, 0, None)
 
 
 def normalize(t: Type) -> NormalType:
     return _norm(t, _TOP)
+
+
+def instantiate(t: Type, s: Subst) -> NormalType:
+    """normalize(subst(s, t)) in one pass, for a substitution whose
+    replacements are normal forms (docs/normalization.md)."""
+    out = _norm(t, ({}, 0, replacements(s)))
+    out.__dict__["_normal"] = True  # also a replacement put in at the top
+    return out
 
 
 def conv(t1: Type, t2: Type) -> bool:
@@ -82,7 +97,7 @@ def conv_key(t: Type):
         nf = normalize(t)
         k = nf._canon
         if k is None:
-            k = _key(nf, _TOP)
+            k = _key(nf, ({}, 0))
         t.__dict__["_canon"] = nf.__dict__["_canon"] = k
     return k
 
@@ -95,17 +110,24 @@ def dual(s: Type) -> NormalType:
 
 
 def _norm(t: Type, scope: _Scope) -> Type:
-    if not LAYOUT[t.__class__].children:
-        return t  # leaves are normal and keep their spans
-    top = scope is _TOP  # _bind_level makes a new scope for each binder
-    if top and t._normal:
-        return t
     cls = t.__class__
+    if not LAYOUT[cls].children:
+        if cls is TVar and scope[2]:
+            hit = scope[2].get(t.name.uid)
+            if hit is not None:
+                return insert(hit)  # a normal form, at any depth
+        return t  # leaves are normal and keep their spans
+    if scope is _TOP and t._normal:  # under a substitution, nothing is skipped
+        return t
+    top = not scope[1]
     if cls is TApp:
-        nf = _norm(t.fn, scope)
+        hit = scope[2] and t.fn.__class__ is TVar and scope[2].get(t.fn.name.uid)
+        # a function put in place is reduced at once: beta renames its body
+        nf = hit[0] if hit and hit[0].__class__ is TLam else _norm(t.fn, scope)
         na = _norm(t.arg, scope)
-        if isinstance(nf, TLam):
-            out = _norm(subst1(nf.binder, na, nf.body), scope)
+        if nf.__class__ is TLam:
+            # beta: the normal body walked again, the binder replaced
+            out = _norm(nf.body, (scope[0], scope[1], replacements({nf.binder.uid: na})))
         else:
             out = TApp(nf, na)
     elif cls is TDual:
@@ -123,19 +145,24 @@ def _norm(t: Type, scope: _Scope) -> Type:
             atoms.extend(state_atoms(_norm(a, scope)))  # normalization may expose merges
         atoms = [a for a in atoms if not isinstance(a, StEmpty)]
         # each atom is normal under this scope; only a top key is kept
-        atoms.sort(key=conv_key if top else lambda a: _key(a, scope))
+        atoms.sort(key=conv_key if top else lambda a, levels=scope[:2]: _key(a, levels))
         out = state_of_atoms(atoms)
     else:
         # every other node: congruence, scoped by the table
-        out = scope_walk(t, scope, _norm, _bind_level, _bare)[0]
+        out = scope_walk(t, scope, _norm, _bind_norm, _bare)[0]
     if top:
         out.__dict__["_normal"] = True
     return out
 
 
-def _bind_level(name: Name, role: str, scope: _Scope) -> tuple[Name, _Scope]:
-    levels, depth = scope
-    return name, ({**levels, name.uid: depth}, depth + 1)
+def _bind_norm(name: Name, role: str, scope: _Scope) -> tuple[Name, _Scope]:
+    """A binder's level; under a substitution, also a fresh name, as `subst` gives."""
+    levels, depth, sub = scope
+    if sub is not None:
+        new = fresh_name(name.text)
+        sub = {**sub, name.uid: (TVar(new), False)}
+        name = new
+    return name, ({**levels, name.uid: depth}, depth + 1, sub)
 
 
 def _bare(t: Tree, vals: list) -> Tree:
@@ -168,11 +195,16 @@ def _dual_push(s: Type) -> Type:
 _KEYED = (OUT, IN, TELE, KEEP)
 
 
-def _key(t: Tree, scope: _Scope):
+def _key(t: Tree, scope: _Levels):
     if t.__class__ is TVar:
         levels, uid = scope[0], t.name.uid
         return ("b", levels[uid]) if uid in levels else ("f", t.name.text, uid)
     return scope_walk(t, scope, _key, _bind_level, _key_of)[0]
+
+
+def _bind_level(name: Name, role: str, scope: _Levels) -> tuple[Name, _Levels]:
+    levels, depth = scope
+    return name, ({**levels, name.uid: depth}, depth + 1)
 
 
 def _key_of(t: Tree, vals: list):

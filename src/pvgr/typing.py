@@ -22,6 +22,9 @@ payload does not convert, the general path runs and reports the failure.
 T-Recv keeps a plain step's binder in its package all the same, as
 `let [c] x = recv u` may name it.
 
+T-TApp, T-Recv, T-Send, existential matching and T-App's arrow
+substitute and normalize in one pass (`normalize.instantiate`).
+
 Value, expression and configuration typing pick their rule from the
 subject's class by identity, as `pvgr.kinding` does, and for the same
 reason.
@@ -110,7 +113,7 @@ from .diagnostic import Diagnostic
 from .kinding import (
     check_arrow_package, check_ctx_suffix, disjoint_append, infer_kind, kind_equiv, located, lookup_val,
 )
-from .normalize import conv, conv_key, dual, normalize
+from .normalize import conv, conv_key, dual, instantiate, normalize
 from .pretty import pretty, pretty_ctx
 
 
@@ -342,7 +345,7 @@ def _type_expr(g: Ctx, atoms: list[Type], e: Expr) -> ExprTyping:
                 expected=", ".join(pretty(c) for c in cs) or "(empty)",
                 state=pretty_ctx(tuple(b for b in expand(g) if isinstance(b, BDisjoint))),
             )
-        return ExprTyping((), list(atoms), normalize(subst(inst, tv.body)))
+        return ExprTyping((), list(atoms), instantiate(tv.body, inst))
 
     if cls is ENew:
         ses = e.ses
@@ -371,8 +374,8 @@ def _type_expr(g: Ctx, atoms: list[Type], e: Expr) -> ExprTyping:
         dom, ses, rest = _channel_op(g, atoms, e, e.value)
         b2 = fresh_name(ses.binder.text or "d")
         inst = {ses.binder.uid: TVar(b2)}
-        new_state = _atoms_of(subst(inst, ses.state))
-        ty = normalize(subst(inst, ses.payload))
+        new_state = state_atoms(instantiate(ses.state, inst))
+        ty = instantiate(ses.payload, inst)
         return ExprTyping(
             (BTVar(b2, KDom(normalize(ses.shape))),),
             rest + new_state + [StBind(dom, normalize(ses.cont))],
@@ -450,12 +453,17 @@ def _channel_op(g: Ctx, atoms: list[Type], e: Expr, v: Value) -> tuple[Type, Typ
 
 def _instantiate_arr(tf: TArr) -> tuple[Ctx, list[Type], Type]:
     """The existential package, post-state atoms and result of an arrow
-    type, its package's binders made fresh: `subst` freshens every binder
-    it passes, and the package is a telescope over the post and result."""
+    type, its package's binders made fresh: the package is a telescope
+    over the post-state and the result, the only parts renamed."""
     if any(isinstance(b, BVal) for b in tf.exctx):
         raise TypecheckError("T-App", "existential context binds a value", tf.span)
-    tf = subst({}, tf)
-    return tf.exctx, _atoms_of(tf.post), normalize(tf.res)
+    ren: dict[int, Type] = {}
+    exctx = []
+    for b in tf.exctx:
+        exctx.append(subst(ren, b))  # subst gives a BTVar a fresh name
+        if b.__class__ is BTVar:
+            ren[b.name.uid] = TVar(exctx[-1].name)
+    return tuple(exctx), state_atoms(instantiate(tf.post, ren)), instantiate(tf.res, ren)
 
 
 def _rename_exctx(r: ExprTyping, names: tuple[Name, ...], span: Span | None, made: int = 0) -> ExprTyping:
@@ -515,7 +523,7 @@ def _type_send(g: Ctx, atoms: list[Type], e: Expr, payload: Value, chanv: Value)
         raise TypecheckError(
             "T-Send", "transferred domain has the wrong shape", e.span, expected=pretty(kdom), found=pretty(kd)
         )
-    consumed = _atoms_of(subst(rho, ses.state))
+    consumed = state_atoms(instantiate(ses.state, rho))
     leftover = _take_atoms(rest, consumed, "T-Send", e.span)
     return ExprTyping((), leftover + [StBind(dom, normalize(ses.cont))], TUnit())
 
@@ -603,7 +611,7 @@ def _match(pat: Type, act: Type, pvars: set[int], alpha: dict[int, Type], parts)
         # remaining pairs, variables among them, must agree up to conversion
         # without touching pattern variables, once the enclosing binders are
         # the actual ones
-        return not {n.uid for n in free_vars(pat)} & pvars and conv(subst(alpha, pat) if alpha else pat, act)
+        return not {n.uid for n in free_vars(pat)} & pvars and conv(instantiate(pat, alpha) if alpha else pat, act)
     inner = alpha  # alpha extended by the node's binder, seen by IN fields
     for name, role, _ in LAYOUT[cls].fields:
         p, a = getattr(pat, name), getattr(act, name)
@@ -670,8 +678,8 @@ def _assemble(name: Name, path: tuple[Label, ...], shape: Type | None, parts: di
 
 
 def _verify(rho: Renaming, pat_state: Type, pat_ty: Type, act_atoms: list[Type], act_ty: Type) -> bool:
-    return conv(subst(dict(rho), pat_ty), act_ty) and (
-        _remove(act_atoms, _atoms_of(subst(dict(rho), pat_state)))[1] is None
+    return conv(instantiate(pat_ty, rho), act_ty) and (
+        _remove(act_atoms, state_atoms(instantiate(pat_state, rho)))[1] is None
     )
 
 

@@ -75,7 +75,7 @@ from pvgr.ast import (
     canonicalize,
     fresh_name,
     state_atoms,
-    subst1,
+    subst,
 )
 from pvgr.constraints import Chain, atomize, close
 from pvgr.normalize import normalize
@@ -107,6 +107,12 @@ def replace_fields(t: Node, **changes) -> Node:
     fields = node_fields(t)
     assert changes.keys() <= fields.keys(), changes
     return t.__class__(*[changes.get(f, getattr(t, f)) for f in fields], span=t.span)
+
+
+def subst1(name: Name, replacement: Union[Type, Value], t: Tree) -> Tree:
+    """t with one name replaced: the substitution the references make, by
+    `pvgr.ast.subst`."""
+    return subst({name.uid: replacement}, t)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import random
 from typing import Callable, Iterator, NamedTuple
 
 from conftest import flatten_lets
+from oracles import subst1
 
 from pvgr.anf import let_in
 from pvgr.ast import (
@@ -65,7 +66,6 @@ from pvgr.ast import (
     Value,
     fresh_name,
     replace,
-    subst1,
 )
 from pvgr.normalize import conv, normalize
 from pvgr.parser import OPERATIONS

@@ -20,13 +20,15 @@ import pvgr.ast
 import pvgr.typing
 from pvgr.anf import anf_transform
 from pvgr.ast import (
-    BDisjoint, BTVar, ELet, EClose, ENew, ERequest, EVal, KDom, ShOne, StEmpty, TEnd, TUnit, VUnit, VVar, fresh_name,
+    BDisjoint, BTVar, CProc, ELet, EClose, ENew, ERequest, EVal, KDom, ShOne, StEmpty, TEnd, TUnit, VUnit, VVar,
+    fresh_name,
 )
 from pvgr.cli import main
 from pvgr.constraints import Context
 from pvgr.diagnostic import Diagnostic
 from pvgr.kinding import disjoint_append
 from pvgr.parser import parse_program
+from pvgr.runtime import Machine
 from pvgr.typing import ExprTyping, type_config, type_expr
 
 # the ill-typed programs of tests/test_cli.py
@@ -231,3 +233,38 @@ def test_a_file_of_5000_lets_checks_and_runs(tmp_path, capsys, src, final):
         assert capsys.readouterr().out == final + "\n"
     finally:
         sys.setrecursionlimit(limit)
+
+
+SPINE = "".join(f"let x{i} = () in\n" for i in range(1000)) + "()\n"
+
+
+def test_the_machine_reads_a_1000_let_spine_back_after_a_step():
+    # free_vars and subst follow the spine in a loop, so the read-back
+    # needs no frame per let
+    m = Machine(CProc(parse_program(SPINE).expr))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        assert m.step().kind == "stepped"
+        e = m.config.expr
+    finally:
+        sys.setrecursionlimit(limit)
+        m.soup.release()
+    lets = 0
+    while isinstance(e, ELet):
+        assert isinstance(e.head, EVal) and isinstance(e.head.value, VUnit)
+        lets, e = lets + 1, e.body
+    assert lets == 999 and e == EVal(VUnit())
+
+
+def test_run_check_of_a_1000_let_spine_runs_out_of_fuel(tmp_path, capsys):
+    # a full `run --check` types the whole spine again at every step
+    f = tmp_path / "spine.pvgr"
+    f.write_text(SPINE)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        assert main(["run", str(f), "--check", "--max-steps", "5"]) == 4
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capsys.readouterr() == ("out of fuel after 5 steps\n", "")
