@@ -11,9 +11,9 @@ A node class declares its fields once, as annotations in its body; a
 field whose annotation assigns a value takes it as its default.
 `Record.__init_subclass__` reads the annotations into `_fields` and gives
 the class its constructor, equality, hash, repr and positional `match`
-patterns, compiling the first three once per shape (field names, and
-whether a span is taken); each class's functions over that code have the
-file name `<record ClassName>`, so a profiler counts them class by class.
+patterns, compiling the first three once per number of fields and span
+flag (`specialize`); each class's functions over that code have the file
+name `<record ClassName>`, so a profiler counts them class by class.
 `SCOPES` names fields of the binder forms, and `LAYOUT` reads
 `_fields` for every field's declaration position, for the role of each
 field that `SCOPES` does not list, and for the fields that hold an
@@ -25,10 +25,14 @@ first time a node or a diagnostic keeps that token, and only then.
 
 The scope table `SCOPES` is the one statement of binder scoping: free
 variables, substitution, canonical renaming and normalization all walk
-trees through it with `scope_walk`, and existential matching
-(`typing._match`) walks pairs of trees through its `LAYOUT`. Each walk is
-a module-level function that carries its state (the names bound, the
-substitution, how to name a binder) in the scope it hands `scope_walk`.
+trees through it, and existential matching (`typing._match`) walks pairs
+of trees through its `LAYOUT`. Each of the four is a `Walk`: its step at
+a node class is straight-line code generated from the class's `LAYOUT`
+entry the first time the walk meets the class, reading each field once,
+and compiled once per shape of roles and positions, as the record methods
+are. Each walk is a module-level function that carries its state (the
+names bound, the substitution, how to name a binder) in its scope and
+hands every node but a variable to its class's step.
 `free_vars` and `subst` follow a let-spine's bodies in a loop, not one
 recursion per `let`.
 A nested function that calls itself refers to itself through its closure
@@ -41,13 +45,56 @@ from __future__ import annotations
 
 import itertools
 from enum import IntEnum
-from types import FunctionType
+from types import CodeType, FunctionType
 from typing import Iterator, NamedTuple, Union
 
 
 # ---------------------------------------------------------------------------
 # records: names, spans, nodes
 # ---------------------------------------------------------------------------
+
+# Code generated per shape: the source of a shape names a node's fields and
+# class by placeholders, `_0`, `_1`, ... by declaration position and `_cls`,
+# and `specialize` compiles each distinct source once and gives every class
+# its own functions over that code, renamed with `code.replace`.
+
+_CODE: dict[str, dict[str, CodeType]] = {}  # source -> the code of each function it defines
+
+
+def specialize(source: str, kind: str, names: dict[str, str], label: str, namespace: dict) -> dict:
+    """The functions `source` defines, by name, running in the globals
+    `namespace`. The source is compiled the first time it is met, under the
+    file name `<kind>`; each function's code then has every placeholder
+    among its parameter, local and attribute names and its string
+    constants, also those in a tuple constant, renamed as `names` says, and
+    the file name `<kind label>`, so that a profiler counts the functions
+    of each label apart.
+
+    A walk may meet a class first deep in a tree, so this calls no other
+    Python function: it costs the stack one frame, and two when it
+    compiles.
+    """
+    codes = _CODE.get(source)
+    if codes is None:
+        module = compile(source, f"<{kind}>", "exec")
+        codes = _CODE[source] = {c.co_name: c for c in module.co_consts if c.__class__ is CodeType}
+    filename = f"<{kind} {label}>"
+    rename = names.get
+    out = {}
+    for name, code in codes.items():
+        consts = list(map(rename, code.co_consts, code.co_consts))
+        for i, c in enumerate(consts):
+            if c.__class__ is tuple:  # a folded constant, such as the key of a leaf
+                consts[i] = tuple(map(rename, c, c))
+        code = code.replace(
+            co_varnames=tuple(map(rename, code.co_varnames, code.co_varnames)),
+            co_names=tuple(map(rename, code.co_names, code.co_names)),
+            co_consts=tuple(consts),
+            co_filename=filename,
+        )
+        out[name] = FunctionType(code, namespace)
+    return out
+
 
 _METHODS = """
 def __init__(self, {params}):
@@ -60,17 +107,17 @@ def __eq__(self, other):
 def __hash__(self):
     return hash(({mine}))
 """
-_COMPILED: dict = {}  # (field names, spanned) -> the namespace _METHODS ran in for that shape
 
 
 class Record:
     """An immutable record whose fields are its class's annotations.
 
     Defining a subclass appends its annotations to its base's `_fields`
-    (field name -> annotation text, in declaration order) and compiles an
+    (field name -> annotation text, in declaration order) and gives it an
     `__init__`, `__eq__` and `__hash__` for exactly those fields, as
-    `dataclasses` would; classes of one shape share that code, each with
-    its own functions and defaults. The constructor writes the fields
+    `dataclasses` would. Their code is compiled once per number of fields
+    and span flag (`specialize`), and each class has its own functions over
+    it, with its own defaults. The constructor writes the fields
     straight into the instance's `__dict__`, past the `__setattr__` that
     freezes them.
     A field's default is the value its annotation assigns; fields with a
@@ -85,24 +132,19 @@ class Record:
     def __init_subclass__(cls) -> None:
         cls._fields = {**cls._fields, **cls.__dict__.get("__annotations__", {})}
         names = cls.__match_args__ = tuple(cls._fields)
-        methods = _COMPILED.setdefault((names, cls._spanned), {})
-        if not methods:  # the first class of its shape
-            params, stored = (names + ("*", "span=None"), names + ("span",)) if cls._spanned else (names, names)
-            source = _METHODS.format(
-                params=", ".join(params),
-                stores="\n    ".join(f"d[{f!r}] = {f}" for f in stored),
-                mine="".join(f"self.{f}, " for f in names),
-                theirs="".join(f"other.{f}, " for f in names),
-            )
-            exec(compile(source, "<record>", "exec"), methods)
-        filename = f"<record {cls.__qualname__}>"
-        init, eq, hash_ = (
-            FunctionType(methods[m].__code__.replace(co_filename=filename), methods)
-            for m in ("__init__", "__eq__", "__hash__")
+        slots = tuple(f"_{i}" for i in range(len(names)))
+        params, stored = (slots + ("*", "span=None"), slots + ("span",)) if cls._spanned else (slots, slots)
+        source = _METHODS.format(
+            params=", ".join(params),
+            stores="\n    ".join(f"d[{f!r}] = {f}" for f in stored),
+            mine="".join(f"self.{f}, " for f in slots),
+            theirs="".join(f"other.{f}, " for f in slots),
         )
+        methods = specialize(source, "record", dict(zip(slots, names)), cls.__qualname__, globals())
+        init = methods["__init__"]
         init.__defaults__ = tuple(getattr(cls, f) for f in names if hasattr(cls, f)) or None
         init.__kwdefaults__ = {"span": None} if cls._spanned else None
-        cls.__init__, cls.__eq__, cls.__hash__ = init, eq, hash_
+        cls.__init__, cls.__eq__, cls.__hash__ = init, methods["__eq__"], methods["__hash__"]
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -615,40 +657,68 @@ LAYOUT: dict[type, Layout] = _LayoutCache()
 """The scope table of every node class, derived once per class."""
 
 
-def scope_walk(t: Tree, scope, go, bind, make):
-    """One pass over t's fields in scoping order.
+class Walk(dict):
+    """A walk of trees by the scope table: `walk[cls]` is the function
+    (t, scope) -> result that takes one step at a node t of class cls,
+    generated from `LAYOUT` the first time the walk meets cls.
 
-    A child c becomes go(c, s): s is `scope` for OUT fields, and for IN
-    fields and telescope bindings it is `scope` extended by every binder
-    met so far, each through bind(name, role, s) -> (new name, s').
-    Returns make(t, new field values in declaration order) and the scope
-    after the last binder.
+    A step reads each field of t once, in scoping order. It walks a child
+    c as `go(c, s)`, where `go` names the walk's own function in its
+    module and s is `scope` for an OUT field and, for an IN field or a
+    telescope binding, `scope` extended by every binder met so far. The
+    source `bind(role)` takes the binder `n` into the scope `inner`, and
+    may rename `n`; the source `make(cls, fields)` is the result, an
+    expression over `t`, the field values as read (`t._0`, `t._1`, ... by
+    declaration position) and as walked (`v0`, `v1`, ...), and `_cls`
+    for the class's name.
+
+    `walk.opened[cls]` takes the step but for the last IN field, which
+    it leaves as it is, and returns the result and the scope that field
+    would be walked in: the step of a telescope binding, and of one let of
+    a spine that a loop follows.
+
+    Each function runs in `namespace`, the globals of the module that
+    defines the walk, so that a spy on `go` sees every call. Its code is
+    compiled once per source text, that is per roles and positions of the
+    fields, and has the file name `<walk go ClassName>`.
     """
-    fields = LAYOUT[t.__class__].fields
-    vals: list = [None] * len(fields)
-    inner = scope
-    for name, role, pos in fields:
-        v = getattr(t, name)
-        if role is OUT:
-            v = go(v, scope)
-        elif role is IN:
-            v = tuple([go(x, inner) for x in v]) if v.__class__ is tuple else go(v, inner)
-        elif role is TBIND or role is VBIND:
-            v, inner = bind(v, role, inner)
-        elif role is TBINDS:
-            names = []
-            for n in v:
-                n, inner = bind(n, TBIND, inner)
-                names.append(n)
-            v = tuple(names)
-        elif role is TELE:
-            bindings = []
-            for b in v:
-                b, inner = scope_walk(b, inner, go, bind, make)
-                bindings.append(b)
-            v = tuple(bindings)
-        vals[pos] = v
-    return make(t, vals), inner
+
+    def __init__(self, go: str, bind, make, namespace: dict, opened: bool = False):
+        self.go, self.bind, self.make, self.namespace = go, bind, make, namespace
+        self.opened = self if opened else Walk(go, bind, make, namespace, True)
+
+    def __missing__(self, cls: type):
+        fields = LAYOUT[cls].fields
+        kept = [name for name, role, _ in fields if role is IN][-1:] if self.opened is self else []
+        lines = ["inner = s"]
+        for name, role, pos in fields:
+            a, v = f"t._{pos}", f"v{pos}"
+            if role is OUT:
+                lines.append(f"{v} = {self.go}({a}, s)")
+            elif role is IN and name not in kept:
+                many = cls._fields[name].startswith("tuple[")
+                lines.append(f"{v} = tuple([{self.go}(x, inner) for x in {a}])" if many else f"{v} = {self.go}({a}, inner)")
+            elif role is TBIND or role is VBIND:
+                lines += [f"n = {a}", *self.bind(role).split("\n"), f"{v} = n"]
+            elif role is TBINDS:
+                lines += [f"{v} = []", f"for n in {a}:", *("    " + x for x in self.bind(TBIND).split("\n"))]
+                lines += [f"    {v}.append(n)", f"{v} = tuple({v})"]
+            elif role is TELE:
+                lines += [f"{v} = []", f"for b in {a}:", "    b, inner = opened[b.__class__](b, inner)"]
+                lines += [f"    {v}.append(b)", f"{v} = tuple({v})"]
+            else:  # KEEP, VAR, and the IN field an opened step leaves
+                lines.append(f"{v} = {a}")
+        result = self.make(cls, fields)
+        lines.append(f"return {result}, inner" if self.opened is self else f"return {result}")
+        tele = any(role is TELE for _, role, _ in fields)
+        lines.insert(0, "def step(t, s, opened=None):" if tele else "def step(t, s):")
+        names = {f"_{pos}": name for name, _, pos in fields}
+        names["_cls"] = cls.__name__
+        step = specialize("\n    ".join(lines), "walk", names, f"{self.go} {cls.__qualname__}", self.namespace)["step"]
+        if tele:
+            step.__defaults__ = (self.opened,)
+        self[cls] = step
+        return step
 
 
 def children(t: Tree) -> Iterator[Tree]:
@@ -689,32 +759,25 @@ def _free(t: Tree, scope: tuple[frozenset[int], set[Name]]) -> None:
         if t.name.uid not in scope[0]:
             scope[1].add(t.name)
     elif t.__class__ is ELet:
+        let = _FREE.opened[ELet]
         while t.__class__ is ELet:
-            _free(t.head, scope)
-            scope = (scope[0] | {t.binder.uid, *[n.uid for n in t.exnames]}, scope[1])
+            scope = let(t, scope)[1]
             t = t.body
         _free(t, scope)
     else:
-        scope_walk(t, scope, _free, _bind_free, _discard)
+        _FREE[t.__class__](t, scope)
 
 
-def _bind_free(name: Name, role: str, scope):
-    bound, out = scope
-    return name, (bound | {name.uid}, out)
+_FREE = Walk("_free", lambda role: "inner = (inner[0] | {n.uid}, inner[1])", lambda cls, fields: "None", globals())
 
 
-def _discard(t: Tree, vals: list) -> None:
-    return None
-
-
-def _rebuild(t: Tree, vals: list) -> Tree:
-    for name, _, pos in LAYOUT[t.__class__].fields:
-        if vals[pos] is not getattr(t, name):
-            return t.__class__(*vals, span=t.span)
-    return t
-
-
-_HOLE = EVal(VUnit())  # stands for a let's body while the let is renamed
+def _rebuilt(cls: type, fields) -> str:
+    """t, or t rebuilt when a field changed; a renamed binder always has."""
+    new = f"t.__class__({', '.join(f'v{pos}' for pos in range(len(fields)))}, span=t.span)"
+    if any(role is TBIND or role is VBIND for _, role, _ in fields):
+        return new
+    same = " and ".join(f"v{pos} is t._{pos}" for _, role, pos in fields if role is not KEEP)
+    return f"t if {same} else {new}" if same else "t"
 
 
 def replacements(s: Subst) -> dict:
@@ -735,22 +798,27 @@ def _rename(t: Tree, scope: tuple[dict, object]) -> Tree:
         hit = scope[0].get(t.name.uid)
         return t if hit is None else insert(hit)
     if t.__class__ is not ELet:
-        return scope_walk(t, scope, _rename, _bind_rename, _rebuild)[0]
-    lets = []  # a let-spine, in a loop: scope_walk renames each let but its body
+        return _RENAME[t.__class__](t, scope)
+    lets = []  # a let-spine, in a loop: each let renamed but for its body
+    let = _RENAME.opened[ELet]
     while t.__class__ is ELet:
-        let, scope = scope_walk(replace(t, body=_HOLE), scope, _rename, _bind_rename, _rebuild)
-        lets.append(let)
+        new, scope = let(t, scope)
+        lets.append(new)
         t = t.body
     out = _rename(t, scope)
-    for let in reversed(lets):
-        out = replace(let, body=out)
+    for new in reversed(lets):
+        out = replace(new, body=out)
     return out
 
 
-def _bind_rename(name: Name, role: str, scope):
-    s, new_name = scope
-    new = new_name(name)
-    return new, ({**s, name.uid: ((TVar if role is TBIND else VVar)(new), False)}, new_name)
+_RENAME = Walk(
+    "_rename",
+    lambda role: "new = inner[1](n)\n"
+    f"inner = ({{**inner[0], n.uid: ({'TVar' if role is TBIND else 'VVar'}(new), False)}}, inner[1])\n"
+    "n = new",
+    _rebuilt,
+    globals(),
+)
 
 
 def _fresh_like(n: Name) -> Name:

@@ -132,7 +132,7 @@ def _fuel(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .runtime import Machine, iter_procs
+    from .runtime import Machine, read_proc
     prog = _load(args.file)
     if not args.no_check:
         try:
@@ -161,7 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.trace:
                 print(machine.trace[-1])
         if out.kind == "final":
-            values = [pretty(e) for _, e in iter_procs(machine.config)]
+            values = [pretty(read_proc(p)) for p in machine.soup.procs()]  # no binder read back
             print(f"final after {machine.steps} steps: " + " | ".join(values))
             return 0
         if out.kind == "deadlock":

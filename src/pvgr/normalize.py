@@ -23,7 +23,11 @@ binder and is never kept.
 beta step (docs/normalization.md, "Instantiation in one pass").
 
 `_norm` and `_dual_push` pick their rewrite from the node's class by
-identity, as `pvgr.kinding` does, and for the same reason.
+identity, as `pvgr.kinding` does, and for the same reason. Two walks by
+the scope table (`pvgr.ast.Walk`) are generated per node class: the
+congruence case of `_norm` (`_CONGRUENCE`), which rebuilds a node from
+its normalized fields, and the key (`_KEYS`). Their steps call `_norm`
+and `_key` through this module's globals for each child.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .ast import (
     DomMerge,
     DomProj,
     Label,
-    Name,
     StEmpty,
     StMerge,
     Subst,
@@ -54,10 +57,10 @@ from .ast import (
     TVar,
     Tree,
     Type,
+    Walk,
     fresh_name,
     insert,
     replacements,
-    scope_walk,
     state_atoms,
     state_of_atoms,
 )
@@ -149,25 +152,28 @@ def _norm(t: Type, scope: _Scope) -> Type:
         out = state_of_atoms(atoms)
     else:
         # every other node: congruence, scoped by the table
-        out = scope_walk(t, scope, _norm, _bind_norm, _bare)[0]
+        out = _CONGRUENCE[cls](t, scope)
     if top:
         out.__dict__["_normal"] = True
     return out
 
 
-def _bind_norm(name: Name, role: str, scope: _Scope) -> tuple[Name, _Scope]:
-    """A binder's level; under a substitution, also a fresh name, as `subst` gives."""
-    levels, depth, sub = scope
-    if sub is not None:
-        new = fresh_name(name.text)
-        sub = {**sub, name.uid: (TVar(new), False)}
-        name = new
-    return name, ({**levels, name.uid: depth}, depth + 1, sub)
+# a binder's level; under a substitution, also a fresh name, as `subst`
+# gives (the steps find `fresh_name` and `TVar` among this module's globals)
+_BIND_NORM = """levels, depth, sub = inner
+if sub is not None:
+    new = fresh_name(n.text)
+    sub = {**sub, n.uid: (TVar(new), False)}
+    n = new
+inner = ({**levels, n.uid: depth}, depth + 1, sub)"""
 
-
-def _bare(t: Tree, vals: list) -> Tree:
-    """t rebuilt from new field values; normal forms carry no spans."""
-    return t.__class__(*vals)
+# the node rebuilt from its new fields; normal forms carry no spans
+_CONGRUENCE = Walk(
+    "_norm",
+    lambda role: _BIND_NORM,
+    lambda cls, fields: f"t.__class__({', '.join(f'v{pos}' for pos in range(len(fields)))})",
+    globals(),
+)
 
 
 def _dual_push(s: Type) -> Type:
@@ -199,18 +205,16 @@ def _key(t: Tree, scope: _Levels):
     if t.__class__ is TVar:
         levels, uid = scope[0], t.name.uid
         return ("b", levels[uid]) if uid in levels else ("f", t.name.text, uid)
-    return scope_walk(t, scope, _key, _bind_level, _key_of)[0]
+    return _KEYS[t.__class__](t, scope)
 
 
-def _bind_level(name: Name, role: str, scope: _Levels) -> tuple[Name, _Levels]:
-    levels, depth = scope
-    return name, ({**levels, name.uid: depth}, depth + 1)
-
-
-def _key_of(t: Tree, vals: list):
+def _key_of(cls: type, fields) -> str:
     """The class name, then the keys of the children and the kept fields;
     a telescope binding keys as its annotation."""
-    parts = [vals[pos] for _, role, pos in LAYOUT[t.__class__].fields if role in _KEYED]
-    if t.__class__ is BTVar or t.__class__ is BVal:
+    parts = [f"v{pos}" for _, role, pos in fields if role in _KEYED]
+    if cls is BTVar or cls is BVal:
         return parts[0]
-    return (t.__class__.__name__, *parts)
+    return f"('_cls', {''.join(p + ', ' for p in parts)})"
+
+
+_KEYS = Walk("_key", lambda role: "inner = ({**inner[0], n.uid: inner[1]}, inner[1] + 1)", _key_of, globals())

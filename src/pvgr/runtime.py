@@ -53,7 +53,8 @@ a step costs what it touches (Accattoli & Barras, PPDP 2017):
   its lets, a nested spine lifted in front of the let that waits for it:
   the flat processes, and the `CPar`/binder shape, of a machine that
   substitutes. The read-back runs only when it is asked for: `run
-  --check` before each step, and the final values.
+  --check` before each step. `run` prints the final values from the
+  process cells alone (`read_proc`), with no binder read back.
   `step_expr` is the one entry point on a plain expression, kept as a
   named layer for the benchmark's trace: it steps a process cell and reads
   it back.
@@ -363,7 +364,7 @@ def _plug(p: _Proc, h: Expr, env: _Env | None) -> None:
     _focus(p, h, env)
 
 
-def _read_proc(p: _Proc) -> Expr:
+def read_proc(p: _Proc) -> Expr:
     """p's expression, read back: the control plugged into each waiting
     let from the innermost out, its spine lifted in front of the let."""
     e = _read(p.expr, p.env)
@@ -376,13 +377,13 @@ def _read_proc(p: _Proc) -> Expr:
 
 def step_expr(e: Expr) -> Expr | None:
     """One expression-level step, or None when no redex exists. The result
-    of a flat expression is flat, as `_read_proc` lifts a nested spine in
+    of a flat expression is flat, as `read_proc` lifts a nested spine in
     front of the let that waits for it."""
     p = _Proc(e)
     if not _reduces(p):
         return None
     _step(p)
-    return _read_proc(p)
+    return read_proc(p)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +705,7 @@ class Soup:
         while m is not self.last:
             cls = m.__class__
             if cls is _Proc:
-                done.append(CProc(_read_proc(m), span=m.span))
+                done.append(CProc(read_proc(m), span=m.span))
             elif cls is not _Mark:
                 opened.append(m)
             else:

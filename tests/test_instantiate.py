@@ -20,6 +20,7 @@ import random
 import pytest
 from conftest import corpus_files
 from oracles import random_session, random_type
+from scope_ref import scope_walk
 
 import pvgr.ast
 import pvgr.typing
@@ -43,7 +44,6 @@ from pvgr.ast import (
     Type,
     canonicalize,
     fresh_name,
-    scope_walk,
     subst,
 )
 from pvgr.cli import main

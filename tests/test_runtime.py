@@ -532,28 +532,30 @@ def test_machine_steps_a_5000_process_soup_without_deep_stack():
 # -- the run path: flat per step, and stack-safe -----------------------------------
 
 
-def _scope_walks_per_step(monkeypatch, cfg) -> float:
-    """Calls to `pvgr.ast.scope_walk` per step of a run of cfg to its end,
-    its final configuration read back."""
-    import importlib
+def _walk_steps_per_step(cfg) -> float:
+    """Calls of the scope walks' generated steps (`pvgr.ast.Walk`, whose
+    code has a file name `<walk ...>`) per step of a run of cfg to its
+    end, its final configuration read back."""
+    import sys
 
     calls = [0]
-    modules = [importlib.import_module(f"pvgr.{name}") for name in ("ast", "normalize")]
-    walk = modules[0].scope_walk
 
-    def counted(*args):
-        calls[0] += 1
-        return walk(*args)
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith("<walk "):
+            calls[0] += 1
 
-    for module in modules:  # the package binds `normalize` to the function
-        monkeypatch.setattr(module, "scope_walk", counted)
     m = Machine(cfg, seed=1)
-    out = m.run()
-    assert out.kind == "final" and isinstance(m.config, Config)
+    sys.setprofile(count)
+    try:
+        out = m.run()
+        final = m.config
+    finally:
+        sys.setprofile(None)
+    assert out.kind == "final" and isinstance(final, Config)
     return calls[0] / m.steps
 
 
-def test_run_costs_the_same_per_step_at_every_size(monkeypatch):
+def test_run_costs_the_same_per_step_at_every_size():
     # a step substitutes into no spine and walks no configuration: fan 32
     # has four times the processes of fan 8, and about the same walks per step
     import random
@@ -561,10 +563,8 @@ def test_run_costs_the_same_per_step_at_every_size(monkeypatch):
     from conftest import perfbench_gen
 
     fan = perfbench_gen().fan
-    small, large = (
-        _scope_walks_per_step(monkeypatch, config(fan(n, random.Random(n)))) for n in (8, 32)
-    )
-    assert large <= 1.5 * small, (small, large)
+    small, large = (_walk_steps_per_step(config(fan(n, random.Random(n)))) for n in (8, 32))
+    assert 0 < small and large <= 1.5 * small, (small, large)
 
 
 def test_a_5000_let_spine_runs_at_the_default_recursion_limit():

@@ -22,6 +22,7 @@ ALLOWED = {
     ("constraints", "close"): "a layer perfbench spans (SPANNED in perfbench/layers.py)",
     ("runtime", "step_expr"): "a layer perfbench spans (SPANNED in perfbench/layers.py)",
     ("ast", "size"): "perfbench/layers.py counts anf.nodes_out with it",
+    ("runtime", "iter_procs"): "the public walk over a configuration's processes, which the tests read results with",
 }
 
 
