@@ -13,6 +13,10 @@ reads each nested spine back in front of that let with `let_in`.
 
 Each function loops along a spine, recursing only into heads, case
 branches and lambda bodies, so a long spine needs no deep recursion.
+
+`anf_transform` returns every node and every spine suffix that it does
+not change as it is: strict input comes back as the same object, and
+other input is rebuilt only along the path from the root to each change.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from typing import Callable
 
 from .ast import ELet, EVal, Expr, LAYOUT, Name, Span, Value, VVar, fresh_name, replace
 
-# binder, head, exnames and span of one let of a spine
-LetBinding = tuple[Name, Expr, tuple[Name, ...], Span | None]
+# binder, head, exnames and span of one let of a spine, and the let itself
+# when it is the input's own let with its own head
+LetBinding = tuple[Name, Expr, tuple[Name, ...], Span | None, ELet | None]
 
 
 def _unroll(
@@ -38,26 +43,30 @@ def _unroll(
     let, because `b` is made strict on its own before the head is lifted.
     """
     bindings: list[LetBinding] = []
-    while isinstance(e, ELet):
+    while e.__class__ is ELet:
         head = e.head
-        if isinstance(head, ELet):
-            inner, head = _unroll(head, leaf, leaf is not None and isinstance(head.body, ELet))
+        if head.__class__ is ELet:
+            inner, head = _unroll(head, leaf, leaf is not None and head.body.__class__ is ELet)
             bindings += inner
         elif leaf is not None:
             head = leaf(head)
-        bindings.append((e.binder, head, e.exnames, e.span))
+        bindings.append((e.binder, head, e.exnames, e.span, e if head is e.head else None))
         e = e.body
     tail = e if leaf is None else leaf(e)
-    if name_tail and bindings and not isinstance(tail, EVal):
+    if name_tail and bindings and tail.__class__ is not EVal:
         t = fresh_name("_a")
-        bindings.append((t, tail, (), None))
+        bindings.append((t, tail, (), None, None))
         tail = EVal(VVar(t))
     return bindings, tail
 
 
 def _build(bindings: list[LetBinding], tail: Expr) -> Expr:
-    for binder, head, exnames, span in reversed(bindings):
-        tail = ELet(binder, head, tail, exnames=exnames, span=span)
+    """The spine of bindings ending in tail. A let of the input whose head
+    is its own and whose body is what follows it is kept as it is."""
+    for binder, head, exnames, span, let in reversed(bindings):
+        if let is None or let.body is not tail:
+            let = ELet(binder, head, tail, exnames=exnames, span=span)
+        tail = let
     return tail
 
 
@@ -71,17 +80,21 @@ def let_in(
 
 
 def anf_transform(e: Expr) -> Expr:
-    """Strict-ANF form of e, preserving left-to-right evaluation order."""
+    """Strict-ANF form of e, preserving left-to-right evaluation order:
+    e itself when e is strict."""
     return _build(*_unroll(e, _anf_node, name_tail=True))
 
 
 def _anf_node(t: Expr | Value) -> Expr | Value:
     """A non-let or a value, with its case branches and lambda bodies in
-    strict ANF."""
-    fields = LAYOUT[t.__class__].operands
-    if not fields:
-        return t
-    return replace(t, **{f: (anf_transform if expr else _anf_node)(getattr(t, f)) for f, expr in fields})
+    strict ANF: t itself when none of its operands changed."""
+    changed = {}
+    for f, expr in LAYOUT[t.__class__].operands:
+        x = getattr(t, f)
+        y = anf_transform(x) if expr else _anf_node(x)
+        if y is not x:
+            changed[f] = y
+    return replace(t, **changed) if changed else t
 
 
 def is_strict_anf(e: Expr) -> bool:

@@ -21,6 +21,16 @@ stdout early (`pvgr run F --trace | head`) ends the command quietly, with
 exit code 0. `run` and `corpus` load the machine (`pvgr.runtime`) and
 `--format json` loads `json` when they run, so `check` loads neither.
 
+`main` reads the two command lines users send, `check [--format
+pretty|json] FILE` and `run FILE [--seed N] [--max-steps N] [--trace]
+[--check] [--no-check]`, by hand when they are spelt canonically: each
+option in full, at most once and in any order, its value the next
+argument, and FILE and every value not starting with `-`. It builds the
+namespace that `argparse` would. `argparse` is imported and built only
+for any other command line (`-h`, an abbreviation, `--opt=value`, `--`,
+a repeat, a missing or bad value, `corpus`), so every help text and
+usage error is argparse's own.
+
 While a command runs, the cyclic garbage collector is paused, and `main`
 leaves it as it found it. `check` and `run` free what they build by
 reference counting (tests/test_no_cycles.py), so a collection started by
@@ -30,12 +40,13 @@ walk everything alive, the caller's objects included.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .anf import anf_transform
 from .ast import CProc, StEmpty
@@ -44,6 +55,9 @@ from .normalize import conv
 from .parser import Program, parse_program, parse_type
 from .pretty import pretty, pretty_ctx
 from .typing import ExprTyping, type_config, type_expr
+
+if TYPE_CHECKING:
+    from argparse import ArgumentParser, Namespace
 
 DEFAULT_FUEL = 100_000
 
@@ -60,9 +74,11 @@ def _emit(diag: Diagnostic, fmt: str) -> None:
 
 
 def _read(path: str) -> str:
-    """The text of an input file: a program or a corpus sidecar."""
+    """The text of an input file: a program or a corpus sidecar. A path
+    that `Path` shortens ("", "f/", "f/.") is opened as `Path` opens it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path if path[-1:] not in ("", "/", ".") else Path(path), encoding="utf-8") as f:
+            return f.read()
     except OSError as e:
         raise CliError("io", f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
@@ -84,7 +100,7 @@ def _check_program(prog: Program) -> ExprTyping | None:
     return None
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: Namespace) -> int:
     fmt = args.format
     if fmt == "json":
         import json
@@ -114,7 +130,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fuel(args: argparse.Namespace) -> int:
+def _fuel(args: Namespace) -> int:
     if args.max_steps is not None:
         if args.max_steps < 0:
             raise CliError("usage", f"--max-steps must not be negative, got {args.max_steps}")
@@ -131,7 +147,7 @@ def _fuel(args: argparse.Namespace) -> int:
     return fuel
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: Namespace) -> int:
     from .runtime import Machine, read_proc
     prog = _load(args.file)
     if not args.no_check:
@@ -173,7 +189,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         machine.soup.release()
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
+def cmd_corpus(args: Namespace) -> int:
     root = Path(args.dir)
     try:
         files = sorted(f for f in root.iterdir() if f.name.endswith(".pvgr"))
@@ -231,11 +247,12 @@ def _corpus_one(path: Path, want: str) -> tuple[str, str]:
 
 
 @cache
-def _arg_parser() -> argparse.ArgumentParser:
-    """The command line's grammar, built on the first `main` call of a
-    process and shared by the later ones: parsing leaves it unchanged.
-    Only a caller that runs `main` more than once in a process saves by
-    it; the `pvgr` command runs it once."""
+def _arg_parser() -> ArgumentParser:
+    """The command line's grammar, built on the first command line of a
+    process that `_read_argv` does not read, and shared by the later ones:
+    parsing leaves it unchanged."""
+    import argparse
+
     ap = argparse.ArgumentParser(prog="pvgr", description="pvgr checker and interpreter")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -259,8 +276,60 @@ def _arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the namespace of each command that `_read_argv` reads, before its options
+_DEFAULTS = {
+    "check": {"cmd": "check", "file": None, "format": "pretty", "fn": cmd_check},
+    "run": {
+        "cmd": "run", "file": None, "seed": 0, "max_steps": None,
+        "trace": False, "check": False, "no_check": False, "fn": cmd_run,
+    },
+}
+_FLAGS = {"--trace": "trace", "--check": "check", "--no-check": "no_check"}
+_INTS = {"--seed": "seed", "--max-steps": "max_steps"}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `_arg_parser().parse_args(argv)` returns, for the
+    command lines the module docstring lists; None for any other."""
+    if not argv or argv[0] not in _DEFAULTS:
+        return None
+    cmd = argv[0]
+    args = dict(_DEFAULTS[cmd])
+    seen = set()
+    rest = iter(argv[1:])
+    for a in rest:
+        if a[:1] != "-":
+            if args["file"] is not None:
+                return None
+            args["file"] = a
+            continue
+        if a in seen:
+            return None
+        seen.add(a)
+        if cmd == "run" and a in _FLAGS:
+            args[_FLAGS[a]] = True
+            continue
+        value = next(rest, "-")
+        if value[:1] == "-":
+            return None
+        if cmd == "check" and a == "--format" and value in ("pretty", "json"):
+            args["format"] = value
+        elif cmd == "run" and a in _INTS:
+            try:
+                args[_INTS[a]] = int(value)
+            except ValueError:
+                return None
+        else:
+            return None
+    return None if args["file"] is None else SimpleNamespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _arg_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = _arg_parser().parse_args(argv)
     fmt = getattr(args, "format", "pretty")
     collecting = gc.isenabled()
     gc.disable()

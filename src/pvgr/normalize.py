@@ -23,11 +23,13 @@ binder and is never kept.
 beta step (docs/normalization.md, "Instantiation in one pass").
 
 `_norm` and `_dual_push` pick their rewrite from the node's class by
-identity, as `pvgr.kinding` does, and for the same reason. Two walks by
-the scope table (`pvgr.ast.Walk`) are generated per node class: the
-congruence case of `_norm` (`_CONGRUENCE`), which rebuilds a node from
-its normalized fields, and the key (`_KEYS`). Their steps call `_norm`
-and `_key` through this module's globals for each child.
+identity, as `pvgr.kinding` does, and for the same reason; `_norm` tells a
+leaf by its class's membership in `_LEAVES`, the node classes whose
+`LAYOUT` lists no children. Two walks by the scope table
+(`pvgr.ast.Walk`) are generated per node class: the congruence case of
+`_norm` (`_CONGRUENCE`), which rebuilds a node from its normalized
+fields, and the key (`_KEYS`). Their steps call `_norm` and `_key`
+through this module's globals for each child.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .ast import (
     DomMerge,
     DomProj,
     Label,
+    Node,
     StEmpty,
     StMerge,
     Subst,
@@ -72,6 +75,14 @@ NormalType = Type
 _Levels = tuple[dict[int, int], int]  # binder uid -> de Bruijn level; binders in scope
 _Scope = tuple[dict[int, int], int, "dict | None"]  # and the substitution, if any
 _TOP: _Scope = ({}, 0, None)
+
+
+def _subclasses(cls: type) -> list[type]:
+    return [cls, *(c for sub in cls.__subclasses__() for c in _subclasses(sub))]
+
+
+# the node classes with no children: their nodes are normal as they are
+_LEAVES = frozenset(c for c in _subclasses(Node) if not LAYOUT[c].children)
 
 
 def normalize(t: Type) -> NormalType:
@@ -114,7 +125,7 @@ def dual(s: Type) -> NormalType:
 
 def _norm(t: Type, scope: _Scope) -> Type:
     cls = t.__class__
-    if not LAYOUT[cls].children:
+    if cls in _LEAVES:
         if cls is TVar and scope[2]:
             hit = scope[2].get(t.name.uid)
             if hit is not None:

@@ -33,7 +33,12 @@ two files. The calls are:
   keyword expressions in nested brackets, under `check`, `check --format
   json`, `run --seed K --trace` for K = 0..5 and `run --seed K --check`
   for K = 0 and 1. They come last, so that a checkout that does not
-  parse them still matches the calls before them.
+  parse them still matches the calls before them;
+- after them, the command lines of `ARGV_EDGES`: `--help` of pvgr and of
+  each command, every usage error, the spellings that only `argparse`
+  reads (abbreviations, `--opt=value`, `--`, repeats, values that `int()`
+  reads loosely), and files that cannot be read: a directory, a missing
+  file, a file that is not UTF-8, and paths that `pathlib` shortens.
 
 Pytest does not collect this file. The whole set takes about a minute.
 """
@@ -102,6 +107,27 @@ def _generators():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod.FAMILIES
+
+
+CS = "corpus/client_server.pvgr"
+ARGV_EDGES = [
+    [], ["-h"], ["--help"], ["--version"], ["bogus", CS], ["check"], ["run"], ["corpus"],
+    ["check", "--help"], ["check", "-h"], ["run", "--help"], ["run", CS, "-h"], ["corpus", "--help"],
+    ["check", CS, CS], ["run", CS, "extra"], ["check", CS, "--trace"], ["run", CS, "--format", "json"],
+    ["check", CS, "--format"], ["check", CS, "--format", "yaml"], ["check", "--format=json", CS],
+    ["check", "--for", "json", CS], ["check", CS, "--format", "pretty", "--format", "json"], ["check", "--", CS],
+    ["run", CS, "--seed"], ["run", CS, "--seed", "x"], ["run", CS, "--seed", "1.5"], ["run", CS, "--seed", ""],
+    ["run", CS, "--seed=4"], ["run", CS, "--se", "5"], ["run", CS, "--seed", " 7 "], ["run", CS, "--seed", "1_0"],
+    ["run", CS, "--seed", "+2"], ["run", CS, "--seed", "-1"], ["run", CS, "--seed", "1", "--seed", "2"],
+    ["run", CS, "--max-steps", "-1"], ["run", CS, "--max-steps", "0x10"], ["run", CS, "--max", "3"],
+    ["run", CS, "--max-steps=3", "--trace"], ["run", CS, "--trace", "--trace"], ["run", CS, "--tr"],
+    ["run", CS, "--no-check", "--check", "--max-steps", "2"], ["run", "--seed", "3", CS, "--trace"],
+    ["run", "--", CS], ["run", CS, "--bogus"], ["run", CS, "--trace=1"],
+    ["check", "-"], ["check", "-x.pvgr"], ["check", ""], ["run", ""], ["check", "corpus"], ["check", "corpus/"],
+    ["check", "corpus/."], ["check", CS + "/"], ["check", CS + "/."], ["run", CS + "/", "--seed", "1"],
+    ["check", "missing.pvgr"], ["check", "gen/not_utf8.pvgr"], ["check", "--format", "json", "gen/not_utf8.pvgr"],
+    ["corpus", "missing"],
+]
 
 
 def _calls(work: Path) -> list[list[str]]:
@@ -173,6 +199,8 @@ def _calls(work: Path) -> list[list[str]]:
     calls.append(["corpus", "corpus"])
     for f in bracketed:
         calls += typed_calls(f)
+    (work / "gen" / "not_utf8.pvgr").write_bytes(b"let x = \xff in x\n")
+    calls += ARGV_EDGES
     return calls
 
 

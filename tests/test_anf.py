@@ -102,6 +102,46 @@ def test_transforms_are_idempotent():
         assert flatten_lets(anf) == anf, name
 
 
+def _subtrees(t: Node) -> list[Node]:
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        stack.extend(c for c in children(t) if isinstance(c, Node))
+    return out
+
+
+def test_strict_input_comes_back_as_it_is():
+    strict = 0
+    for name, e in _exprs():
+        if is_strict_anf(e):
+            strict += 1
+            assert anf_transform(e) is e, name
+    assert strict > 100
+
+
+def test_every_subtree_the_reference_leaves_is_kept():
+    # The reference rebuilds every node, and keeps every name but its
+    # temporaries, so a subtree of e that it leaves as it is is equal to
+    # one of its output's subtrees (spans aside). anf_transform returns
+    # that subtree itself. Equality, not alpha-equivalence: a let-spine
+    # that ANF lifts out of a head can be alpha-equal to another part of
+    # the output.
+    kept = rebuilt = 0
+    for name, e in _exprs():
+        if is_strict_anf(e):
+            continue
+        left = set(_subtrees(anf_transform_ref(e)))
+        out = {id(t) for t in _subtrees(anf_transform(e))}
+        for t in _subtrees(e):
+            if t in left:
+                kept += 1
+                assert id(t) in out, (name, t)
+            else:
+                rebuilt += 1
+    assert kept > 2000 and rebuilt > 200
+
+
 def test_let_in_is_flatten_lets_on_a_flat_body():
     grafts = 0
     for name, e in _exprs():

@@ -633,9 +633,11 @@ def call(capsys, argv):
 def test_the_shared_command_line_parser_keeps_nothing_between_calls(tmp_path, capsys):
     f = write(tmp_path, "cs.pvgr", CLIENT_SERVER)
     missing = str(tmp_path / "missing.pvgr")
+    # spelt so that argparse reads most of them: `main` reads the canonical
+    # spellings by hand
     calls = [
-        ["check", "--format", "json", f], ["run", missing], ["check", f],
-        ["run", f, "--seed", "3", "--trace"], ["run", f], ["run", f, "--trace"],
+        ["check", "--format=json", f], ["run", missing], ["check", "--", f],
+        ["run", f, "--seed=3", "--trace"], ["run", f], ["run", f, "--tr"],
         ["run"], ["check", f],
     ]
     alone = []
@@ -670,13 +672,21 @@ for _ in range(2):
     with contextlib.redirect_stdout(io.StringIO()):
         pvgr.cli.main(["check", {f!r}])
     counts.append(len(built))
+for _ in range(2):
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            pvgr.cli.main(["check"])
+        except SystemExit:
+            pass
+    counts.append(len(built))
 print(*counts)
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
-    # none at import; the first call builds pvgr's parser and its three
-    # subcommands' parsers, and the second builds none
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 4 4\n", "")
+    # none at import, and none for a `check` read by hand; the first usage
+    # error builds pvgr's parser and its three subcommands' parsers, and the
+    # second builds none
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 0 4 4\n", "")
 
 
 def _fresh_pvgr(*argv: str) -> tuple[int, str, str]:
@@ -849,6 +859,17 @@ def test_unreadable_file_is_an_io_diagnostic_exit_2(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe")
     assert main(["check", str(binary)]) == 2
     assert capsys.readouterr().err.startswith(f"error[io]: cannot read {binary}: not UTF-8 text")
+
+
+def test_a_path_is_read_as_pathlib_reads_it(tmp_path, capsys, monkeypatch):
+    # pathlib drops a trailing "/" or "/.", and reads "" as "."
+    f = write(tmp_path, "cs.pvgr", CLIENT_SERVER)
+    for path in (f + "/", f + "/."):
+        assert main(["check", path]) == 0
+        assert capsys.readouterr().out.startswith("ex: ")
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", ""]) == 2
+    assert capsys.readouterr().err == "error[io]: cannot read : Is a directory\n"
 
 
 def test_bad_fuel_setting_is_a_usage_diagnostic_exit_2(tmp_path, capsys, monkeypatch):

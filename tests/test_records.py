@@ -244,12 +244,21 @@ def _fresh(probe: str) -> str:
 
 def test_cold_start_imports_neither_dataclasses_nor_inspect():
     # nor the machine, which only `run` and `corpus` need, nor json, which
-    # only `--format json` needs
+    # only `--format json` needs, nor argparse, which only a command line
+    # that `main` does not read by hand needs, and a `check` and a `run`
+    # load neither argparse, dataclasses nor inspect
+    program = str(SRC.parent / "corpus" / "client_server.pvgr")
     probe = (
+        "import contextlib, io\n"
         "import pvgr.cli\n"
-        "print(sorted(m for m in ('pvgr.runtime', 'json', 'dataclasses', 'inspect') if m in sys.modules))"
+        "def loaded(names): return sorted(m for m in names if m in sys.modules)\n"
+        "print(loaded(('pvgr.runtime', 'json', 'dataclasses', 'inspect', 'argparse')))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    pvgr.cli.main(['check', {program!r}])\n"
+        f"    pvgr.cli.main(['run', {program!r}, '--seed', '3'])\n"
+        "print(loaded(('dataclasses', 'inspect', 'argparse')))"
     )
-    assert _fresh(probe) == "[]"
+    assert _fresh(probe) == "[]\n[]"
 
 
 def _shape_groups() -> list[list[type]]:
